@@ -163,7 +163,7 @@ def _resolve_config(args):
         if not sep:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         overrides[key.strip()] = value.strip()
-    if args.setting:
+    if getattr(args, "setting", None):
         overrides["setting"] = args.setting
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
@@ -211,9 +211,7 @@ def cmd_translate(args):
     lines = [l for l in lines if l.strip()]
     tag = corpus.LangTag(args.target_lang).surface
     inputs = [f"{tag} {line}" for line in lines]
-    results = decoding.generate_batch(
-        params, tokenizer, inputs, config, seed=args.seed, workers=args.workers
-    )
+    results = decoding.generate_batch(params, tokenizer, inputs, config, seed=args.seed)
     with open(args.output, "w", encoding="utf-8") as f:
         for r in results:
             f.write(r.text + "\n")
@@ -318,16 +316,7 @@ def cmd_synth_generate(args):
 
 
 def cmd_compare(args):
-    values = C.parse_config_file(args.config) if args.config else {}
-    overrides = {}
-    for item in args.set or ():
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    base = C.build_experiment_config(values, preset=args.preset, overrides=overrides)
+    base = _resolve_config(args)
     configs = {
         "BASE": replace(base, setting=FinetuneSetting.BASE),
         "BT": replace(base, setting=FinetuneSetting.BT),
@@ -448,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--beam-size", type=int, default=4)
     p.add_argument("--max-new-tokens", type=int, default=50)
-    p.add_argument("--workers", type=int, default=1)
     add_seed(p)
     p.set_defaults(func=cmd_translate)
 

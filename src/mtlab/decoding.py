@@ -1,14 +1,13 @@
 """Autoregressive generation: greedy, ancestral sampling, and beam search.
 
-Generation runs item by item (batch requests fan out over per-item rng
-streams), so outputs are independent of batching, partitioning, and worker
-count. Pad and language-tag ids are suppressed from the output
-distribution; tags are input-only vocabulary.
+Generation runs item by item on the calling thread, each item on its own
+rng stream, so outputs are independent of batching and partitioning. Pad
+and language-tag ids are suppressed from the output distribution; tags are
+input-only vocabulary.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,17 +177,14 @@ def generate_batch(
     inputs,
     config: DecodeConfig = DecodeConfig(),
     seed: int = 0,
-    workers: int = 1,
 ) -> list[GenerationResult]:
     """Elementwise generate() with rng_fork(seed, index) per item.
 
     Per-item failures land in the result's ``error`` field instead of
-    failing the batch; outputs are order-preserving and identical for any
-    worker count.
+    failing the batch; outputs are order-preserving.
     """
 
-    def one(index_text):
-        index, text = index_text
+    def one(index, text):
         rng = rng_fork(seed, index) if config.mode == "sample" else None
         try:
             return generate(params, tokenizer, text, config, rng=rng)
@@ -197,8 +193,4 @@ def generate_batch(
                 text="", token_ids=[], truncated=False, error=str(exc)
             )
 
-    items = list(enumerate(inputs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, items))
-    return [one(item) for item in items]
+    return [one(index, text) for index, text in enumerate(inputs)]

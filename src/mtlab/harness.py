@@ -60,6 +60,7 @@ class ExperimentConfig:
     eval_every_steps: int = 50
     patience_evals: int = 100
     mono_langs: tuple[str, ...] | None = None  # None -> every language with data
+    # Always 1; kept because saved trainer.json configs, which resume compares, carry it.
     bt_workers: int = 1
     seed: int = 13
 
@@ -83,6 +84,8 @@ class ExperimentConfig:
             raise ConfigError("batch size and accumulation factor must be >= 1")
         if self.eval_every_steps < 1:
             raise ConfigError("eval_every_steps must be >= 1")
+        if self.bt_workers != 1:
+            raise ConfigError("bt_workers must be 1; backtranslation runs on the calling thread")
         self.optimizer.validate()
         for code in self.languages:
             LangTag(code)
@@ -315,7 +318,6 @@ def run_experiment(
                 rng_fork(config.seed, f"bt-round:{epoch}"),
                 exclusions=exclusions,
                 num_bt=n_bt,
-                workers=config.bt_workers,
             )
             epoch_examples.extend(bt_examples)
             run_log.log(

@@ -1,10 +1,10 @@
 """Hot inner-loop kernels with a numba fast path and a pure-numpy fallback.
 
 The numba path is used whenever numba imports cleanly; set ``MTLAB_NUMBA=0``
-to force the numpy fallback (useful for debugging and for the benchmark in
-``benchmarks/bench_kernels.py``). Both paths compute the same quantities;
-floating-point rounding may differ between them because summation order
-differs.
+to force the numpy fallback (useful for debugging and for timing both paths
+with ``python3 perfbench/run.py``, whose output reports ``kernels.USE_NUMBA``).
+Both paths compute the same quantities; floating-point rounding may differ
+between them because summation order differs.
 
 Kernels here are the loops that dominate CPU time at this project's scale:
 fused padded cross entropy (forward and backward), the embedding-gradient

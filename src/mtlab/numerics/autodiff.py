@@ -52,7 +52,13 @@ def using_dtype(dtype):
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (evaluation / generation)."""
+    """Disable graph recording inside the block (evaluation / generation).
+
+    Grad mode is one process-wide flag, saved on entry and restored on exit,
+    so mtlab training and decoding calls must not run on several threads at
+    once: one thread can leave recording off for all. Use processes to use
+    more cores.
+    """
     global _GRAD_ENABLED
     previous = _GRAD_ENABLED
     _GRAD_ENABLED = False

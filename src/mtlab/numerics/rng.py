@@ -1,9 +1,9 @@
 """Seeded random streams and the categorical sampling primitive.
 
 Every piece of randomness in the package flows through ``rng_fork`` so that
-runs are reproducible from a single seed and independent of thread count:
-each consumer forks its own stream from ``(seed, stream_id)`` instead of
-sharing a mutable generator.
+runs are reproducible from a single seed and independent of batching: each
+consumer forks its own stream from ``(seed, stream_id)`` instead of sharing
+a mutable generator.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Direction, LangTag, MonoStore, ParallelPair
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DecodeError, FormatError
 from .numerics import rng_fork, sample_categorical
 
 log = logging.getLogger(__name__)
@@ -199,7 +199,6 @@ def make_bt_examples(
     exclusions=(),
     num_bt: int | None = None,
     generate_fn=None,
-    workers: int = 1,
 ) -> list[TaggedExample]:
     """Backtranslation examples: '<m> model(y -> pivot)' -> y.
 
@@ -207,8 +206,9 @@ def make_bt_examples(
     sampled with replacement; each picks a uniform pivot s among the
     non-excluded partners, gets ``num_sample`` sampled translations of
     '<s> y', and one candidate chosen uniformly becomes the synthetic
-    source. Per-sentence rng streams make the result independent of
-    worker count.
+    source. Each sentence draws from its own rng stream. A sentence whose
+    decoding raises DecodeError (e.g. longer than max_positions) is
+    skipped with a warning, so a round may emit fewer than its budget.
 
     ``generate_fn(input_text, rng) -> str`` overrides model decoding.
     """
@@ -228,7 +228,7 @@ def make_bt_examples(
             return decoding.generate(params, tokenizer, text, config, rng=item_rng).text
 
     base_seed = int(rng.integers(2**63))
-    jobs = []
+    out: list[TaggedExample] = []
     for lang in langs:
         sentences = by_lang.get(lang, ())
         if not sentences:
@@ -237,33 +237,29 @@ def make_bt_examples(
         if not pivots:
             raise ConfigError(f"no eligible pivot language for {lang}")
         pick_rng = rng_fork(base_seed, f"bt-pick:{lang.code}")
-        for i in range(budget):
-            sent = sentences[int(pick_rng.integers(len(sentences)))]
-            jobs.append((lang, pivots, i, sent.text))
-
-    def run_job(job):
-        lang, pivots, index, text = job
-        item_rng = rng_fork(base_seed, f"bt:{lang.code}:{index}")
-        pivot = pivots[int(item_rng.integers(len(pivots)))]
-        candidates = [
-            generate_fn(f"{pivot.surface} {text}", item_rng)
-            for _ in range(bt_config.num_sample)
-        ]
-        probs = np.full(len(candidates), 1.0 / len(candidates))
-        chosen = candidates[sample_categorical(probs, item_rng)]
-        return TaggedExample(
-            input_text=f"{lang.surface} {chosen}",
-            target_text=text,
-            kind="backtranslation",
-            pivot=pivot.code,
-        )
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_job, jobs))
-    return [run_job(job) for job in jobs]
+        for index in range(budget):
+            text = sentences[int(pick_rng.integers(len(sentences)))].text
+            item_rng = rng_fork(base_seed, f"bt:{lang.code}:{index}")
+            pivot = pivots[int(item_rng.integers(len(pivots)))]
+            try:
+                candidates = [
+                    generate_fn(f"{pivot.surface} {text}", item_rng)
+                    for _ in range(bt_config.num_sample)
+                ]
+            except DecodeError as exc:
+                log.warning("skipping backtranslation of a %s sentence: %s", lang, exc)
+                continue
+            probs = np.full(len(candidates), 1.0 / len(candidates))
+            chosen = candidates[sample_categorical(probs, item_rng)]
+            out.append(
+                TaggedExample(
+                    input_text=f"{lang.surface} {chosen}",
+                    target_text=text,
+                    kind="backtranslation",
+                    pivot=pivot.code,
+                )
+            )
+    return out
 
 
 def write_audit(path, examples, round_index: int, mode: str = "a") -> None:

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from mtlab import model as M
-from mtlab.numerics import backward, using_dtype
+from mtlab.numerics import autodiff, backward, using_dtype
 from mtlab.tokenizer import train_subword
+
+
+@pytest.fixture(autouse=True)
+def grad_mode_restored():
+    """Fail the test that leaves graph recording off, not the ones after it."""
+    yield
+    if not autodiff._GRAD_ENABLED:
+        autodiff._GRAD_ENABLED = True
+        pytest.fail("test left graph recording off (no_grad not restored)")
 
 
 @pytest.fixture

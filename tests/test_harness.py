@@ -5,6 +5,7 @@ import pytest
 
 from mtlab import model as M
 from mtlab.config import build_experiment_config, parse_config_file
+from mtlab.corpus import LangTag, MonoSentence, MonoStore
 from mtlab.errors import CheckpointError, ConfigError
 from mtlab.harness import (
     ComparisonTable,
@@ -139,10 +140,32 @@ class TestRunExperiment:
         )
         assert [e["probe"] for e in log.entries_of("epoch")] == [10]
 
+    def test_overlong_mono_sentence_skipped_in_bt(self, small_world, caplog):
+        _, parallel, mono, tokenizer = small_world
+        sy1_words = " ".join(s.text for s in mono.sentences if s.lang.code == "sy1").split()
+        long_text = " ".join(sy1_words[:30])
+        assert len(tokenizer.encode(f"<sy2> {long_text}")) > 24  # max_positions
+        sy1 = LangTag("sy1")
+        mono_long = MonoStore(
+            tuple(s for s in mono.sentences if s.lang != sy1) + (MonoSentence(sy1, long_text),)
+        )
+        config = _config(
+            FinetuneSetting.BT, epochs=1, bt=BTConfig(num_bt=3, num_sample=1, start_epoch=1)
+        )
+        with caplog.at_level("WARNING", logger="mtlab.objectives"):
+            _, log = run_experiment(config, parallel, mono_long, tokenizer)
+        (bt_round,) = log.entries_of("bt_round")
+        assert bt_round["num_bt"] == 3
+        assert bt_round["emitted"] == 6  # sy2 and sy3 only; every sy1 pick is over-long
+        assert sum("skipping backtranslation" in r.message for r in caplog.records) == 3
+        assert log.entries_of("finish")
+
     def test_config_validation_precedes_training(self, small_world):
         _, parallel, mono, tokenizer = small_world
         with pytest.raises(ConfigError):
             run_experiment(_config(epochs=0), parallel, mono, tokenizer)
+        with pytest.raises(ConfigError):
+            run_experiment(_config(bt_workers=2), parallel, mono, tokenizer)
         bad_model = _config(model=M.ModelConfig(d_model=30, n_heads=4))
         with pytest.raises(ConfigError):
             run_experiment(bad_model, parallel, mono, tokenizer)

@@ -227,19 +227,17 @@ class TestBtExamples:
                 exclusions=[("sy1", "sy2")], generate_fn=lambda t, r: "x",
             )
 
-    def test_reproducible_and_worker_invariant(self):
+    def test_reproducible(self):
         def stub(text, rng):
             return f"w{int(rng.integers(1000))}"
 
-        def run(workers):
+        def run():
             return make_bt_examples(
                 None, None, self._mono_store(8), ["sy1", "sy2", "sy3"],
-                BTConfig(num_bt=8, num_sample=2), rng_fork(5, "bt"),
-                generate_fn=stub, workers=workers,
+                BTConfig(num_bt=8, num_sample=2), rng_fork(5, "bt"), generate_fn=stub,
             )
 
-        assert run(1) == run(1)
-        assert run(1) == run(4)
+        assert run() == run()
 
     def test_decay_schedule(self):
         cfg = BTConfig(num_bt=500, num_bt_decay=(100, 50, 10))
