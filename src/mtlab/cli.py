@@ -208,15 +208,23 @@ def cmd_translate(args):
     )
     with open(args.input, encoding="utf-8") as f:
         lines = [line.rstrip("\n") for line in f]
-    lines = [l for l in lines if l.strip()]
+    # Blank lines are not decoded; they stay blank so output line N matches input line N.
+    nonblank = [i for i, line in enumerate(lines) if line.strip()]
     tag = corpus.LangTag(args.target_lang).surface
-    inputs = [f"{tag} {line}" for line in lines]
+    inputs = [f"{tag} {lines[i]}" for i in nonblank]
     results = decoding.generate_batch(params, tokenizer, inputs, config, seed=args.seed)
+    outputs = [""] * len(lines)
+    for i, r in zip(nonblank, results):
+        outputs[i] = r.text
     with open(args.output, "w", encoding="utf-8") as f:
-        for r in results:
-            f.write(r.text + "\n")
+        for text in outputs:
+            f.write(text + "\n")
     failures = sum(1 for r in results if r.error)
-    print(f"translated {len(results) - failures} of {len(results)} lines -> {args.output}")
+    truncated = sum(1 for r in results if r.truncated)
+    print(
+        f"translated {len(results) - failures} of {len(results)} lines, "
+        f"{truncated} truncated -> {args.output}"
+    )
     reports.write_manifest(
         os.path.dirname(os.path.abspath(args.output)) or ".",
         "translate", args.seed,

@@ -111,9 +111,6 @@ class ParallelStore:
         langs = {p.direction.src for p in self.pairs} | {p.direction.tgt for p in self.pairs}
         return sorted(langs)
 
-    def with_split(self, split: str) -> "ParallelStore":
-        return ParallelStore(tuple(p for p in self.pairs if p.split == split))
-
     def merge(self, other: "ParallelStore") -> "ParallelStore":
         return ParallelStore(self.pairs + other.pairs, self.malformed + other.malformed)
 

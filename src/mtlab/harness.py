@@ -28,7 +28,7 @@ from . import model as M
 from . import optim
 from .corpus import LangTag, MonoStore, ParallelStore
 from .errors import CheckpointError, ConfigError
-from .metrics import EvalReport, evaluate_direction, format_paired
+from .metrics import EvalReport, evaluate_direction
 from .numerics import backward, no_grad, rng_fork
 from .objectives import (
     BTConfig,
@@ -99,21 +99,6 @@ def _config_dict(config: ExperimentConfig) -> dict:
     d = asdict(config)
     d["setting"] = config.setting.value
     return d
-
-
-def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    d["setting"] = FinetuneSetting.parse(d["setting"])
-    d["languages"] = tuple(d["languages"])
-    if d.get("exclusions") is not None:
-        d["exclusions"] = tuple(tuple(p) for p in d["exclusions"])
-    if d.get("mono_langs") is not None:
-        d["mono_langs"] = tuple(d["mono_langs"])
-    d["model"] = M.ModelConfig(**d["model"])
-    d["bt"] = BTConfig(**{**d["bt"], "num_bt_decay": tuple(d["bt"]["num_bt_decay"])})
-    d["rec"] = RECConfig(**d["rec"])
-    d["optimizer"] = optim.AdamWConfig(**d["optimizer"])
-    return ExperimentConfig(**d)
 
 
 class RunLog:
@@ -277,7 +262,7 @@ def run_experiment(
     run_log = RunLog(config.seed, config.config_hash())
     if resume_from is not None:
         params, opt_state, state, run_log = _load_run(resume_from, config)
-        best_params = _load_best(resume_from, config) or params.copy()
+        best_params = _load_best(resume_from) or params.copy()
     else:
         params = init_params.copy() if init_params is not None else M.init(model_cfg, config.seed)
         opt_state = optim.AdamWState(params)
@@ -485,7 +470,7 @@ def _load_run(directory, config):
     return params, opt_state, state, run_log
 
 
-def _load_best(directory, config):
+def _load_best(directory):
     path = os.path.join(directory, "best.ckpt")
     if not os.path.exists(path):
         return None
@@ -513,19 +498,12 @@ class ComparisonTable:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    def to_text(self, paired_with: tuple[str, str] | None = None) -> str:
+    def to_text(self) -> str:
         header = f"{'direction':>12} " + " ".join(f"{s:>16}" for s in self.settings)
         lines = [header]
         for d in self.directions:
-            cells = []
-            for s in self.settings:
-                if paired_with is not None and s == paired_with[0]:
-                    cells.append(
-                        f"{format_paired(self.score(s, d), self.score(paired_with[1], d)):>16}"
-                    )
-                else:
-                    cells.append(f"{self.score(s, d):>16.2f}")
-            lines.append(f"{d:>12} " + " ".join(cells))
+            cells = " ".join(f"{self.score(s, d):>16.2f}" for s in self.settings)
+            lines.append(f"{d:>12} {cells}")
         return "\n".join(lines)
 
     def to_json(self) -> str:

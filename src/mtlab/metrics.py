@@ -277,42 +277,6 @@ def report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_paired(with_score: float, without_score: float) -> str:
-    """Two-decimal 'with (without)' rendering used by comparison tables."""
-    return f"{with_score:.2f} ({without_score:.2f})"
-
-
-def report_table(reports) -> str:
-    header = f"{'Source':>8} {'Target':>8} {'Test size':>10} {'spBLEU':>8} {'spCHRF':>8} {'spTER':>8}"
-    lines = [header]
-    for r in reports:
-        src, tgt = r.direction.split("-")
-        lines.append(
-            f"{src:>8} {tgt:>8} {r.test_size:>10} "
-            f"{r.spbleu:>8.2f} {r.spchrf:>8.2f} {r.spter:>8.2f}"
-        )
-    return "\n".join(lines)
-
-
-def paired_report_table(with_reports, without_reports) -> str:
-    """Table where each score cell reads 'with (without)'."""
-    by_dir = {r.direction: r for r in without_reports}
-    header = f"{'Source':>8} {'Target':>8} {'Test size':>10} {'spBLEU':>16} {'spCHRF':>16} {'spTER':>16}"
-    lines = [header]
-    for r in with_reports:
-        other = by_dir.get(r.direction)
-        if other is None:
-            raise MetricError(f"no counterpart report for direction {r.direction}")
-        src, tgt = r.direction.split("-")
-        lines.append(
-            f"{src:>8} {tgt:>8} {r.test_size:>10} "
-            f"{format_paired(r.spbleu, other.spbleu):>16} "
-            f"{format_paired(r.spchrf, other.spchrf):>16} "
-            f"{format_paired(r.spter, other.spter):>16}"
-        )
-    return "\n".join(lines)
-
-
 def evaluate_direction(
     params,
     tokenizer,

@@ -141,11 +141,6 @@ def init(config: ModelConfig, seed: int) -> Params:
     return Params(config, tensors)
 
 
-def count_params(params: Params) -> int:
-    """Total scalar count; tied embeddings are stored (and counted) once."""
-    return sum(int(t.size) for t in params.tensors.values())
-
-
 @dataclass
 class Batch:
     """Padded id matrices with boolean masks (True at real tokens)."""

@@ -2,7 +2,7 @@
 
 The op set is exactly what a small encoder-decoder transformer needs:
 (batched) matmul, broadcasting elementwise arithmetic, embedding lookup,
-softmax, layer norm, GeLU/ReLU, dropout, concat/reshape/transpose, and a
+softmax, layer norm, GeLU/ReLU, dropout, reshape/transpose, and a
 fused padded cross entropy. Graphs are recorded eagerly as each op runs
 (the recorded graph plays the tape role); ``backward`` replays it once in
 reverse topological order.
@@ -203,19 +203,6 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} - {b.shape}") from None
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _record(out, (a, b), vjp)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -249,10 +236,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g_exp, a.shape).copy(),)
 
     return _record(np.asarray(out), (a,), vjp)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(tsum(a), 1.0 / a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +274,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         return (grad,)
 
     return _record(out, (table,), vjp)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    try:
-        out = np.concatenate([t.data for t in ts], axis=axis)
-    except ValueError:
-        raise ShapeError(
-            f"concat: incompatible shapes {[t.shape for t in ts]} along axis {axis}"
-        ) from None
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _record(out, tuple(ts), vjp)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -356,7 +322,6 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     y = xc * inv
 
     def vjp(g):
-        n = x.shape[-1]
         g_mean = g.mean(axis=-1, keepdims=True)
         gy_mean = (g * y).mean(axis=-1, keepdims=True)
         return (inv * (g - g_mean - y * gy_mean),)
@@ -376,7 +341,7 @@ def relu(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """GeLU, tanh approximation."""
     d = x.data
-    inner = _GELU_C * (d + _GELU_A * d**3)
+    inner = _GELU_C * (d + _GELU_A * (d * d * d))
     t = np.tanh(inner)
     out = 0.5 * d * (1.0 + t)
 

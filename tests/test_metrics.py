@@ -12,8 +12,6 @@ from mtlab.metrics import (
     bleu,
     chrf,
     evaluate_direction,
-    format_paired,
-    paired_report_table,
     report_csv,
     spbleu,
     spchrf,
@@ -145,11 +143,6 @@ class TestSubwordVariants:
             corrupted[i] = " ".join(words)
             assert spbleu(corrupted, refs, tiny_tokenizer) <= base + 1e-9
 
-    def test_report_cell_format(self):
-        assert f"{21.836:.2f}" == "21.84"
-        assert format_paired(34.891, 12.266) == "34.89 (12.27)"
-
-
 class TestEvaluateDirection:
     def _pairs(self):
         d = Direction(LangTag("sy1"), LangTag("sy2"))
@@ -180,20 +173,6 @@ class TestEvaluateDirection:
         pairs = [ParallelPair(d1, "a b", "b a"), ParallelPair(d2, "b a", "a b")]
         with pytest.raises(MetricError):
             evaluate_direction(None, tiny_tokenizer, pairs, generate_fn=lambda t: t)
-
-    def test_paired_rendering(self, tiny_tokenizer):
-        pairs = self._pairs()
-        perfect = evaluate_direction(
-            None,
-            tiny_tokenizer,
-            pairs,
-            generate_fn=lambda text: {
-                f"<{p.direction.tgt.code}> {p.src_text}": p.tgt_text for p in pairs
-            }[text],
-        )
-        worse = EvalReport(perfect.direction, perfect.test_size, 12.266, 36.65, 124.01)
-        table = paired_report_table([perfect], [worse])
-        assert "100.00 (12.27)" in table
 
     def test_report_json_round_trip(self):
         report = EvalReport("sy1-sy2", 30, 34.89, 47.38, 68.28, {"k": "v"})

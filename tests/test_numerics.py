@@ -10,7 +10,6 @@ from mtlab.numerics import (
     Tensor,
     add,
     backward,
-    concat,
     cross_entropy,
     dropout,
     embedding_lookup,
@@ -25,7 +24,6 @@ from mtlab.numerics import (
     sample_categorical,
     scale,
     softmax,
-    sub,
     tensor,
     transpose,
     tsum,
@@ -138,7 +136,7 @@ class TestPerOpGradients:
         b = _leaf(rng, 3, 4)
         c = _leaf(rng, 4)
         cases = [
-            (lambda: tsum(mul(add(a, b), sub(a, c))), [a, b, c]),
+            (lambda: tsum(mul(add(a, b), add(a, c))), [a, b, c]),
             (lambda: tsum(scale(mul(a, a), 0.7)), [a]),
             (lambda: tsum(mul(relu(a), relu(a))), [a]),
             (lambda: tsum(mul(gelu(a), gelu(a))), [a]),
@@ -146,7 +144,6 @@ class TestPerOpGradients:
             (lambda: tsum(mul(layer_norm(a), b)), [a, b]),
             (lambda: tsum(mul(transpose(a, (1, 0)), transpose(b, (1, 0)))), [a, b]),
             (lambda: tsum(mul(reshape(a, (4, 3)), reshape(b, (4, 3)))), [a, b]),
-            (lambda: tsum(mul(concat([a, b], axis=0), concat([b, a], axis=0))), [a, b]),
         ]
         for fn, params in cases:
             finite_difference_check(fn, params, rtol=1e-4)
