@@ -105,8 +105,8 @@ def save_params(path, params, extra_meta: dict | None = None) -> None:
     save_arrays(path, {k: v.data for k, v in params.tensors.items()}, meta)
 
 
-def load_params(path, dtype=None):
-    """Restore Params; arrays cast to ``dtype`` (default: current default)."""
+def load_params(path):
+    """Restore Params; arrays cast to the current default dtype."""
     from .model import ModelConfig, Params
     from .numerics import autodiff as T
 
@@ -114,7 +114,7 @@ def load_params(path, dtype=None):
     if "config" not in meta:
         raise CheckpointError(f"{path}: missing model config metadata")
     config = ModelConfig(**meta["config"])
-    want = dtype if dtype is not None else T.default_dtype()
+    want = T.default_dtype()
     tensors = {k: T.Tensor(v.astype(want)) for k, v in arrays.items()}
     expected = {name for name, _ in _expected_names(config)}
     if set(tensors) != expected:
@@ -133,16 +133,13 @@ def _expected_names(config):
     return _layer_names(config)
 
 
-def save_optimizer(path, state, extra_meta: dict | None = None) -> None:
+def save_optimizer(path, state) -> None:
     arrays = {}
     for name, arr in state.m.items():
         arrays[f"m.{name}"] = arr
     for name, arr in state.v.items():
         arrays[f"v.{name}"] = arr
-    meta = {"t": state.t}
-    if extra_meta:
-        meta.update(extra_meta)
-    save_arrays(path, arrays, meta)
+    save_arrays(path, arrays, {"t": state.t})
 
 
 def load_optimizer(path, params):

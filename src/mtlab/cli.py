@@ -502,7 +502,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except MTLabError as exc:
+    except (MTLabError, OSError) as exc:
         print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

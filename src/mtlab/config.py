@@ -163,8 +163,7 @@ def build_experiment_config(
     kwargs = dict(top)
     for section, cls in _SECTION_TYPES.items():
         if sections[section]:
-            field_name = {"optimizer": "optimizer"}.get(section, section)
-            kwargs[field_name] = cls(**sections[section])
+            kwargs[section] = cls(**sections[section])
     config = ExperimentConfig(**kwargs)
     config.validate()
     return config

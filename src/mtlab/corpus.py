@@ -8,6 +8,7 @@ whitespace collapsed) and files must be valid UTF-8.
 from __future__ import annotations
 
 import json
+import os
 import re
 import unicodedata
 from collections import Counter
@@ -457,8 +458,6 @@ def stats(store: ParallelStore, langs=None) -> DirectionCountTable:
 # ---------------------------------------------------------------------------
 
 def save_stores(directory, parallel: ParallelStore, mono: MonoStore) -> None:
-    import os
-
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "parallel.jsonl"), "w", encoding="utf-8") as f:
         for p in parallel.pairs:
@@ -488,35 +487,42 @@ def save_stores(directory, parallel: ParallelStore, mono: MonoStore) -> None:
             )
 
 
-def load_stores(directory) -> tuple[ParallelStore, MonoStore]:
-    import os
+def _load_records(path, make) -> tuple:
+    """``make(record)`` for each record of a jsonl file; () if it is absent.
 
-    pairs = []
-    path = os.path.join(directory, "parallel.jsonl")
-    if os.path.exists(path):
-        for line in _read_lines(path):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            pairs.append(
-                ParallelPair(
-                    Direction.parse(obj["direction"]),
-                    obj["src"],
-                    obj["tgt"],
-                    obj.get("domain", ""),
-                    obj.get("split", "train"),
-                )
-            )
-    sentences = []
-    path = os.path.join(directory, "mono.jsonl")
-    if os.path.exists(path):
-        for line in _read_lines(path):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            sentences.append(
-                MonoSentence(
-                    LangTag(obj["lang"]), obj["text"], obj.get("domain", ""), obj.get("split", "train")
-                )
-            )
-    return ParallelStore(tuple(pairs)), MonoStore(tuple(sentences))
+    A line that is not JSON, or a record that lacks a key, is a
+    FormatError naming the file and line.
+    """
+    if not os.path.exists(path):
+        return ()
+    out = []
+    for lineno, line in enumerate(_read_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            out.append(make(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path} line {lineno}: invalid JSON: {exc}") from None
+        except KeyError as exc:
+            raise FormatError(f"{path} line {lineno}: record has no {exc} key") from None
+    return tuple(out)
+
+
+def load_stores(directory) -> tuple[ParallelStore, MonoStore]:
+    pairs = _load_records(
+        os.path.join(directory, "parallel.jsonl"),
+        lambda obj: ParallelPair(
+            Direction.parse(obj["direction"]),
+            obj["src"],
+            obj["tgt"],
+            obj.get("domain", ""),
+            obj.get("split", "train"),
+        ),
+    )
+    sentences = _load_records(
+        os.path.join(directory, "mono.jsonl"),
+        lambda obj: MonoSentence(
+            LangTag(obj["lang"]), obj["text"], obj.get("domain", ""), obj.get("split", "train")
+        ),
+    )
+    return ParallelStore(pairs), MonoStore(sentences)

@@ -1,5 +1,12 @@
 """Autoregressive generation: greedy, ancestral sampling, and beam search.
 
+One search loop serves every mode. It keeps a list of live hypotheses
+(token ids, total log-probability); each step extends every live
+hypothesis, keeps the best ``width`` candidates, and moves a candidate
+that ends in eos to the finished list. Greedy and sample keep one
+hypothesis; beam keeps ``beam_size``. Modes differ only in which next
+tokens a step proposes.
+
 Generation runs item by item on the calling thread, each item on its own
 rng stream, so outputs are independent of batching and partitioning. Pad
 and language-tag ids are suppressed from the output distribution; tags are
@@ -15,7 +22,7 @@ import numpy as np
 from . import model as M
 from .errors import ConfigError, DecodeError
 from .numerics import no_grad, rng_fork, sample_categorical
-from .tokenizer import EOS_ID, PAD_ID
+from .tokenizer import PAD_ID
 
 GREEDY_TEMPERATURE_FLOOR = 1e-4
 
@@ -26,7 +33,6 @@ class DecodeConfig:
     mode: str = "greedy"
     temperature: float = 1.0
     beam_size: int = 4
-    length_penalty: float = 1.0
 
     def __post_init__(self):
         if self.max_new_tokens < 1:
@@ -48,10 +54,6 @@ class GenerationResult:
     error: str | None = None
 
 
-def _suppressed_ids(tokenizer) -> list[int]:
-    return [PAD_ID] + list(tokenizer.tag_ids)
-
-
 def _last_logits(params, enc_out, src_mask, dec_ids):
     dec = np.asarray([dec_ids], dtype=np.int64)
     mask = np.ones_like(dec, dtype=bool)
@@ -65,6 +67,20 @@ def _log_softmax(row: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum())
 
 
+def _next_tokens(logits, logps, config, rng):
+    """The tokens one step proposes to extend a hypothesis with."""
+    if config.mode == "beam":
+        return np.argsort(-logps, kind="stable")[: config.beam_size]
+    if config.mode == "sample" and config.temperature >= GREEDY_TEMPERATURE_FLOOR:
+        probs = np.exp(_log_softmax(logits / config.temperature))
+        return [sample_categorical(probs / probs.sum(), rng)]
+    return [np.argmax(logits)]
+
+
+def _per_token(hypothesis) -> float:
+    return hypothesis[1] / max(len(hypothesis[0]), 1)
+
+
 def generate(
     params,
     tokenizer,
@@ -74,11 +90,13 @@ def generate(
 ) -> GenerationResult:
     """Generate a translation of one tagged input.
 
-    Greedy picks the argmax (ties -> lowest id); sample draws from the
-    temperature-scaled softmax (temperatures below 1e-4 collapse to exact
-    argmax); beam keeps beam_size hypotheses and returns the best
-    length-normalized score. Decoding stops at eos or max_new_tokens;
-    hitting the cap flags the result as truncated.
+    Each step, greedy proposes the argmax (ties -> lowest id); sample one
+    draw from the temperature-scaled softmax (temperatures below 1e-4
+    collapse to exact argmax); beam each hypothesis's beam_size best tokens.
+    Decoding stops at eos or max_new_tokens; hitting the cap flags the
+    result as truncated. The result is the finished hypothesis (the live
+    one if none finished) with the best ``score``: its untempered
+    log-probability per decoded token, eos included.
     """
     cfg = params.config
     src = tokenizer.encode(input_text)
@@ -90,85 +108,35 @@ def generate(
         raise DecodeError("sampling mode needs an rng")
     src_ids = np.asarray([src], dtype=np.int64)
     src_mask = np.ones_like(src_ids, dtype=bool)
-    suppress = _suppressed_ids(tokenizer)
-    max_len = min(config.max_new_tokens, cfg.max_positions - 1)
+    suppress = [PAD_ID, *tokenizer.tag_ids]
+    eos = cfg.eos_id
+    width = config.beam_size if config.mode == "beam" else 1
+    live = [((), 0.0)]  # (token ids, total log-probability)
+    finished = []
     with no_grad():
         enc_out = M.encode_source(params, src_ids, src_mask)
-        if config.mode == "beam":
-            ids, score, truncated = _beam_search(
-                params, enc_out, src_mask, suppress, config, max_len, cfg.eos_id
-            )
-        else:
-            ids, score, truncated = _step_decode(
-                params, enc_out, src_mask, suppress, config, max_len, cfg.eos_id, rng
-            )
+        for _ in range(min(config.max_new_tokens, cfg.max_positions - 1)):
+            candidates = []
+            for ids, logp in live:
+                logits = _last_logits(params, enc_out, src_mask, [eos, *ids])
+                logits[suppress] = -np.inf
+                logps = _log_softmax(logits)
+                for tok in map(int, _next_tokens(logits, logps, config, rng)):
+                    candidates.append((ids + (tok,), logp + float(logps[tok])))
+            candidates.sort(key=lambda c: (-c[1], c[0]))
+            live = []
+            for hyp in candidates[:width]:
+                (finished if hyp[0][-1] == eos else live).append(hyp)
+            if not live:
+                break
+    best = max(finished or live, key=_per_token)
+    ids = list(best[0][:-1] if finished else best[0])
     return GenerationResult(
         text=tokenizer.decode(ids),
         token_ids=ids,
-        truncated=truncated,
-        score=score,
+        truncated=not finished,
+        score=_per_token(best),
     )
-
-
-def _step_decode(params, enc_out, src_mask, suppress, config, max_len, eos_id, rng):
-    dec = [eos_id]
-    out: list[int] = []
-    logp_total = 0.0
-    sample_mode = config.mode == "sample" and config.temperature >= GREEDY_TEMPERATURE_FLOOR
-    for _ in range(max_len):
-        logits = _last_logits(params, enc_out, src_mask, dec)
-        logits[suppress] = -np.inf
-        if sample_mode:
-            probs = np.exp(_log_softmax(logits / config.temperature))
-            probs = probs / probs.sum()
-            nxt = sample_categorical(probs, rng)
-        else:
-            nxt = int(np.argmax(logits))
-        logp_total += float(_log_softmax(logits)[nxt])
-        dec.append(nxt)
-        if nxt == eos_id:
-            return out, logp_total, False
-        out.append(nxt)
-    return out, logp_total, True
-
-
-def _beam_search(params, enc_out, src_mask, suppress, config, max_len, eos_id):
-    # hypotheses: (ids tuple without leading eos, total logp, finished)
-    beams = [((), 0.0, False)]
-    finished: list[tuple[tuple, float, bool]] = []
-    for _ in range(max_len):
-        candidates = []
-        for ids, logp, done in beams:
-            if done:
-                continue
-            logits = _last_logits(params, enc_out, src_mask, [eos_id, *ids])
-            logits[suppress] = -np.inf
-            logps = _log_softmax(logits)
-            for tok in np.argsort(-logps, kind="stable")[: config.beam_size]:
-                tok = int(tok)
-                candidates.append((ids + (tok,), logp + float(logps[tok])))
-        if not candidates:
-            break
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        beams = []
-        for ids, logp in candidates[: config.beam_size]:
-            if ids[-1] == eos_id:
-                finished.append((ids, logp, True))
-            else:
-                beams.append((ids, logp, False))
-        if not beams:
-            break
-
-    def norm(entry):
-        ids, logp, done = entry
-        length = max(len(ids), 1)
-        return logp / (length**config.length_penalty)
-
-    pool = finished if finished else [(ids, logp, False) for ids, logp, _ in beams]
-    best = max(pool, key=norm)
-    ids, logp, done = best
-    out = list(ids[:-1]) if done else list(ids)
-    return out, norm(best), not done
 
 
 def generate_batch(

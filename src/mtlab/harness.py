@@ -520,17 +520,10 @@ class ComparisonTable:
     @classmethod
     def from_json(cls, text: str) -> "ComparisonTable":
         obj = json.loads(text)
-        reports = {}
-        for key, rep in obj["reports"].items():
-            setting, direction = key.split("|", 1)
-            reports[(setting, direction)] = EvalReport(
-                rep["direction"],
-                rep["test_size"],
-                rep["spBLEU"],
-                rep["spCHRF"],
-                rep["spTER"],
-                rep.get("metadata", {}),
-            )
+        reports = {
+            tuple(key.split("|", 1)): EvalReport.from_json(json.dumps(rep))
+            for key, rep in obj["reports"].items()
+        }
         return cls(obj["directions"], obj["settings"], reports)
 
 
@@ -539,7 +532,6 @@ def compare_settings(
     parallel: ParallelStore,
     mono: MonoStore,
     tokenizer,
-    epoch_hook_factory=None,
     out_dir=None,
 ):
     """Run BASE/BT/BT&REC on shared stores and score the shared test split.
@@ -572,10 +564,9 @@ def compare_settings(
     directions = None
     for name in names:
         config = configs[name]
-        hook = epoch_hook_factory(name, config) if epoch_hook_factory else None
         run_dir = os.path.join(out_dir, f"run-{name}") if out_dir else None
         params, run_log = run_experiment(
-            config, parallel, mono, tokenizer, checkpoint_dir=run_dir, epoch_hook=hook
+            config, parallel, mono, tokenizer, checkpoint_dir=run_dir
         )
         logs[name] = run_log
         wanted = build_directions(config.languages, config.resolved_exclusions())

@@ -281,15 +281,13 @@ def evaluate_direction(
     params,
     tokenizer,
     test_pairs,
-    subword_model=None,
-    decode_config=None,
     generate_fn=None,
 ) -> EvalReport:
     """Greedy-decode a direction's test pairs and score them.
 
-    ``subword_model`` defaults to the shared tokenizer; ``generate_fn``
-    (input_text -> output_text) overrides model decoding, which keeps the
-    metric path testable against stub translators.
+    spBLEU, spCHRF and spTER segment with ``tokenizer``'s subword pieces.
+    ``generate_fn`` (input_text -> output_text) overrides model decoding,
+    which keeps the metric path testable against stub translators.
     """
     from . import decoding  # late import; decoding depends on model
 
@@ -299,23 +297,21 @@ def evaluate_direction(
     if len(directions) != 1:
         raise MetricError(f"test pairs span {len(directions)} directions, expected 1")
     direction = next(iter(directions))
-    sp_model = subword_model if subword_model is not None else tokenizer
     inputs = [f"{p.direction.tgt.surface} {p.src_text}" for p in test_pairs]
     refs = [p.tgt_text for p in test_pairs]
     if generate_fn is not None:
         hyps = [generate_fn(text) for text in inputs]
     else:
-        config = decode_config if decode_config is not None else decoding.DecodeConfig()
-        results = decoding.generate_batch(params, tokenizer, inputs, config, seed=0)
-        hyps = [r.text for r in results]
+        config = decoding.DecodeConfig()
+        hyps = [r.text for r in decoding.generate_batch(params, tokenizer, inputs, config, seed=0)]
     return EvalReport(
         direction=direction.key,
         test_size=len(test_pairs),
-        spbleu=spbleu(hyps, refs, sp_model),
-        spchrf=spchrf(hyps, refs, sp_model),
-        spter=spter(hyps, refs, sp_model),
+        spbleu=spbleu(hyps, refs, tokenizer),
+        spchrf=spchrf(hyps, refs, tokenizer),
+        spter=spter(hyps, refs, tokenizer),
         metadata={
-            "tokenizer_sha256": sp_model.hash(),
+            "tokenizer_sha256": tokenizer.hash(),
             "bleu_smoothing": "exp",
             "bleu_max_n": BLEU_MAX_N,
             "chrf_order": CHRF_ORDER,

@@ -74,12 +74,6 @@ class Params:
             {k: T.Tensor(v.data.copy()) for k, v in self.tensors.items()},
         )
 
-    def astype(self, dtype) -> "Params":
-        return Params(
-            self.config,
-            {k: T.Tensor(v.data.astype(dtype)) for k, v in self.tensors.items()},
-        )
-
 
 def _layer_names(config: ModelConfig):
     names: list[tuple[str, tuple[int, ...]]] = []

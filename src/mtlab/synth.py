@@ -62,7 +62,10 @@ def _parse_rule(rule: str):
     if rule == "swap_adjacent_pairs":
         return ("swap_adjacent_pairs", 0)
     if rule.startswith("reverse_windows:"):
-        k = int(rule.split(":", 1)[1])
+        try:
+            k = int(rule.split(":", 1)[1])
+        except ValueError:
+            raise SynthError(f"reverse_windows window must be an integer, got {rule!r}") from None
         if k < 2:
             raise SynthError(f"reverse_windows window must be >= 2, got {k}")
         return ("reverse_windows", k)

@@ -64,6 +64,29 @@ def test_translate_reports_truncations(tmp_path, model_dir, capsys):
     assert int(printed.group(1)) == truncated
 
 
+@pytest.mark.parametrize("mode", ["beam", "sample"])
+def test_translate_other_modes_write_one_line_per_input(tmp_path, model_dir, mode):
+    src = tmp_path / "in.txt"
+    src.write_text("a b c\nc a\nhello world\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    code = cli.main([
+        "translate", "--model", str(model_dir), "--input", str(src), "--output", str(out),
+        "--target-lang", "sy2", "--mode", mode, "--beam-size", "2", "--max-new-tokens", "4",
+    ])
+    assert code == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 3
+
+
+def test_missing_input_file_is_one_line_error(tmp_path, model_dir, capsys):
+    code = cli.main([
+        "translate", "--model", str(model_dir), "--input", str(tmp_path / "nofile.txt"),
+        "--output", str(tmp_path / "out.txt"), "--target-lang", "sy2",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error FileNotFoundError: ") and err.count("\n") == 1
+
+
 def test_compare_resolves_config_like_train(tmp_path, capsys):
     code = cli.main([
         "compare", "--set", "languages=sy1,sy2", "--set", "epochs=0",

@@ -270,6 +270,19 @@ class TestStoreRoundTrip:
         assert p2.pairs == parallel.pairs
         assert m2.sentences == mono.sentences
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        ['{"direction": "fra-eng", "src": "a', '{"direction": "fra-eng", "src": "a"}'],
+        ids=["truncated_json", "missing_key"],
+    )
+    def test_bad_record_names_file_and_line(self, tmp_path, bad_line):
+        save_stores(tmp_path, _bulk_store(3), MonoStore(()))
+        path = tmp_path / "parallel.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:2] + [bad_line]) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="parallel.jsonl line 3"):
+            load_stores(tmp_path)
+
 
 def test_normalize_text():
     assert normalize_text("  a\t b  c ") == "a b c"

@@ -1,4 +1,4 @@
-"""Generation: greedy/sample/beam behavior and batch contracts."""
+"""Generation: greedy/sample/beam behavior, the shared search loop, batch contracts."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,14 @@ from mtlab import model as M
 from mtlab import optim
 from mtlab.decoding import DecodeConfig, GenerationResult, generate, generate_batch
 from mtlab.errors import ConfigError, DecodeError
-from mtlab.numerics import backward, rng_fork
+from mtlab.numerics import backward, no_grad, rng_fork
 from mtlab.tokenizer import PAD_ID
+
+MODES = {
+    "greedy": DecodeConfig(mode="greedy"),
+    "sample": DecodeConfig(mode="sample", temperature=1.0),
+    "beam": DecodeConfig(mode="beam", beam_size=3),
+}
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +86,37 @@ class TestGreedy:
         with pytest.raises(DecodeError):
             generate(params, tok, "<sy1> " + "a " * 40, DecodeConfig())
 
-    def test_truncation_flagged(self, copy_model):
+
+def _teacher_forced_score(params, tok, text, ids):
+    """Mean log-softmax of ids + eos in one teacher-forced pass, pad and tags masked."""
+    tgt = list(ids) + [params.config.eos_id]
+    batch = M.make_batch([tok.encode(text)], [tgt], params.config.pad_id)
+    with no_grad():
+        logits = M.forward_logits(params, batch).data[0].astype(np.float64)
+    logits[:, [PAD_ID, *tok.tag_ids]] = -np.inf
+    logps = logits - logits.max(axis=1, keepdims=True)
+    logps -= np.log(np.exp(logps).sum(axis=1, keepdims=True))
+    return float(logps[np.arange(len(tgt)), tgt].mean())
+
+
+class TestEveryMode:
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_truncation_flagged(self, copy_model, mode):
         params, tok, _ = copy_model
-        out = generate(params, tok, "<sy1> a b c", DecodeConfig(max_new_tokens=1))
+        config = DecodeConfig(mode=mode, max_new_tokens=1)
+        out = generate(params, tok, "<sy1> a b c", config, rng=rng_fork(0, 0))
         assert out.truncated
+        assert len(out.token_ids) == 1
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_score_is_mean_logp_per_token(self, copy_model, mode):
+        params, tok, sents = copy_model
+        for i, s in enumerate(sents):
+            text = f"<sy1> {s}"
+            out = generate(params, tok, text, MODES[mode], rng=rng_fork(0, i))
+            assert not out.truncated
+            expected = _teacher_forced_score(params, tok, text, out.token_ids)
+            assert out.score == pytest.approx(expected, abs=1e-4)
 
 
 class TestSampling:
@@ -122,7 +155,9 @@ class TestBeam:
         params, tok, sents = copy_model
         out = generate(params, tok, "<sy1> c a b", DecodeConfig(mode="beam", beam_size=4))
         assert out.text == "c a b"
-        assert out.score is not None
+        assert out.score == pytest.approx(
+            _teacher_forced_score(params, tok, "<sy1> c a b", out.token_ids), abs=1e-4
+        )
 
 
 class TestBatch:

@@ -30,6 +30,10 @@ class TestSpecs:
         with pytest.raises(SynthError):
             SyntheticLangSpec("sy1", 1, "ka", reorder_rule="shuffle")
 
+    def test_non_integer_window_rejected(self):
+        with pytest.raises(SynthError, match="integer"):
+            SyntheticLangSpec("sy1", 1, "ka", reorder_rule="reverse_windows:x")
+
     def test_duplicate_prefixes_rejected(self):
         specs = [
             SyntheticLangSpec("sy1", 1, "ka"),
