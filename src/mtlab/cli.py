@@ -246,7 +246,10 @@ def cmd_evaluate(args):
         f.write(report.to_json() + "\n")
     with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as f:
         f.write(metrics.report_csv([report]))
-    print(report.to_text())
+    print(
+        f"{report.to_text()}  decode_errors {report.metadata['decode_errors']}  "
+        f"truncated {report.metadata['truncated']}"
+    )
     reports.write_manifest(
         args.out, "evaluate", args.seed, {"direction": direction.key},
         inputs=[args.test, params_path],

@@ -1,12 +1,13 @@
-"""Hot inner-loop kernels, written in numpy.
+"""Hot inner-loop kernels.
 
 Kernels here are the loops that dominate CPU time at this project's scale:
 fused padded cross entropy (``ce_forward``, ``ce_backward``), the
 embedding-gradient scatter-add (``embedding_grad``), the fused AdamW
 parameter update (``adamw_update``), and the word-level edit distance
-(``levenshtein``) used by the shift search in TER. There is one
-implementation of each, with no compiled fast path and no switch; time them
-with ``python3 perfbench/run.py --trace 1``.
+(``levenshtein``) used by the shift search in TER. The first four are
+numpy; ``levenshtein`` is bit-parallel over Python ints, not numpy. There
+is one implementation of each, with no compiled fast path and no switch;
+time them with ``python3 perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -83,19 +84,39 @@ def adamw_update(param, grad, m, v, step, lr, beta1, beta2, eps, weight_decay):
 
 
 def levenshtein(a, b):
-    """Word-level edit distance between two int sequences."""
-    n, m = len(a), len(b)
-    if n == 0:
-        return m
+    """Word-level (unit-cost Levenshtein) edit distance between two int sequences.
+
+    Myers/Hyyrö bit-parallel algorithm (Myers 1999, J. ACM 46(3); Hyyrö
+    2001): bit i of each Python-int vector stands for row i of the dynamic
+    programming table over ``b``, and one column step per token of ``a`` is
+    a few word-level AND/OR/add operations. The positive and negative
+    vertical deltas ``pv``/``mv`` run over ``a``; the horizontal delta shifts
+    in a 1 because row 0 of a global distance grows by one per column. Ints
+    have arbitrary precision, so ``b`` may be any length. ``a`` and ``b``
+    may be lists or integer arrays.
+    """
+    m = len(b)
     if m == 0:
-        return n
-    prev = np.arange(m + 1, dtype=np.int64)
-    cur = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        cur[0] = i
-        sub = prev[:-1] + (b != a[i - 1])
-        # cur[j] = min(cur[j-1]+1, prev[j]+1, sub[j-1]) needs the running min
-        for j in range(1, m + 1):
-            cur[j] = min(cur[j - 1] + 1, prev[j] + 1, sub[j - 1])
-        prev, cur = cur, prev
-    return int(prev[m])
+        return len(a)
+    peq = {}
+    bit = 1
+    for tok in b:
+        peq[tok] = peq.get(tok, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, dist = mask, 0, m
+    for tok in a:
+        eq = peq.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = ((ph << 1) | 1) & mask
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist

@@ -18,8 +18,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import kernels
 from .errors import MetricError
 
@@ -30,7 +28,11 @@ TER_MAX_SHIFT = 10
 
 
 def _ngrams(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """Counts of the n-grams of a str (character n-grams) or a tuple.
+
+    Slices of both are hashable, so they are counted as they are.
+    """
+    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
 
 
 def bleu(hyps, refs, max_n: int = BLEU_MAX_N) -> float:
@@ -50,8 +52,8 @@ def bleu(hyps, refs, max_n: int = BLEU_MAX_N) -> float:
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hyps, refs):
-        hyp = list(hyp)
-        ref = list(ref)
+        hyp = tuple(hyp)
+        ref = tuple(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, max_n + 1):
@@ -141,14 +143,6 @@ def spchrf(hyps_text, refs_text, subword_model) -> float:
 # TER
 # ---------------------------------------------------------------------------
 
-def _edit_distance(hyp_ids, ref_ids) -> int:
-    return int(
-        kernels.levenshtein(
-            np.asarray(hyp_ids, dtype=np.int64), np.asarray(ref_ids, dtype=np.int64)
-        )
-    )
-
-
 def _ref_spans(ref_ids) -> set[tuple]:
     spans = set()
     for length in range(1, min(TER_MAX_SHIFT, len(ref_ids)) + 1):
@@ -157,36 +151,54 @@ def _ref_spans(ref_ids) -> set[tuple]:
     return spans
 
 
+def _best_shift(current, ref_ids, allowed, floor):
+    """(edits, shifted hypothesis) of the first candidate shift with the
+    fewest edits in scan order, or None when no block may move.
+
+    The scan stops at the first candidate at ``floor``: no later one can
+    score lower, so it is the first minimum the full scan would find.
+    """
+    best = None
+    for start in range(len(current)):
+        for length in range(1, min(TER_MAX_SHIFT, len(current) - start) + 1):
+            block = current[start : start + length]
+            if tuple(block) not in allowed:
+                continue
+            rest = current[:start] + current[start + length :]
+            for dest in range(len(rest) + 1):
+                if dest == start:
+                    continue
+                candidate = rest[:dest] + block + rest[dest:]
+                d = kernels.levenshtein(candidate, ref_ids)
+                if best is None or d < best[0]:
+                    best = (d, candidate)
+                    if d == floor:
+                        return best
+    return best
+
+
 def _segment_edits(hyp_ids: list[int], ref_ids: list[int]) -> int:
     """Edits for one segment: greedy best-improvement block shifts, then
     word-level edit distance. Each applied shift costs one edit.
 
     A shiftable block must exactly match a contiguous reference
-    subsequence and be at most TER_MAX_SHIFT words long.
+    subsequence and be at most TER_MAX_SHIFT words long. A shift keeps the
+    hypothesis length, so no candidate scores below the length floor
+    ``abs(len(hyp) - len(ref))``: the search stops once the distance
+    reaches it, and a scan stops at the first candidate on it. Both exits
+    leave the chosen shifts and the score as the exhaustive search has them.
     """
     allowed = _ref_spans(ref_ids)
+    floor = abs(len(hyp_ids) - len(ref_ids))
     shifts = 0
     current = list(hyp_ids)
-    dist = _edit_distance(current, ref_ids)
-    while dist > 0:
-        best = None
-        for start in range(len(current)):
-            for length in range(1, min(TER_MAX_SHIFT, len(current) - start) + 1):
-                block = tuple(current[start : start + length])
-                if block not in allowed:
-                    continue
-                rest = current[:start] + current[start + length :]
-                for dest in range(len(rest) + 1):
-                    if dest == start:
-                        continue
-                    candidate = rest[:dest] + list(block) + rest[dest:]
-                    d = _edit_distance(candidate, ref_ids)
-                    if best is None or d < best[0]:
-                        best = (d, candidate)
+    dist = kernels.levenshtein(current, ref_ids)
+    while dist > floor:
+        best = _best_shift(current, ref_ids, allowed, floor)
         if best is None or best[0] >= dist:
             break
         shifts += 1
-        dist, current = best[0], best[1]
+        dist, current = best
     return shifts + dist
 
 
@@ -287,7 +299,10 @@ def evaluate_direction(
 
     spBLEU, spCHRF and spTER segment with ``tokenizer``'s subword pieces.
     ``generate_fn`` (input_text -> output_text) overrides model decoding,
-    which keeps the metric path testable against stub translators.
+    which keeps the metric path testable against stub translators. When the
+    model decodes, ``metadata`` counts the sources that failed to decode
+    (``decode_errors``; each is scored as an empty hypothesis) and the
+    outputs cut at the token limit (``truncated``).
     """
     from . import decoding  # late import; decoding depends on model
 
@@ -299,11 +314,16 @@ def evaluate_direction(
     direction = next(iter(directions))
     inputs = [f"{p.direction.tgt.surface} {p.src_text}" for p in test_pairs]
     refs = [p.tgt_text for p in test_pairs]
+    decode_counts = {}
     if generate_fn is not None:
         hyps = [generate_fn(text) for text in inputs]
     else:
-        config = decoding.DecodeConfig()
-        hyps = [r.text for r in decoding.generate_batch(params, tokenizer, inputs, config, seed=0)]
+        results = decoding.generate_batch(params, tokenizer, inputs, decoding.DecodeConfig(), seed=0)
+        hyps = [r.text for r in results]
+        decode_counts = {
+            "decode_errors": sum(r.error is not None for r in results),
+            "truncated": sum(r.truncated for r in results),
+        }
     return EvalReport(
         direction=direction.key,
         test_size=len(test_pairs),
@@ -318,5 +338,6 @@ def evaluate_direction(
             "chrf_beta": CHRF_BETA,
             "ter_max_shift": TER_MAX_SHIFT,
             "sp_variant": "subword-piece chrF/TER",
+            **decode_counts,
         },
     )

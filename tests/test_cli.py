@@ -77,6 +77,24 @@ def test_translate_other_modes_write_one_line_per_input(tmp_path, model_dir, mod
     assert len(out.read_text(encoding="utf-8").splitlines()) == 3
 
 
+def test_evaluate_prints_decode_errors_and_truncations(tmp_path, model_dir, capsys):
+    # The second source is longer than max_positions and cannot be decoded.
+    test = tmp_path / "test.tsv"
+    test.write_text(
+        "a b c\tc a b\n" + " ".join(["a b c"] * 10) + "\ta b c\n", encoding="utf-8"
+    )
+    out = tmp_path / "eval"
+    code = cli.main([
+        "evaluate", "--model", str(model_dir), "--test", str(test),
+        "--direction", "sy1-sy2", "--out", str(out),
+    ])
+    assert code == 0
+    printed = re.search(r"decode_errors (\d+)  truncated (\d+)", capsys.readouterr().out)
+    metadata = json.loads((out / "report.json").read_text(encoding="utf-8"))["metadata"]
+    assert int(printed.group(1)) == metadata["decode_errors"] == 1
+    assert int(printed.group(2)) == metadata["truncated"]
+
+
 def test_missing_input_file_is_one_line_error(tmp_path, model_dir, capsys):
     code = cli.main([
         "translate", "--model", str(model_dir), "--input", str(tmp_path / "nofile.txt"),

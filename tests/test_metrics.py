@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from mtlab import decoding, kernels
+from mtlab import model as M
 from mtlab.corpus import Direction, LangTag, ParallelPair
 from mtlab.errors import MetricError
 from mtlab.metrics import (
@@ -124,6 +126,24 @@ class TestTer:
         # block move of 2 words = 1 edit, not 4
         assert ter(["c d a b"], ["a b c d"]) == pytest.approx(25.0)
 
+    def test_subsequence_hypothesis_needs_no_shift_search(self, monkeypatch):
+        # Deletions only: the edit distance equals the length floor that no
+        # shift can beat, so the distance is computed once.
+        calls = []
+        levenshtein = kernels.levenshtein
+        monkeypatch.setattr(
+            kernels, "levenshtein", lambda a, b: calls.append(1) or levenshtein(a, b)
+        )
+        assert ter(["a c d f"], ["a b c d e f"]) == pytest.approx(200.0 / 6)
+        assert len(calls) == 1
+
+    def test_long_segment_block_move_and_substitution(self):
+        # 25 words: move a 3-word block and substitute one word = 2 edits.
+        ref = [f"w{i}" for i in range(25)]
+        hyp = ref[:3] + ref[6:16] + ref[3:6] + ref[16:]
+        hyp[20] = "x"
+        assert ter([" ".join(hyp)], [" ".join(ref)]) == pytest.approx(100.0 * 2 / 25)
+
 
 class TestSubwordVariants:
     def test_identical_texts(self, tiny_tokenizer):
@@ -162,6 +182,21 @@ class TestEvaluateDirection:
         assert report.spter == 0.0
         assert report.test_size == len(pairs)
         assert report.metadata["tokenizer_sha256"] == tiny_tokenizer.hash()
+
+    def test_decode_failures_and_truncations_counted(self, tiny_tokenizer, tiny_model_config):
+        # The second source is longer than max_positions and cannot be decoded.
+        d = Direction(LangTag("sy1"), LangTag("sy2"))
+        pairs = [
+            ParallelPair(d, "a b c", "c a b"),
+            ParallelPair(d, " ".join(["a b c"] * 10), "a b c"),
+            ParallelPair(d, "b b a", "a c c b"),
+        ]
+        params = M.init(tiny_model_config, seed=0)
+        report = evaluate_direction(params, tiny_tokenizer, pairs)
+        inputs = [f"{d.tgt.surface} {p.src_text}" for p in pairs]
+        results = decoding.generate_batch(params, tiny_tokenizer, inputs)
+        assert report.metadata["decode_errors"] == 1
+        assert report.metadata["truncated"] == sum(r.truncated for r in results)
 
     def test_empty_test_set_rejected(self, tiny_tokenizer):
         with pytest.raises(MetricError):
