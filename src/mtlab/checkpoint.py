@@ -5,6 +5,19 @@ metadata, then one ``tensor <name> <shape-json> <offset>`` line per array,
 offsets in bytes from the start of the data segment), a blank line, then
 the concatenated float64 little-endian arrays. Writes are atomic
 (write-then-rename).
+
+A model file (``save_params``) holds the parameters under their own names
+and the model config as ``meta config``. A training run's file
+(``run.ckpt``, written by ``harness``) holds everything a resume needs in
+one such file, so one checksum and one rename cover it:
+
+- tensor sections ``params/<name>`` (current parameters), ``best/<name>``
+  (best-dev parameters), ``adam_m/<name>`` and ``adam_v/<name>`` (AdamW
+  moments);
+- meta ``config`` (model config), ``experiment`` (experiment config),
+  ``trainer`` (epoch, step and early-stopping counters, and the lines of
+  the augmentation audit written so far), ``adam_t`` (AdamW step count),
+  ``tokenizer_sha256`` and ``run_log`` (the run-log entries so far).
 """
 
 from __future__ import annotations
@@ -22,33 +35,33 @@ _MAGIC = "mtlab-checkpoint v1"
 
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Write named arrays (any float dtype; stored as f64 LE) atomically."""
-    names = list(arrays)
-    blobs = []
     offset = 0
     lines = [_MAGIC]
     meta_lines = []
     for key, value in sorted((meta or {}).items()):
         meta_lines.append(f"meta {key}={json.dumps(value, ensure_ascii=False)}")
     tensor_lines = []
-    for name in names:
+    blobs = []
+    digest = hashlib.sha256()
+    for name in arrays:
         if " " in name:
             raise CheckpointError(f"tensor name {name!r} must not contain spaces")
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-        blob = arr.tobytes()
-        shape_json = json.dumps(list(arr.shape), separators=(",", ":"))
+        # hashed and written as buffers, so no bytes copy of the data is made
+        blob = np.ascontiguousarray(arrays[name], dtype="<f8")
+        shape_json = json.dumps(list(blob.shape), separators=(",", ":"))
         tensor_lines.append(f"tensor {name} {shape_json} {offset}")
+        digest.update(blob)
         blobs.append(blob)
-        offset += len(blob)
-    data = b"".join(blobs)
-    checksum = hashlib.sha256(data).hexdigest()
-    lines.append(f"checksum sha256:{checksum}")
+        offset += blob.nbytes
+    lines.append(f"checksum sha256:{digest.hexdigest()}")
     lines.extend(meta_lines)
     lines.extend(tensor_lines)
     header = ("\n".join(lines) + "\n\n").encode("utf-8")
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
         f.write(header)
-        f.write(data)
+        for blob in blobs:
+            f.write(blob)
     os.replace(tmp, path)
 
 
@@ -107,16 +120,25 @@ def save_params(path, params, extra_meta: dict | None = None) -> None:
 
 def load_params(path):
     """Restore Params; arrays cast to the current default dtype."""
-    from .model import ModelConfig, Params
-    from .numerics import autodiff as T
-
     arrays, meta = load_arrays(path)
     if "config" not in meta:
         raise CheckpointError(f"{path}: missing model config metadata")
-    config = ModelConfig(**meta["config"])
+    return params_from_arrays(path, arrays, meta["config"]), meta
+
+
+def params_from_arrays(path, arrays: dict[str, np.ndarray], config: dict):
+    """Params of the model config ``config`` (a dict) from named arrays.
+
+    The names must be exactly the config's parameter names; arrays are cast
+    to the current default dtype.
+    """
+    from .model import ModelConfig, Params, _layer_names
+    from .numerics import autodiff as T
+
+    config = ModelConfig(**config)
     want = T.default_dtype()
     tensors = {k: T.Tensor(v.astype(want)) for k, v in arrays.items()}
-    expected = {name for name, _ in _expected_names(config)}
+    expected = {name for name, _ in _layer_names(config)}
     if set(tensors) != expected:
         missing = expected - set(tensors)
         surplus = set(tensors) - expected
@@ -124,35 +146,4 @@ def load_params(path):
             f"{path}: parameter names do not match config "
             f"(missing {sorted(missing)[:3]}, surplus {sorted(surplus)[:3]})"
         )
-    return Params(config, tensors), meta
-
-
-def _expected_names(config):
-    from .model import _layer_names
-
-    return _layer_names(config)
-
-
-def save_optimizer(path, state) -> None:
-    arrays = {}
-    for name, arr in state.m.items():
-        arrays[f"m.{name}"] = arr
-    for name, arr in state.v.items():
-        arrays[f"v.{name}"] = arr
-    save_arrays(path, arrays, {"t": state.t})
-
-
-def load_optimizer(path, params):
-    """Restore AdamW state for ``params`` (moment dtypes follow params)."""
-    from .optim import AdamWState
-
-    arrays, meta = load_arrays(path)
-    state = AdamWState(params)
-    state.t = int(meta.get("t", 0))
-    for name, tensor in params.tensors.items():
-        try:
-            state.m[name] = arrays[f"m.{name}"].astype(tensor.data.dtype)
-            state.v[name] = arrays[f"v.{name}"].astype(tensor.data.dtype)
-        except KeyError:
-            raise CheckpointError(f"{path}: missing optimizer buffers for {name!r}") from None
-    return state, meta
+    return Params(config, tensors)

@@ -16,7 +16,6 @@ import sys
 from dataclasses import asdict, replace
 
 from . import __version__
-from . import checkpoint as ckpt
 from . import config as C
 from . import corpus, decoding, harness, metrics, reports, synth
 from . import model as M
@@ -41,17 +40,6 @@ def _load_store_dir(path):
     if not os.path.isdir(path):
         raise FormatError(f"store directory {path!r} does not exist")
     return corpus.load_stores(path)
-
-
-def _model_dir_paths(model_dir):
-    best = os.path.join(model_dir, "best.ckpt")
-    params_path = best if os.path.exists(best) else os.path.join(model_dir, "params.ckpt")
-    tok_path = os.path.join(model_dir, "tokenizer.txt")
-    if not os.path.exists(params_path):
-        raise FormatError(f"no checkpoint found under {model_dir!r}")
-    if not os.path.exists(tok_path):
-        raise FormatError(f"no tokenizer.txt under {model_dir!r}")
-    return params_path, tok_path
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +181,13 @@ def cmd_train(args):
     reports.write_manifest(
         args.out, "train", config.seed, harness._config_dict(config),
         inputs=[args.tokenizer], config_path=args.config,
-        outputs=[os.path.join(args.out, n) for n in ("best.ckpt", "params.ckpt", "runlog.jsonl")],
+        outputs=[os.path.join(args.out, n) for n in harness.RUN_FILES],
     )
     return 0
 
 
 def cmd_translate(args):
-    params_path, tok_path = _model_dir_paths(args.model)
-    params, _ = ckpt.load_params(params_path)
-    tokenizer = tok_mod.SubwordModel.load(tok_path)
+    params, tokenizer, params_path = harness.load_model(args.model)
     config = decoding.DecodeConfig(
         mode=args.mode, temperature=args.temperature, beam_size=args.beam_size,
         max_new_tokens=args.max_new_tokens,
@@ -235,9 +221,7 @@ def cmd_translate(args):
 
 
 def cmd_evaluate(args):
-    params_path, tok_path = _model_dir_paths(args.model)
-    params, _ = ckpt.load_params(params_path)
-    tokenizer = tok_mod.SubwordModel.load(tok_path)
+    params, tokenizer, params_path = harness.load_model(args.model)
     direction = corpus.Direction.parse(args.direction)
     store = corpus.load_parallel(args.test, direction, args.format)
     report = metrics.evaluate_direction(params, tokenizer, list(store.pairs))

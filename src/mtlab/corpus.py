@@ -142,9 +142,6 @@ class CleaningConfig:
     max_len: int = 50
     min_len: int = 2
     dedup: bool = True
-    # recorded for provenance only; alignment-confidence filtering happens
-    # upstream of this pipeline
-    opus_confidence_threshold: float = 1.5
 
     def __post_init__(self):
         if not 1 <= self.min_len <= self.max_len:
@@ -172,17 +169,6 @@ class CleanReport:
     dropped_too_long: int = 0
     dropped_too_short: int = 0
     dropped_duplicate: int = 0
-
-    def to_text(self) -> str:
-        rows = [
-            ("input", self.input_count),
-            ("kept", self.kept),
-            ("dropped_too_long", self.dropped_too_long),
-            ("dropped_too_short", self.dropped_too_short),
-            ("dropped_duplicate", self.dropped_duplicate),
-        ]
-        width = max(len(r[0]) for r in rows)
-        return "\n".join(f"{name.ljust(width)}  {count}" for name, count in rows)
 
     def to_csv(self) -> str:
         return (

@@ -11,6 +11,19 @@ and the best-dev checkpoint is returned.
 All randomness is derived from ``(seed, epoch or counter)`` streams, so a
 run resumed from an epoch checkpoint reproduces the uninterrupted run's
 loss trace exactly.
+
+A run directory holds:
+
+- ``run.ckpt``: the whole resume state, rewritten atomically at every
+  epoch end (sections and meta in ``checkpoint``'s docstring);
+- ``runlog.jsonl``: an export of the run log, rewritten after each
+  ``run.ckpt`` and once more at finish;
+- ``augmentation_audit.jsonl``: one line per emitted BT/REC example;
+- ``tokenizer.txt``: written once, when the run starts.
+
+Resume reads only ``run.ckpt``. It rejects a different config or
+tokenizer and cuts the audit back to the lines the checkpoint covers, so
+a crash at any write leaves a run that resumes exactly or is refused.
 """
 
 from __future__ import annotations
@@ -41,6 +54,11 @@ from .objectives import (
     make_rec_examples,
     write_audit,
 )
+from .tokenizer import SubwordModel
+
+
+# The files of a run directory, as listed in the module docstring.
+RUN_FILES = ("run.ckpt", "runlog.jsonl", "augmentation_audit.jsonl", "tokenizer.txt")
 
 
 @dataclass(frozen=True)
@@ -60,7 +78,7 @@ class ExperimentConfig:
     eval_every_steps: int = 50
     patience_evals: int = 100
     mono_langs: tuple[str, ...] | None = None  # None -> every language with data
-    # Always 1; kept because saved trainer.json configs, which resume compares, carry it.
+    # Always 1; kept because saved run configs, which resume compares, carry it.
     bt_workers: int = 1
     seed: int = 13
 
@@ -182,6 +200,7 @@ class _TrainerState:
     best_dev: float = float("inf")
     evals_since_best: int = 0
     stopped_early: bool = False
+    audit_lines: int = 0  # lines of augmentation_audit.jsonl written so far
 
 
 def _estimate_total_steps(config, n_translation, n_mono_langs) -> int:
@@ -208,17 +227,15 @@ def run_experiment(
     tokenizer,
     checkpoint_dir=None,
     resume_from=None,
-    epoch_hook=None,
     init_params=None,
     stop_after_epoch=None,
 ):
     """Train one setting end to end; returns (best Params, RunLog).
 
-    ``epoch_hook(params, epoch)`` may return a dict merged into the
-    epoch-end log entry (the synthetic bench uses it for off-target
-    probes). ``checkpoint_dir`` enables epoch-boundary checkpoints plus a
-    jsonl audit of emitted BT/REC examples; ``resume_from`` continues a
-    checkpointed run and reproduces its uninterrupted loss trace.
+    ``checkpoint_dir`` enables epoch-boundary checkpoints plus a jsonl
+    audit of emitted BT/REC examples; ``resume_from`` continues a
+    checkpointed run in its own directory (``checkpoint_dir`` must then be
+    unset or the same) and reproduces its uninterrupted loss trace.
     ``stop_after_epoch`` interrupts the run at an epoch boundary (the
     config, and with it the lr schedule, is unchanged, so a later resume
     matches the uninterrupted run).
@@ -261,8 +278,10 @@ def run_experiment(
     state = _TrainerState()
     run_log = RunLog(config.seed, config.config_hash())
     if resume_from is not None:
-        params, opt_state, state, run_log = _load_run(resume_from, config)
-        best_params = _load_best(resume_from) or params.copy()
+        if os.path.abspath(checkpoint_dir or resume_from) != os.path.abspath(resume_from):
+            raise ConfigError("a resumed run checkpoints into the directory it resumes from")
+        checkpoint_dir = resume_from
+        params, best_params, opt_state, state, run_log = _load_run(resume_from, config, tokenizer)
     else:
         params = init_params.copy() if init_params is not None else M.init(model_cfg, config.seed)
         opt_state = optim.AdamWState(params)
@@ -278,8 +297,11 @@ def run_experiment(
 
     audit_path = None
     if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
         audit_path = os.path.join(checkpoint_dir, "augmentation_audit.jsonl")
+        if resume_from is None:
+            os.makedirs(checkpoint_dir, exist_ok=True)
+            tokenizer.save(os.path.join(checkpoint_dir, "tokenizer.txt"))
+            open(audit_path, "w", encoding="utf-8").close()
 
     accumulator = optim.GradAccumulator(config.accumulation_factor)
     tensors_by_name = None
@@ -314,6 +336,7 @@ def run_experiment(
             )
             if audit_path:
                 write_audit(audit_path, bt_examples, state.bt_rounds_done)
+                state.audit_lines += len(bt_examples)
             if config.setting is FinetuneSetting.BT_REC:
                 rec_examples = make_rec_examples(
                     active_mono, config.rec, rng_fork(config.seed, f"rec-round:{epoch}")
@@ -327,6 +350,7 @@ def run_experiment(
                 )
                 if audit_path:
                     write_audit(audit_path, rec_examples, state.bt_rounds_done)
+                    state.audit_lines += len(rec_examples)
             state.bt_rounds_done += 1
 
         order = rng_fork(config.seed, f"shuffle:{epoch}").permutation(len(epoch_examples))
@@ -400,16 +424,12 @@ def run_experiment(
                         stop = True
                         run_log.log("early_stop", step=state.opt_step, epoch=epoch)
 
-        entry = {
-            "epoch": epoch,
-            "mean_loss": epoch_loss_sum / max(epoch_token_sum, 1),
-            "examples": len(epoch_examples),
-        }
-        if epoch_hook is not None:
-            extra = epoch_hook(params, epoch)
-            if extra:
-                entry.update(extra)
-        run_log.log("epoch", **entry)
+        run_log.log(
+            "epoch",
+            epoch=epoch,
+            mean_loss=epoch_loss_sum / max(epoch_token_sum, 1),
+            examples=len(epoch_examples),
+        )
         state.epoch_done = epoch
         if checkpoint_dir is not None:
             _save_run(checkpoint_dir, config, params, best_params, opt_state, state, run_log, tokenizer)
@@ -428,54 +448,99 @@ def run_experiment(
         stopped_early=state.stopped_early,
         wall_seconds=round(time.time() - wall_start, 3),
     )
+    if checkpoint_dir is not None:
+        run_log.save(os.path.join(checkpoint_dir, "runlog.jsonl"))
     return final, run_log
 
 
 def _save_run(directory, config, params, best_params, opt_state, state, run_log, tokenizer):
-    ckpt.save_params(
-        os.path.join(directory, "params.ckpt"),
-        params,
-        {"tokenizer_sha256": tokenizer.hash()},
-    )
-    ckpt.save_params(os.path.join(directory, "best.ckpt"), best_params)
-    ckpt.save_optimizer(os.path.join(directory, "optim.ckpt"), opt_state)
-    trainer = asdict(state)
-    manifest = {
-        "trainer": trainer,
-        "config": _config_dict(config),
+    sections = {
+        "params": {k: t.data for k, t in params.tensors.items()},
+        "best": {k: t.data for k, t in best_params.tensors.items()},
+        "adam_m": opt_state.m,
+        "adam_v": opt_state.v,
     }
-    tmp = os.path.join(directory, "trainer.json.tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-    os.replace(tmp, os.path.join(directory, "trainer.json"))
+    arrays = {f"{s}/{k}": v for s, tensors in sections.items() for k, v in tensors.items()}
+    meta = {
+        "config": asdict(params.config),
+        "experiment": _config_dict(config),
+        "trainer": asdict(state),
+        "adam_t": opt_state.t,
+        "tokenizer_sha256": tokenizer.hash(),
+        "run_log": run_log.entries,
+    }
+    ckpt.save_arrays(os.path.join(directory, "run.ckpt"), arrays, meta)
     run_log.save(os.path.join(directory, "runlog.jsonl"))
-    tokenizer.save(os.path.join(directory, "tokenizer.txt"))
 
 
-def _load_run(directory, config):
-    path = os.path.join(directory, "trainer.json")
-    try:
-        with open(path, encoding="utf-8") as f:
-            manifest = json.load(f)
-    except OSError as exc:
-        raise CheckpointError(f"cannot resume from {directory}: {exc}") from None
-    saved = manifest.get("config", {})
+def _load_run(directory, config, tokenizer):
+    path = os.path.join(directory, "run.ckpt")
+    arrays, meta = ckpt.load_arrays(path)
     live = json.loads(json.dumps(_config_dict(config)))  # tuples -> lists
-    if saved != live:
+    if meta.get("experiment") != live:
         raise CheckpointError("resume config does not match the checkpointed config")
-    params, _ = ckpt.load_params(os.path.join(directory, "params.ckpt"))
-    opt_state, _ = ckpt.load_optimizer(os.path.join(directory, "optim.ckpt"), params)
-    state = _TrainerState(**manifest["trainer"])
-    run_log = RunLog.load(os.path.join(directory, "runlog.jsonl"))
-    return params, opt_state, state, run_log
+    if meta.get("tokenizer_sha256") != tokenizer.hash():
+        raise CheckpointError("resume tokenizer does not match the checkpointed tokenizer")
+    params = _section(path, arrays, meta, "params")
+    best_params = _section(path, arrays, meta, "best")
+    opt_state = optim.AdamWState(params)
+    opt_state.t = meta["adam_t"]
+    opt_state.m = {k: t.data for k, t in _section(path, arrays, meta, "adam_m").tensors.items()}
+    opt_state.v = {k: t.data for k, t in _section(path, arrays, meta, "adam_v").tensors.items()}
+    run_log = RunLog(config.seed, config.config_hash())
+    run_log.entries = meta["run_log"]
+    state = _TrainerState(**meta["trainer"])
+    _trim_audit(os.path.join(directory, "augmentation_audit.jsonl"), state.audit_lines)
+    return params, best_params, opt_state, state, run_log
 
 
-def _load_best(directory):
-    path = os.path.join(directory, "best.ckpt")
-    if not os.path.exists(path):
-        return None
-    params, _ = ckpt.load_params(path)
-    return params
+def _section(path, arrays, meta, name):
+    """Params built from one ``<name>/`` tensor section of a run file."""
+    prefix = f"{name}/"
+    part = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+    return ckpt.params_from_arrays(f"{path} [{name}]", part, meta["config"])
+
+
+def _trim_audit(path, lines: int) -> None:
+    """Cut the audit back to its first ``lines`` lines, the ones the checkpoint covers."""
+    try:
+        with open(path, "r+b") as f:
+            data = f.read()
+            end = 0
+            for _ in range(lines):
+                end = data.index(b"\n", end) + 1
+            f.truncate(end)
+    except (OSError, ValueError):
+        raise CheckpointError(
+            f"{path} holds fewer than the {lines} audit lines checkpointed"
+        ) from None
+
+
+def load_model(directory):
+    """(Params, tokenizer, checkpoint path) of a model or run directory.
+
+    A run directory yields what ``run_experiment`` returns: the best-dev
+    parameters from ``run.ckpt``, or the last ones if no dev evaluation
+    ran. Any other directory yields its ``params.ckpt``. Both need
+    ``tokenizer.txt``.
+    """
+    tok_path = os.path.join(directory, "tokenizer.txt")
+    path = os.path.join(directory, "run.ckpt")
+    if os.path.exists(path):
+        arrays, meta = ckpt.load_arrays(path)
+        evaluated = np.isfinite(meta["trainer"]["best_dev"])
+        params = _section(path, arrays, meta, "best" if evaluated else "params")
+    else:
+        path = os.path.join(directory, "params.ckpt")
+        if not os.path.exists(path):
+            raise CheckpointError(f"no checkpoint found under {directory!r}")
+        params, meta = ckpt.load_params(path)
+    if not os.path.exists(tok_path):
+        raise CheckpointError(f"no tokenizer.txt under {directory!r}")
+    tokenizer = SubwordModel.load(tok_path)
+    if meta.get("tokenizer_sha256", tokenizer.hash()) != tokenizer.hash():
+        raise CheckpointError(f"{tok_path} is not the tokenizer the model was trained with")
+    return params, tokenizer, path
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +644,6 @@ def compare_settings(
             reports[(name, direction.key)] = evaluate_direction(
                 params, tokenizer, pairs
             )
-        if run_dir:
-            run_log.save(os.path.join(run_dir, "runlog.jsonl"))
     table = ComparisonTable(directions or [], names, reports)
     if out_dir:
         with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8") as f:

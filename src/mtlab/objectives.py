@@ -262,9 +262,9 @@ def make_bt_examples(
     return out
 
 
-def write_audit(path, examples, round_index: int, mode: str = "a") -> None:
+def write_audit(path, examples, round_index: int) -> None:
     """Append emitted BT/REC examples to a jsonl audit file."""
-    with open(path, mode, encoding="utf-8") as f:
+    with open(path, "a", encoding="utf-8") as f:
         for ex in examples:
             obj = json.loads(ex.to_json())
             obj["round"] = round_index

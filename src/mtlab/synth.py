@@ -212,33 +212,3 @@ def save_specs(path, specs) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump([asdict(s) for s in specs], f, indent=2, sort_keys=True)
 
-
-def load_specs(path) -> list[SyntheticLangSpec]:
-    import json
-
-    with open(path, encoding="utf-8") as f:
-        return [SyntheticLangSpec(**obj) for obj in json.load(f)]
-
-
-def off_target_rate(outputs, expected_lang, specs) -> float:
-    """Fraction of outputs not dominated by the expected language.
-
-    A sentence is on-target iff more than half of its tokens carry the
-    expected language's surface prefix; unknown-prefix tokens count
-    against it. Empty outputs are off-target.
-    """
-    outputs = list(outputs)
-    if not outputs:
-        raise SynthError("off_target_rate needs at least one output")
-    expected = str(expected_lang)
-    by_code = {s.code: s for s in specs}
-    if expected not in by_code:
-        raise SynthError(f"unknown expected language {expected!r}")
-    prefix = by_code[expected].surface_prefix
-    off = 0
-    for sentence in outputs:
-        tokens = sentence.split()
-        hits = sum(1 for t in tokens if t.startswith(prefix))
-        if not tokens or hits * 2 <= len(tokens):
-            off += 1
-    return off / len(outputs)

@@ -98,12 +98,6 @@ class SubwordModel:
 
     # -- encoding ----------------------------------------------------------
 
-    def tag_id(self, code: str) -> int:
-        try:
-            return self._tag_ids[f"<{code}>"]
-        except KeyError:
-            raise VocabularyError(f"unknown language tag {code!r}") from None
-
     @property
     def tag_ids(self) -> list[int]:
         return [self._tag_ids[f"<{code}>"] for code in self.lang_tags]

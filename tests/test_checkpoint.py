@@ -5,7 +5,6 @@ import pytest
 
 from mtlab import checkpoint as ckpt
 from mtlab import model as M
-from mtlab import optim
 from mtlab.errors import CheckpointError
 
 
@@ -73,16 +72,3 @@ def test_mismatched_names_rejected(tmp_path, tiny_model_config):
     with pytest.raises(CheckpointError):
         ckpt.load_params(path)
 
-
-def test_optimizer_round_trip(tmp_path, tiny_model_config):
-    params = M.init(tiny_model_config, seed=1)
-    state = optim.AdamWState(params)
-    grads = {n: np.ones_like(params[n].data) for n in params.names()}
-    optim.adamw_step(params, grads, state, optim.AdamWConfig())
-    path = tmp_path / "opt.ckpt"
-    ckpt.save_optimizer(path, state)
-    loaded, _ = ckpt.load_optimizer(path, params)
-    assert loaded.t == 1
-    for name in params.names():
-        np.testing.assert_allclose(loaded.m[name], state.m[name], atol=1e-7)
-        np.testing.assert_allclose(loaded.v[name], state.v[name], atol=1e-7)

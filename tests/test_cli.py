@@ -1,12 +1,13 @@
-"""Command-line entry point: translate end to end, config resolution for compare."""
+"""Command-line entry point: train and translate end to end, config resolution for compare."""
 
 import json
+import os
 import re
 
 import pytest
 
 from mtlab import checkpoint as ckpt
-from mtlab import cli, decoding
+from mtlab import cli, decoding, harness
 from mtlab import model as M
 from mtlab.corpus import LangTag
 from mtlab.tokenizer import SubwordModel
@@ -112,3 +113,45 @@ def test_compare_resolves_config_like_train(tmp_path, capsys):
     ])
     assert code == 2
     assert "epochs must be >= 1" in capsys.readouterr().err
+
+
+def test_train_then_translate_from_run_dir(tmp_path):
+    store, run_dir, out_dir = tmp_path / "store", tmp_path / "run", tmp_path / "out"
+    tok = tmp_path / "tok" / "tokenizer.txt"
+    tok.parent.mkdir()
+    assert cli.main([
+        "synth", "generate", "--langs", "sy1,sy2", "--n-parallel", "12", "--n-mono", "6",
+        "--len-range", "2,4", "--concept-vocab", "20", "--dev", "2", "--test", "2",
+        "--out", str(store),
+    ]) == 0
+    assert cli.main([
+        "tokenizer", "train", "--store", str(store), "--vocab-size", "300", "--out", str(tok),
+    ]) == 0
+    model = ["model.d_model=16", "model.n_heads=2", "model.n_enc_layers=1",
+             "model.n_dec_layers=1", "model.d_ff=24", "model.max_positions=24"]
+    sets = ["languages=sy1,sy2", "bt.num_bt=2", "bt.start_epoch=1", "rec.num_rec=2",
+            "batch_size_sentences=8", "eval_every_steps=2", *model]
+    assert cli.main([
+        "train", "--setting", "btrec", "--epochs", "2", "--store", str(store),
+        "--tokenizer", str(tok), "--out", str(run_dir),
+        *[arg for kv in sets for arg in ("--set", kv)],
+    ]) == 0
+    assert sorted(os.listdir(run_dir)) == sorted([*harness.RUN_FILES, "manifest.json"])
+
+    src = tmp_path / "in.txt"
+    src.write_text("ka1 ka2\nka3\nka4 ka5 ka6\n", encoding="utf-8")
+    out_dir.mkdir()
+    code = cli.main([
+        "translate", "--model", str(run_dir), "--input", str(src),
+        "--output", str(out_dir / "out.txt"), "--target-lang", "sy2", "--max-new-tokens", "5",
+    ])
+    assert code == 0
+    assert len((out_dir / "out.txt").read_text(encoding="utf-8").splitlines()) == 3
+    for directory in (run_dir, out_dir):
+        manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+        listed = [*manifest["inputs"], *manifest["outputs"]]
+        assert listed and all(os.path.exists(p) for p in listed)
+    train_manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(train_manifest["outputs"]) == sorted(
+        str(run_dir / n) for n in harness.RUN_FILES
+    )

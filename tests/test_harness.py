@@ -1,5 +1,8 @@
 """Training orchestration: curricula, determinism, early stop, resume."""
 
+import builtins
+import os
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,12 @@ from mtlab.config import build_experiment_config, parse_config_file
 from mtlab.corpus import LangTag, MonoSentence, MonoStore
 from mtlab.errors import CheckpointError, ConfigError
 from mtlab.harness import (
+    RUN_FILES,
     ComparisonTable,
     ExperimentConfig,
     RunLog,
     compare_settings,
+    load_model,
     run_experiment,
 )
 from mtlab.objectives import BTConfig, FinetuneSetting, RECConfig
@@ -130,14 +135,6 @@ class TestRunExperiment:
         best = min(e["dev_loss"] for e in log.entries_of("eval"))
         assert got == pytest.approx(best, abs=1e-6)
 
-    def test_epoch_hook_merged_into_log(self, small_world):
-        _, parallel, mono, tokenizer = small_world
-        _, log = run_experiment(
-            _config(epochs=1), parallel, mono, tokenizer,
-            epoch_hook=lambda params, epoch: {"probe": epoch * 10},
-        )
-        assert [e["probe"] for e in log.entries_of("epoch")] == [10]
-
     def test_overlong_mono_sentence_skipped_in_bt(self, small_world, caplog):
         _, parallel, mono, tokenizer = small_world
         sy1_words = " ".join(s.text for s in mono.sentences if s.lang.code == "sy1").split()
@@ -169,6 +166,67 @@ class TestRunExperiment:
             run_experiment(bad_model, parallel, mono, tokenizer)
 
 
+class _Crash(Exception):
+    """A simulated process death at one write."""
+
+
+class _TornFile:
+    """A file whose process dies in its first write, half of it written,
+    or at close if nothing was written."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        self._f.close()
+        raise _Crash
+
+    def close(self):
+        if not self._f.closed:
+            self._f.close()
+            raise _Crash
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class _WriteInjector:
+    """Numbers the writes under ``directory``: files opened for writing and
+    renames onto a path. The ``crash_at``-th write dies: a file keeps half
+    of its first write, a rename does not happen."""
+
+    def __init__(self, directory, crash_at=None):
+        self.directory = os.fspath(directory)
+        self.crash_at = crash_at
+        self.events = []
+        self._open = builtins.open
+        self._replace = os.replace
+
+    def install(self, monkeypatch):
+        monkeypatch.setattr(builtins, "open", self.open)
+        monkeypatch.setattr(os, "replace", self.replace)
+
+    def _crashes(self, kind, path):
+        self.events.append((kind, os.path.basename(path)))
+        return len(self.events) - 1 == self.crash_at
+
+    def open(self, file, mode="r", *args, **kwargs):
+        f = self._open(file, mode, *args, **kwargs)
+        mine = os.fspath(file).startswith(self.directory)
+        if mine and set(mode) & set("wa+") and self._crashes("write", file):
+            return _TornFile(f)
+        return f
+
+    def replace(self, src, dst, *args, **kwargs):
+        if os.fspath(dst).startswith(self.directory) and self._crashes("rename", dst):
+            raise _Crash
+        return self._replace(src, dst, *args, **kwargs)
+
+
 class TestCheckpointResume:
     def test_resume_reproduces_trace(self, small_world, tmp_path):
         _, parallel, mono, tokenizer = small_world
@@ -197,6 +255,84 @@ class TestCheckpointResume:
         other = _config(epochs=1, seed=999)
         with pytest.raises(CheckpointError):
             run_experiment(other, parallel, mono, tokenizer, resume_from=tmp_path / "r")
+        with pytest.raises(ConfigError):
+            run_experiment(
+                config, parallel, mono, tokenizer,
+                checkpoint_dir=tmp_path / "elsewhere", resume_from=tmp_path / "r",
+            )
+
+    def test_crash_at_any_write_resumes_exactly_or_is_refused(
+        self, small_world, tmp_path, monkeypatch
+    ):
+        _, parallel, mono, tokenizer = small_world
+        config = _config(
+            FinetuneSetting.BT_REC, epochs=2, eval_every_steps=7,
+            bt=BTConfig(num_bt=3, num_sample=1, start_epoch=1), rec=RECConfig(num_rec=2),
+        )
+        full_dir = tmp_path / "full"
+        recorder = _WriteInjector(full_dir)
+        with monkeypatch.context() as m:
+            recorder.install(m)
+            params_full, log_full = run_experiment(
+                config, parallel, mono, tokenizer, checkpoint_dir=full_dir
+            )
+        audit_full = (full_dir / "augmentation_audit.jsonl").read_text(encoding="utf-8")
+        # Once the first epoch's run-log export starts, its checkpoint is complete.
+        first_export = recorder.events.index(("write", "runlog.jsonl"))
+        resumed = 0
+        for k, event in enumerate(recorder.events):
+            run_dir = tmp_path / f"crash-{k}"
+            with monkeypatch.context() as m:
+                _WriteInjector(run_dir, crash_at=k).install(m)
+                with pytest.raises(_Crash):
+                    run_experiment(config, parallel, mono, tokenizer, checkpoint_dir=run_dir)
+            try:
+                params, log = run_experiment(
+                    config, parallel, mono, tokenizer, resume_from=run_dir
+                )
+            except CheckpointError:
+                assert k < first_export, f"crash at {event} left a run that cannot resume"
+                continue
+            assert log.loss_trace == log_full.loss_trace, event
+            for name in params_full.names():
+                np.testing.assert_array_equal(params[name].data, params_full[name].data)
+            audit = (run_dir / "augmentation_audit.jsonl").read_text(encoding="utf-8")
+            assert audit == audit_full, event
+            on_disk = RunLog.load(run_dir / "runlog.jsonl")
+            assert on_disk.loss_trace == log_full.loss_trace, event
+            assert on_disk.entries[-1]["type"] == "finish", event
+            resumed += 1
+        assert resumed == len(recorder.events) - first_export
+
+    def test_resume_with_other_tokenizer_rejected(self, small_world, tmp_path):
+        _, parallel, mono, tokenizer = small_world
+        other = train_subword(
+            [[p.src_text for p in parallel.pairs]], tokenizer.vocab_size, ["sy1", "sy2", "sy3"]
+        )
+        assert other.vocab_size == tokenizer.vocab_size and other.hash() != tokenizer.hash()
+        config = _config(epochs=2)
+        run_experiment(
+            config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "r", stop_after_epoch=1
+        )
+        with pytest.raises(CheckpointError, match="tokenizer"):
+            run_experiment(config, parallel, mono, other, resume_from=tmp_path / "r")
+
+    # 1000: no dev evaluation runs, so the run returns its last parameters
+    @pytest.mark.parametrize("eval_every_steps", [5, 1000])
+    def test_run_dir_holds_run_files_and_log_ends_with_finish(
+        self, small_world, tmp_path, eval_every_steps
+    ):
+        _, parallel, mono, tokenizer = small_world
+        run_dir = tmp_path / "r"
+        config = _config(epochs=1, eval_every_steps=eval_every_steps)
+        params, log = run_experiment(config, parallel, mono, tokenizer, checkpoint_dir=run_dir)
+        assert sorted(os.listdir(run_dir)) == sorted(RUN_FILES)
+        on_disk = RunLog.load(run_dir / "runlog.jsonl")
+        assert on_disk.entries == log.entries
+        assert on_disk.entries[-1]["type"] == "finish"
+        loaded, _, _ = load_model(run_dir)
+        for name in params.names():
+            np.testing.assert_array_equal(loaded[name].data, params[name].data)
 
     def test_audit_log_written(self, small_world, tmp_path):
         _, parallel, mono, tokenizer = small_world
@@ -207,6 +343,10 @@ class TestCheckpointResume:
 
         kinds = {json.loads(l)["kind"] for l in audit}
         assert kinds == {"backtranslation", "reconstruction"}
+        # an audit shorter than the checkpoint records cannot be resumed
+        (tmp_path / "a" / "augmentation_audit.jsonl").write_text("\n".join(audit[:3]) + "\n")
+        with pytest.raises(CheckpointError, match="audit"):
+            run_experiment(config, parallel, mono, tokenizer, resume_from=tmp_path / "a")
 
 
 class TestRunLog:

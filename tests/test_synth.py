@@ -1,4 +1,4 @@
-"""Synthetic languages: generation, ground truth, off-target measurement."""
+"""Synthetic languages: generation and ground truth."""
 
 import pytest
 
@@ -8,9 +8,6 @@ from mtlab.synth import (
     GroundTruth,
     SyntheticLangSpec,
     gen_synthetic,
-    load_specs,
-    off_target_rate,
-    save_specs,
 )
 
 
@@ -50,11 +47,6 @@ class TestSpecs:
         with pytest.raises(SynthError):
             gen_synthetic(specs, 5, 5, (3, 5), seed=0)
 
-    def test_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "specs.json"
-        save_specs(path, _specs())
-        assert load_specs(path) == _specs()
-
 
 class TestGroundTruth:
     def test_identity_rule_is_relexicalization(self):
@@ -83,10 +75,9 @@ class TestGroundTruth:
             int(word[2:], 36)  # the remainder is a base-36 id
 
     def test_ground_truth_always_on_target(self):
-        specs = _specs()
-        truth = GroundTruth(specs)
-        outs = [truth.render([i, i + 1, i + 2], "sy2") for i in range(30)]
-        assert off_target_rate(outs, "sy2", specs) == 0.0
+        truth = GroundTruth(_specs())
+        for i in range(30):
+            assert all(w.startswith("bu") for w in truth.render([i, i + 1, i + 2], "sy2").split())
 
     def test_unknown_word_rejected(self):
         truth = GroundTruth(_specs())
@@ -129,30 +120,3 @@ class TestGenSynthetic:
         for pair in parallel.pairs:
             assert 2 <= len(pair.src_text.split()) <= 4
 
-
-class TestOffTarget:
-    def test_all_expected(self):
-        specs = _specs()
-        assert off_target_rate(["ka1 ka2", "ka3"], "sy1", specs) == 0.0
-
-    def test_all_wrong_language(self):
-        specs = _specs()
-        assert off_target_rate(["bu1 bu2", "bu3 bu4"], "sy1", specs) == 1.0
-
-    def test_mixed_fixture(self):
-        specs = _specs()
-        outs = ["ka1 ka2"] * 7 + ["bu1 bu2"] * 3
-        assert off_target_rate(outs, "sy1", specs) == pytest.approx(0.3)
-
-    def test_majority_rule(self):
-        specs = _specs()
-        # 2 of 3 tokens on-target -> on-target; 1 of 2 -> off-target
-        assert off_target_rate(["ka1 ka2 bu1"], "sy1", specs) == 0.0
-        assert off_target_rate(["ka1 bu1"], "sy1", specs) == 1.0
-
-    def test_unknown_tokens_count_as_off_target(self):
-        specs = _specs()
-        assert off_target_rate(["qq1 qq2 ka1"], "sy1", specs) == 1.0
-
-    def test_empty_output_off_target(self):
-        assert off_target_rate([""], "sy1", _specs()) == 1.0

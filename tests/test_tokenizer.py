@@ -44,7 +44,7 @@ class TestTraining:
         assert model.pieces[PAD_ID] == "<pad>"
         assert model.pieces[EOS_ID] == "</s>"
         assert model.pieces[UNK_ID] == "<unk>"
-        assert model.tag_id("eng") == 3
+        assert model.tag_ids == [3]
 
     def test_determinism(self):
         corpus = ["the cat sat", "the dog sat", "a cat ran"]
@@ -63,7 +63,7 @@ class TestTraining:
 class TestEncodeDecode:
     def test_tag_is_atomic(self, tiny_tokenizer):
         ids = tiny_tokenizer.encode("<sy1> hello")
-        assert ids[0] == tiny_tokenizer.tag_id("sy1")
+        assert ids[0] == tiny_tokenizer.tag_ids[0]  # sy1
 
     def test_empty_text_is_just_eos(self, tiny_tokenizer):
         assert tiny_tokenizer.encode("") == [EOS_ID]
