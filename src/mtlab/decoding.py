@@ -7,9 +7,14 @@ that ends in eos to the finished list. Greedy and sample keep one
 hypothesis; beam keeps ``beam_size``. Modes differ only in which next
 tokens a step proposes.
 
-Generation runs item by item on the calling thread, each item on its own
-rng stream, so outputs are independent of batching and partitioning. Pad
-and language-tag ids are suppressed from the output distribution; tags are
+A request runs on the calling thread. Its sources are padded and encoded
+once, and each step makes one decoder call whose rows are every live
+hypothesis of every item; a row leaves when its hypothesis ends in eos.
+Requests with more rows than MAX_ROWS run in consecutive slices of items.
+A sampled item draws from its own rng stream. Batched float32 products
+round differently from single-row ones, so token ids do not depend on
+batching or partitioning except at ties within float rounding. Pad and
+language-tag ids are suppressed from the output distribution; tags are
 input-only vocabulary.
 """
 
@@ -21,10 +26,14 @@ import numpy as np
 
 from . import model as M
 from .errors import ConfigError, DecodeError
+from .numerics import autodiff as T
 from .numerics import no_grad, rng_fork, sample_categorical
 from .tokenizer import PAD_ID
 
 GREEDY_TEMPERATURE_FLOOR = 1e-4
+# Rows of one decoder call. The per-row cost has levelled off by 32 rows;
+# the cap bounds the [rows, t, vocab] logits of a large request.
+MAX_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -41,8 +50,8 @@ class DecodeConfig:
             raise ConfigError(f"unknown decode mode {self.mode!r}")
         if self.mode == "sample" and self.temperature <= 0:
             raise ConfigError("sampling temperature must be > 0")
-        if self.beam_size < 1:
-            raise ConfigError("beam_size must be >= 1")
+        if not 1 <= self.beam_size <= MAX_ROWS:
+            raise ConfigError(f"beam_size must be in [1, {MAX_ROWS}]")
 
 
 @dataclass
@@ -52,13 +61,6 @@ class GenerationResult:
     truncated: bool
     score: float | None = None
     error: str | None = None
-
-
-def _last_logits(params, enc_out, src_mask, dec_ids):
-    dec = np.asarray([dec_ids], dtype=np.int64)
-    mask = np.ones_like(dec, dtype=bool)
-    logits = M.decoder_logits(params, enc_out, src_mask, dec, mask)
-    return logits.data[0, -1].astype(np.float64)
 
 
 def _log_softmax(row: np.ndarray) -> np.ndarray:
@@ -81,14 +83,71 @@ def _per_token(hypothesis) -> float:
     return hypothesis[1] / max(len(hypothesis[0]), 1)
 
 
-def generate(
-    params,
-    tokenizer,
-    input_text: str,
-    config: DecodeConfig = DecodeConfig(),
-    rng=None,
-) -> GenerationResult:
-    """Generate a translation of one tagged input.
+def _search(params, tokenizer, texts, config, rngs) -> list[GenerationResult]:
+    """The search over one slice of items, all live rows in one decoder call per step."""
+    cfg = params.config
+    srcs = [tokenizer.encode(text) for text in texts]
+    results = [
+        GenerationResult(
+            text="", token_ids=[], truncated=False,
+            error=f"input is {len(src)} tokens, exceeding max_positions {cfg.max_positions}",
+        )
+        if len(src) > cfg.max_positions
+        else None
+        for src in srcs
+    ]
+    items = [i for i, r in enumerate(results) if r is None]
+    if not items:
+        return results
+    src_ids = np.full((len(items), max(len(srcs[i]) for i in items)), cfg.pad_id, dtype=np.int64)
+    for j, i in enumerate(items):
+        src_ids[j, : len(srcs[i])] = srcs[i]
+    src_mask = src_ids != cfg.pad_id
+    suppress = [PAD_ID, *tokenizer.tag_ids]
+    eos = cfg.eos_id
+    width = config.beam_size if config.mode == "beam" else 1
+    live = [[((), 0.0)] for _ in items]  # per item: (token ids, total log-probability)
+    finished = [[] for _ in items]
+    with no_grad():
+        enc_out = M.encode_source(params, src_ids, src_mask).data
+        for _ in range(min(config.max_new_tokens, cfg.max_positions - 1)):
+            owner = [j for j, hyps in enumerate(live) for _ in hyps]
+            if not owner:
+                break
+            dec = np.asarray([[eos, *ids] for hyps in live for ids, _ in hyps], dtype=np.int64)
+            out = M.decoder_logits(
+                params, T.Tensor(enc_out[owner]), src_mask[owner], dec, np.ones(dec.shape, bool)
+            )
+            logits = out.data[:, -1].astype(np.float64)
+            logits[:, suppress] = -np.inf
+            row = 0
+            for j, hyps in enumerate(live):
+                if not hyps:
+                    continue
+                candidates = []
+                for ids, logp in hyps:
+                    logps = _log_softmax(logits[row])
+                    for tok in map(int, _next_tokens(logits[row], logps, config, rngs[items[j]])):
+                        candidates.append((ids + (tok,), logp + float(logps[tok])))
+                    row += 1
+                candidates.sort(key=lambda c: (-c[1], c[0]))
+                live[j] = []
+                for hyp in candidates[:width]:
+                    (finished[j] if hyp[0][-1] == eos else live[j]).append(hyp)
+    for j, i in enumerate(items):
+        best = max(finished[j] or live[j], key=_per_token)
+        ids = list(best[0][:-1] if finished[j] else best[0])
+        results[i] = GenerationResult(
+            text=tokenizer.decode(ids),
+            token_ids=ids,
+            truncated=not finished[j],
+            score=_per_token(best),
+        )
+    return results
+
+
+def generate(params, tokenizer, input_text, config: DecodeConfig = DecodeConfig(), rng=None):
+    """Generate a translation of one tagged input, or of a list of them.
 
     Each step, greedy proposes the argmax (ties -> lowest id); sample one
     draw from the temperature-scaled softmax (temperatures below 1e-4
@@ -97,46 +156,29 @@ def generate(
     result as truncated. The result is the finished hypothesis (the live
     one if none finished) with the best ``score``: its untempered
     log-probability per decoded token, eos included.
+
+    One text (with one rng in sample mode) gives one result and raises
+    DecodeError if it cannot be decoded. A list of texts (with a list of
+    one rng per text in sample mode) gives a list of results in order; an
+    item that cannot be decoded gets a result with ``error`` set. Token
+    ids do not depend on batching or partitioning, except at ties within
+    float rounding.
     """
-    cfg = params.config
-    src = tokenizer.encode(input_text)
-    if len(src) > cfg.max_positions:
-        raise DecodeError(
-            f"input is {len(src)} tokens, exceeding max_positions {cfg.max_positions}"
-        )
-    if config.mode == "sample" and rng is None:
+    single = isinstance(input_text, str)
+    texts = [input_text] if single else list(input_text)
+    rngs = [rng] if single else list(rng or [None] * len(texts))
+    if config.mode == "sample" and None in rngs:
         raise DecodeError("sampling mode needs an rng")
-    src_ids = np.asarray([src], dtype=np.int64)
-    src_mask = np.ones_like(src_ids, dtype=bool)
-    suppress = [PAD_ID, *tokenizer.tag_ids]
-    eos = cfg.eos_id
-    width = config.beam_size if config.mode == "beam" else 1
-    live = [((), 0.0)]  # (token ids, total log-probability)
-    finished = []
-    with no_grad():
-        enc_out = M.encode_source(params, src_ids, src_mask)
-        for _ in range(min(config.max_new_tokens, cfg.max_positions - 1)):
-            candidates = []
-            for ids, logp in live:
-                logits = _last_logits(params, enc_out, src_mask, [eos, *ids])
-                logits[suppress] = -np.inf
-                logps = _log_softmax(logits)
-                for tok in map(int, _next_tokens(logits, logps, config, rng)):
-                    candidates.append((ids + (tok,), logp + float(logps[tok])))
-            candidates.sort(key=lambda c: (-c[1], c[0]))
-            live = []
-            for hyp in candidates[:width]:
-                (finished if hyp[0][-1] == eos else live).append(hyp)
-            if not live:
-                break
-    best = max(finished or live, key=_per_token)
-    ids = list(best[0][:-1] if finished else best[0])
-    return GenerationResult(
-        text=tokenizer.decode(ids),
-        token_ids=ids,
-        truncated=not finished,
-        score=_per_token(best),
-    )
+    if len(rngs) != len(texts):
+        raise DecodeError(f"{len(texts)} inputs but {len(rngs)} rngs")
+    per_slice = MAX_ROWS // (config.beam_size if config.mode == "beam" else 1)
+    results = []
+    for start in range(0, len(texts), per_slice):
+        stop = start + per_slice
+        results += _search(params, tokenizer, texts[start:stop], config, rngs[start:stop])
+    if single and results[0].error:
+        raise DecodeError(results[0].error)
+    return results[0] if single else results
 
 
 def generate_batch(
@@ -146,19 +188,11 @@ def generate_batch(
     config: DecodeConfig = DecodeConfig(),
     seed: int = 0,
 ) -> list[GenerationResult]:
-    """Elementwise generate() with rng_fork(seed, index) per item.
+    """generate() on a list of inputs, with rng_fork(seed, index) per item.
 
     Per-item failures land in the result's ``error`` field instead of
     failing the batch; outputs are order-preserving.
     """
-
-    def one(index, text):
-        rng = rng_fork(seed, index) if config.mode == "sample" else None
-        try:
-            return generate(params, tokenizer, text, config, rng=rng)
-        except DecodeError as exc:
-            return GenerationResult(
-                text="", token_ids=[], truncated=False, error=str(exc)
-            )
-
-    return [one(index, text) for index, text in enumerate(inputs)]
+    inputs = list(inputs)
+    rngs = [rng_fork(seed, i) for i in range(len(inputs))] if config.mode == "sample" else None
+    return generate(params, tokenizer, inputs, config, rng=rngs)

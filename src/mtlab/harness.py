@@ -120,7 +120,7 @@ def _config_dict(config: ExperimentConfig) -> dict:
 
 
 class RunLog:
-    """Append-only training log, replayable from jsonl."""
+    """Append-only training log, exported as jsonl."""
 
     def __init__(self, seed: int, config_hash: str):
         self.seed = seed
@@ -146,16 +146,6 @@ class RunLog:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.write(self.to_jsonl())
-
-    @classmethod
-    def load(cls, path) -> "RunLog":
-        with open(path, encoding="utf-8") as f:
-            lines = [json.loads(line) for line in f if line.strip()]
-        if not lines or lines[0].get("type") != "meta":
-            raise CheckpointError(f"{path}: missing run-log meta line")
-        log = cls(lines[0]["seed"], lines[0]["config_hash"])
-        log.entries = lines[1:]
-        return log
 
 
 def _encode_example(tokenizer, example: TaggedExample, max_positions: int):
@@ -316,11 +306,12 @@ def run_experiment(
         use_bt = config.setting in (FinetuneSetting.BT, FinetuneSetting.BT_REC)
         if use_bt and epoch >= config.bt.start_epoch and n_mono_langs > 0:
             n_bt = config.bt.num_bt_for_round(state.bt_rounds_done)
+            bt_langs = [LangTag(c) for c in config.languages if c in set(mono_langs)]
             bt_examples = make_bt_examples(
                 params,
                 tokenizer,
                 active_mono,
-                [LangTag(c) for c in config.languages if c in set(mono_langs)],
+                bt_langs,
                 config.bt,
                 rng_fork(config.seed, f"bt-round:{epoch}"),
                 exclusions=exclusions,
@@ -333,6 +324,9 @@ def run_experiment(
                 round=state.bt_rounds_done,
                 num_bt=n_bt,
                 emitted=len(bt_examples),
+                # budgeted sentences of languages with data whose decode failed
+                skipped=n_bt * len(set(bt_langs) & set(active_mono.languages()))
+                - len(bt_examples),
             )
             if audit_path:
                 write_audit(audit_path, bt_examples, state.bt_rounds_done)

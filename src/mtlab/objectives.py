@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Direction, LangTag, MonoStore, ParallelPair
-from .errors import ConfigError, DecodeError, FormatError
+from .errors import ConfigError, FormatError
 from .numerics import rng_fork, sample_categorical
 
 log = logging.getLogger(__name__)
@@ -206,11 +206,14 @@ def make_bt_examples(
     sampled with replacement; each picks a uniform pivot s among the
     non-excluded partners, gets ``num_sample`` sampled translations of
     '<s> y', and one candidate chosen uniformly becomes the synthetic
-    source. Each sentence draws from its own rng stream. A sentence whose
-    decoding raises DecodeError (e.g. longer than max_positions) is
-    skipped with a warning, so a round may emit fewer than its budget.
+    source. The whole round is one decoding call; each sample draws from
+    its own rng stream, and each sentence's pivot and candidate pick from
+    another. A sentence with a failed decode (e.g. longer than
+    max_positions) is skipped with a warning, so a round may emit fewer
+    than its budget.
 
-    ``generate_fn(input_text, rng) -> str`` overrides model decoding.
+    ``generate_fn(input_texts, rngs) -> list[str | None]`` overrides model
+    decoding; None marks a failed decode.
     """
     langs = sorted(l if isinstance(l, LangTag) else LangTag(l) for l in langs)
     excluded = {frozenset((LangTag(str(a)), LangTag(str(b)))) for a, b in exclusions}
@@ -224,11 +227,13 @@ def make_bt_examples(
             mode="sample", temperature=bt_config.temperature
         )
 
-        def generate_fn(text, item_rng):
-            return decoding.generate(params, tokenizer, text, config, rng=item_rng).text
+        def generate_fn(texts, rngs):
+            results = decoding.generate(params, tokenizer, texts, config, rng=rngs)
+            return [None if r.error else r.text for r in results]
 
     base_seed = int(rng.integers(2**63))
-    out: list[TaggedExample] = []
+    n = bt_config.num_sample
+    jobs, inputs, rngs = [], [], []  # jobs: (language, pivot, sentence, its rng)
     for lang in langs:
         sentences = by_lang.get(lang, ())
         if not sentences:
@@ -241,24 +246,25 @@ def make_bt_examples(
             text = sentences[int(pick_rng.integers(len(sentences)))].text
             item_rng = rng_fork(base_seed, f"bt:{lang.code}:{index}")
             pivot = pivots[int(item_rng.integers(len(pivots)))]
-            try:
-                candidates = [
-                    generate_fn(f"{pivot.surface} {text}", item_rng)
-                    for _ in range(bt_config.num_sample)
-                ]
-            except DecodeError as exc:
-                log.warning("skipping backtranslation of a %s sentence: %s", lang, exc)
-                continue
-            probs = np.full(len(candidates), 1.0 / len(candidates))
-            chosen = candidates[sample_categorical(probs, item_rng)]
-            out.append(
-                TaggedExample(
-                    input_text=f"{lang.surface} {chosen}",
-                    target_text=text,
-                    kind="backtranslation",
-                    pivot=pivot.code,
-                )
+            jobs.append((lang, pivot, text, item_rng))
+            inputs += [f"{pivot.surface} {text}"] * n
+            rngs += [rng_fork(base_seed, f"bt:{lang.code}:{index}:{k}") for k in range(n)]
+    outputs = generate_fn(inputs, rngs)
+    out: list[TaggedExample] = []
+    for j, (lang, pivot, text, item_rng) in enumerate(jobs):
+        candidates = outputs[j * n : (j + 1) * n]
+        if None in candidates:
+            log.warning("skipping backtranslation of a %s sentence: its decode failed", lang)
+            continue
+        chosen = candidates[sample_categorical(np.full(n, 1.0 / n), item_rng)]
+        out.append(
+            TaggedExample(
+                input_text=f"{lang.surface} {chosen}",
+                target_text=text,
+                kind="backtranslation",
+                pivot=pivot.code,
             )
+        )
     return out
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from mtlab import decoding, optim
 from mtlab import model as M
-from mtlab import optim
-from mtlab.decoding import DecodeConfig, GenerationResult, generate, generate_batch
+from mtlab.decoding import MAX_ROWS, DecodeConfig, GenerationResult, generate, generate_batch
 from mtlab.errors import ConfigError, DecodeError
 from mtlab.numerics import backward, no_grad, rng_fork
 from mtlab.tokenizer import PAD_ID
@@ -53,6 +53,8 @@ class TestConfig:
             DecodeConfig(mode="fancy")
         with pytest.raises(ConfigError):
             DecodeConfig(mode="sample", temperature=0.0)
+        with pytest.raises(ConfigError):
+            DecodeConfig(mode="beam", beam_size=MAX_ROWS + 1)
 
 
 class TestGreedy:
@@ -141,6 +143,8 @@ class TestSampling:
         params, tok, _ = copy_model
         with pytest.raises(DecodeError):
             generate(params, tok, "<sy1> a", DecodeConfig(mode="sample"))
+        with pytest.raises(DecodeError):
+            generate(params, tok, ["<sy1> a", "<sy1> b"], DecodeConfig(mode="sample"))
 
 
 class TestBeam:
@@ -193,3 +197,71 @@ class TestBatch:
         assert results[0].error is None
         assert results[1].error is not None
         assert isinstance(results[1], GenerationResult)
+
+
+def _mixed_request(sents):
+    """Sources of different lengths with an over-long one in the middle."""
+    inputs = [f"<sy1> {s}" for s in sents]
+    return inputs[:3] + ["<sy1> " + "a " * 40] + inputs[3:]
+
+
+def _count_rows(monkeypatch):
+    """Record the rows of every decoder call."""
+    rows = []
+    decoder_logits = M.decoder_logits
+
+    def counting(params, enc_out, src_mask, dec_in_ids, *args, **kwargs):
+        assert enc_out.shape[0] == src_mask.shape[0] == dec_in_ids.shape[0]
+        rows.append(dec_in_ids.shape[0])
+        return decoder_logits(params, enc_out, src_mask, dec_in_ids, *args, **kwargs)
+
+    monkeypatch.setattr(M, "decoder_logits", counting)
+    return rows
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_mixed_request_matches_per_item_generation(self, copy_model, mode):
+        params, tok, sents = copy_model
+        inputs = _mixed_request(sents)
+        batch = generate_batch(params, tok, inputs, MODES[mode], seed=5)
+        assert batch[3].error is not None and batch[3].token_ids == []
+        for i, (text, r) in enumerate(zip(inputs, batch)):
+            if i == 3:
+                continue
+            single = generate(params, tok, text, MODES[mode], rng=rng_fork(5, i))
+            assert r.error is None
+            assert (r.token_ids, r.truncated) == (single.token_ids, single.truncated)
+            assert r.score == pytest.approx(single.score, abs=1e-5)
+
+    def test_one_call_per_step_holds_exactly_the_live_rows(self, copy_model, monkeypatch):
+        params, tok, sents = copy_model
+        rows = _count_rows(monkeypatch)
+        out = generate_batch(params, tok, _mixed_request(sents), DecodeConfig())
+        # decoder steps per item: its tokens, plus the eos that ended it
+        steps = [len(r.token_ids) + (0 if r.truncated else 1) for r in out if r.error is None]
+        assert len(set(steps)) > 1
+        assert rows == [sum(n > k for n in steps) for k in range(max(steps))]
+
+    def test_request_above_row_cap_equals_its_slices(self, copy_model, monkeypatch):
+        params, tok, sents = copy_model
+        inputs = [f"<sy1> {s}" for s in sents] * 23  # 138 items, over two caps
+        rows = _count_rows(monkeypatch)
+        whole = generate(params, tok, inputs, DecodeConfig())
+        assert max(rows) == MAX_ROWS
+        parts = [
+            r for start in range(0, len(inputs), 50)
+            for r in generate(params, tok, inputs[start : start + 50], DecodeConfig())
+        ]
+        assert [r.token_ids for r in whole] == [r.token_ids for r in parts]
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_small_row_cap_keeps_every_mode_per_item(self, copy_model, monkeypatch, mode):
+        params, tok, sents = copy_model
+        inputs = _mixed_request(sents)
+        whole = generate_batch(params, tok, inputs, MODES[mode], seed=2)
+        monkeypatch.setattr(decoding, "MAX_ROWS", 4)
+        rows = _count_rows(monkeypatch)
+        capped = generate_batch(params, tok, inputs, MODES[mode], seed=2)
+        assert max(rows) <= 4
+        assert [(r.token_ids, r.error) for r in capped] == [(r.token_ids, r.error) for r in whole]

@@ -1,6 +1,7 @@
 """Training orchestration: curricula, determinism, early stop, resume."""
 
 import builtins
+import json
 import os
 
 import numpy as np
@@ -39,6 +40,11 @@ def small_world():
     texts += [s.text for s in mono.sentences]
     tokenizer = train_subword([texts], 3 + 3 + 256 + 120, ["sy1", "sy2", "sy3"])
     return specs, parallel, mono, tokenizer
+
+
+def _jsonl(path):
+    with open(path, encoding="utf-8") as f:
+        return [json.loads(line) for line in f]
 
 
 def _config(setting=FinetuneSetting.BASE, **kw):
@@ -152,6 +158,7 @@ class TestRunExperiment:
         (bt_round,) = log.entries_of("bt_round")
         assert bt_round["num_bt"] == 3
         assert bt_round["emitted"] == 6  # sy2 and sy3 only; every sy1 pick is over-long
+        assert bt_round["skipped"] == 3
         assert sum("skipping backtranslation" in r.message for r in caplog.records) == 3
         assert log.entries_of("finish")
 
@@ -298,9 +305,9 @@ class TestCheckpointResume:
                 np.testing.assert_array_equal(params[name].data, params_full[name].data)
             audit = (run_dir / "augmentation_audit.jsonl").read_text(encoding="utf-8")
             assert audit == audit_full, event
-            on_disk = RunLog.load(run_dir / "runlog.jsonl")
-            assert on_disk.loss_trace == log_full.loss_trace, event
-            assert on_disk.entries[-1]["type"] == "finish", event
+            on_disk = _jsonl(run_dir / "runlog.jsonl")
+            assert [e["loss"] for e in on_disk if e["type"] == "step"] == log_full.loss_trace, event
+            assert on_disk[-1]["type"] == "finish", event
             resumed += 1
         assert resumed == len(recorder.events) - first_export
 
@@ -327,9 +334,11 @@ class TestCheckpointResume:
         config = _config(epochs=1, eval_every_steps=eval_every_steps)
         params, log = run_experiment(config, parallel, mono, tokenizer, checkpoint_dir=run_dir)
         assert sorted(os.listdir(run_dir)) == sorted(RUN_FILES)
-        on_disk = RunLog.load(run_dir / "runlog.jsonl")
-        assert on_disk.entries == log.entries
-        assert on_disk.entries[-1]["type"] == "finish"
+        on_disk = _jsonl(run_dir / "runlog.jsonl")
+        meta = {"type": "meta", "seed": config.seed, "config_hash": config.config_hash()}
+        assert on_disk[0] == meta
+        assert on_disk[1:] == log.entries
+        assert on_disk[-1]["type"] == "finish"
         loaded, _, _ = load_model(run_dir)
         for name in params.names():
             np.testing.assert_array_equal(loaded[name].data, params[name].data)
@@ -339,8 +348,6 @@ class TestCheckpointResume:
         config = _config(FinetuneSetting.BT_REC, epochs=2)
         run_experiment(config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "a")
         audit = (tmp_path / "a" / "augmentation_audit.jsonl").read_text().splitlines()
-        import json
-
         kinds = {json.loads(l)["kind"] for l in audit}
         assert kinds == {"backtranslation", "reconstruction"}
         # an audit shorter than the checkpoint records cannot be resumed
@@ -356,11 +363,10 @@ class TestRunLog:
         log.log("epoch", epoch=1, mean_loss=2.5)
         path = tmp_path / "log.jsonl"
         log.save(path)
-        again = RunLog.load(path)
-        assert again.seed == 3
-        assert again.config_hash == "abc"
-        assert again.entries == log.entries
-        assert again.loss_trace == [2.5]
+        lines = _jsonl(path)
+        assert lines[0] == {"type": "meta", "seed": 3, "config_hash": "abc"}
+        assert lines[1:] == log.entries
+        assert log.loss_trace == [2.5]
 
 
 class TestCompareSettings:

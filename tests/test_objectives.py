@@ -173,9 +173,9 @@ class TestBtExamples:
     def test_constant_stub_model(self):
         calls = []
 
-        def stub(text, rng):
-            calls.append(text)
-            return "Z"
+        def stub(texts, rngs):
+            calls.extend(texts)
+            return ["Z"] * len(texts)
 
         mono = self._mono_store()
         out = make_bt_examples(
@@ -195,9 +195,9 @@ class TestBtExamples:
     def test_num_sample_one_uses_single_candidate(self):
         returned = []
 
-        def stub(text, rng):
-            returned.append(f"out{len(returned)}")
-            return returned[-1]
+        def stub(texts, rngs):
+            returned.extend(f"out{i}" for i in range(len(texts)))
+            return list(returned)
 
         out = make_bt_examples(
             None, None, self._mono_store(3), ["sy1", "sy2", "sy3"],
@@ -210,7 +210,7 @@ class TestBtExamples:
         out = make_bt_examples(
             None, None, self._mono_store(5), ["sy1", "sy2", "sy3"],
             BTConfig(num_bt=20, num_sample=1), rng_fork(2, "bt"),
-            exclusions=[("sy1", "sy2")], generate_fn=lambda t, r: "x",
+            exclusions=[("sy1", "sy2")], generate_fn=lambda t, r: ["x"] * len(t),
         )
         for ex in out:
             tag = ex.input_text.split(" ", 1)[0]
@@ -224,12 +224,12 @@ class TestBtExamples:
             make_bt_examples(
                 None, None, self._mono_store(2), ["sy1", "sy2"],
                 BTConfig(num_bt=1), rng_fork(3, "bt"),
-                exclusions=[("sy1", "sy2")], generate_fn=lambda t, r: "x",
+                exclusions=[("sy1", "sy2")], generate_fn=lambda t, r: ["x"] * len(t),
             )
 
     def test_reproducible(self):
-        def stub(text, rng):
-            return f"w{int(rng.integers(1000))}"
+        def stub(texts, rngs):
+            return [f"w{int(r.integers(1000))}" for r in rngs]
 
         def run():
             return make_bt_examples(
@@ -238,6 +238,54 @@ class TestBtExamples:
             )
 
         assert run() == run()
+
+    def test_each_sample_draws_its_own_stream(self):
+        outputs = []
+
+        def stub(texts, rngs):
+            outputs.extend(f"w{int(r.integers(2**62))}" for r in rngs)
+            return outputs[-len(rngs):]
+
+        make_bt_examples(
+            None, None, self._mono_store(), ["sy1", "sy2", "sy3"],
+            BTConfig(num_bt=10, num_sample=2), rng_fork(6, "bt"), generate_fn=stub,
+        )
+        assert len(outputs) == 60
+        assert len(set(outputs)) == 60
+
+    def test_failed_decode_skips_its_sentence(self, caplog):
+        def stub(texts, rngs):
+            return [None if " ka" in t else "x" for t in texts]
+
+        with caplog.at_level("WARNING", logger="mtlab.objectives"):
+            out = make_bt_examples(
+                None, None, self._mono_store(), ["sy1", "sy2", "sy3"],
+                BTConfig(num_bt=4, num_sample=2), rng_fork(7, "bt"), generate_fn=stub,
+            )
+        assert len(out) == 8
+        assert not any(ex.target_text.startswith("ka") for ex in out)
+        assert sum("skipping backtranslation" in r.message for r in caplog.records) == 4
+
+    def test_one_decode_call_per_round(self, tiny_tokenizer, tiny_model_config, monkeypatch):
+        from mtlab import decoding
+        from mtlab import model as M
+
+        params = M.init(tiny_model_config, seed=0)
+        calls = []
+        generate = decoding.generate
+
+        def counting(params, tokenizer, texts, config, rng=None):
+            calls.append((len(texts), len(rng)))
+            return generate(params, tokenizer, texts, config, rng=rng)
+
+        monkeypatch.setattr(decoding, "generate", counting)
+        mono = _mono({"sy1": ["a b c", "c a b"], "sy2": ["b b a", "hello world"]})
+        out = make_bt_examples(
+            params, tiny_tokenizer, mono, ["sy1", "sy2"],
+            BTConfig(num_bt=5, num_sample=3), rng_fork(8, "bt"),
+        )
+        assert calls == [(5 * 2 * 3, 5 * 2 * 3)]
+        assert len(out) == 10
 
     def test_decay_schedule(self):
         cfg = BTConfig(num_bt=500, num_bt_decay=(100, 50, 10))
