@@ -18,6 +18,12 @@ one such file, so one checksum and one rename cover it:
   ``trainer`` (epoch, step and early-stopping counters, and the lines of
   the augmentation audit written so far), ``adam_t`` (AdamW step count),
   ``tokenizer_sha256`` and ``run_log`` (the run-log entries so far).
+
+Model configs saved before the model had one layout carry six retired
+keys. A reader accepts each only at the value the model now always has
+(``tie_embeddings`` true, ``activation`` "gelu", ``label_smoothing`` 0,
+``layer_norm_eps`` 1e-5, ``pad_id`` 0, ``eos_id`` 1) and refuses any other
+value with CheckpointError; see ``model.config_from_saved``.
 """
 
 from __future__ import annotations
@@ -108,13 +114,11 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def save_params(path, params, extra_meta: dict | None = None) -> None:
+def save_params(path, params) -> None:
     """Persist model parameters with their config in the manifest."""
     from dataclasses import asdict
 
     meta = {"config": asdict(params.config)}
-    if extra_meta:
-        meta.update(extra_meta)
     save_arrays(path, {k: v.data for k, v in params.tensors.items()}, meta)
 
 
@@ -132,10 +136,10 @@ def params_from_arrays(path, arrays: dict[str, np.ndarray], config: dict):
     The names must be exactly the config's parameter names; arrays are cast
     to the current default dtype.
     """
-    from .model import ModelConfig, Params, _layer_names
+    from .model import Params, _layer_names, config_from_saved
     from .numerics import autodiff as T
 
-    config = ModelConfig(**config)
+    config = config_from_saved(config)
     want = T.default_dtype()
     tensors = {k: T.Tensor(v.astype(want)) for k, v in arrays.items()}
     expected = {name for name, _ in _layer_names(config)}

@@ -105,9 +105,6 @@ class ParallelStore:
             out.setdefault(p.direction, []).append(p)
         return out
 
-    def directions(self) -> list[Direction]:
-        return sorted({p.direction for p in self.pairs})
-
     def languages(self) -> list[LangTag]:
         langs = {p.direction.src for p in self.pairs} | {p.direction.tgt for p in self.pairs}
         return sorted(langs)
@@ -401,10 +398,6 @@ class DirectionCountTable:
 
     def cell(self, src: LangTag, tgt: LangTag) -> int:
         return self.counts.get((src, tgt), 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def to_text(self) -> str:
         codes = [l.code for l in self.langs]

@@ -28,7 +28,6 @@ from . import model as M
 from .errors import ConfigError, DecodeError
 from .numerics import autodiff as T
 from .numerics import no_grad, rng_fork, sample_categorical
-from .tokenizer import PAD_ID
 
 GREEDY_TEMPERATURE_FLOOR = 1e-4
 # Rows of one decoder call. The per-row cost has levelled off by 32 rows;
@@ -103,7 +102,7 @@ def _search(params, tokenizer, texts, config, rngs) -> list[GenerationResult]:
     for j, i in enumerate(items):
         src_ids[j, : len(srcs[i])] = srcs[i]
     src_mask = src_ids != cfg.pad_id
-    suppress = [PAD_ID, *tokenizer.tag_ids]
+    suppress = [cfg.pad_id, *tokenizer.tag_ids]
     eos = cfg.eos_id
     width = config.beam_size if config.mode == "beam" else 1
     live = [[((), 0.0)] for _ in items]  # per item: (token ids, total log-probability)
@@ -115,9 +114,7 @@ def _search(params, tokenizer, texts, config, rngs) -> list[GenerationResult]:
             if not owner:
                 break
             dec = np.asarray([[eos, *ids] for hyps in live for ids, _ in hyps], dtype=np.int64)
-            out = M.decoder_logits(
-                params, T.Tensor(enc_out[owner]), src_mask[owner], dec, np.ones(dec.shape, bool)
-            )
+            out = M.decoder_logits(params, T.Tensor(enc_out[owner]), src_mask[owner], dec)
             logits = out.data[:, -1].astype(np.float64)
             logits[:, suppress] = -np.inf
             row = 0

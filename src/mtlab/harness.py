@@ -149,31 +149,28 @@ class RunLog:
 
 
 def _encode_example(tokenizer, example: TaggedExample, max_positions: int):
+    """Source and target ids; an over-long sequence keeps its last id, the eos."""
     src = tokenizer.encode(example.input_text)
     tgt = tokenizer.encode(example.target_text)
-    truncated = False
     if len(src) > max_positions:
         src = src[: max_positions - 1] + [src[-1]]
-        truncated = True
     if len(tgt) > max_positions:
         tgt = tgt[: max_positions - 1] + [tgt[-1]]
-        truncated = True
-    return src, tgt, truncated
+    return src, tgt
+
+
+def _make_batch(tokenizer, examples, max_positions: int) -> M.Batch:
+    pairs = [_encode_example(tokenizer, ex, max_positions) for ex in examples]
+    return M.make_batch([s for s, _ in pairs], [t for _, t in pairs], M.ModelConfig.pad_id)
 
 
 def _dev_loss(params, tokenizer, dev_examples, batch_size: int) -> float:
-    cfg = params.config
     total = 0.0
     tokens = 0
     with no_grad():
         for start in range(0, len(dev_examples), batch_size):
             chunk = dev_examples[start : start + batch_size]
-            srcs, tgts = [], []
-            for ex in chunk:
-                s, t, _ = _encode_example(tokenizer, ex, cfg.max_positions)
-                srcs.append(s)
-                tgts.append(t)
-            batch = M.make_batch(srcs, tgts, cfg.pad_id)
+            batch = _make_batch(tokenizer, chunk, params.config.max_positions)
             n_tok = int(batch.tgt_mask.sum())
             loss = M.loss_teacher_forcing(params, batch)
             total += loss.item() * n_tok
@@ -358,12 +355,7 @@ def run_experiment(
             if stop:
                 break
             chunk = epoch_examples[start : start + config.batch_size_sentences]
-            srcs, tgts = [], []
-            for ex in chunk:
-                s, t, _ = _encode_example(tokenizer, ex, model_cfg.max_positions)
-                srcs.append(s)
-                tgts.append(t)
-            batch = M.make_batch(srcs, tgts, model_cfg.pad_id)
+            batch = _make_batch(tokenizer, chunk, model_cfg.max_positions)
             state.micro_step += 1
             drop_rng = (
                 rng_fork(config.seed, f"dropout:{state.micro_step}")
@@ -471,7 +463,10 @@ def _load_run(directory, config, tokenizer):
     path = os.path.join(directory, "run.ckpt")
     arrays, meta = ckpt.load_arrays(path)
     live = json.loads(json.dumps(_config_dict(config)))  # tuples -> lists
-    if meta.get("experiment") != live:
+    saved = meta.get("experiment") or {}
+    if "model" in saved:  # a run file of an earlier version also holds retired model keys
+        saved = {**saved, "model": asdict(M.config_from_saved(saved["model"]))}
+    if saved != live:
         raise CheckpointError("resume config does not match the checkpointed config")
     if meta.get("tokenizer_sha256") != tokenizer.hash():
         raise CheckpointError("resume tokenizer does not match the checkpointed tokenizer")

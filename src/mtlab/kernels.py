@@ -18,7 +18,7 @@ import numpy as np
 USE_NUMBA = False
 
 
-def ce_forward(logits, targets, valid, label_smoothing):
+def ce_forward(logits, targets, valid):
     """Sum of per-row cross entropies over valid rows.
 
     logits: [N, V] float array; targets: [N] int64; valid: [N] bool.
@@ -31,17 +31,10 @@ def ce_forward(logits, targets, valid, label_smoothing):
     m = sel.max(axis=1, keepdims=True)
     lse = np.log(np.exp(sel - m).sum(axis=1)) + m[:, 0]
     picked = sel[np.arange(sel.shape[0]), tgt]
-    ls = label_smoothing
-    if ls > 0.0:
-        mean_logp = sel.mean(axis=1) - lse
-        loss = (lse - picked) * (1.0 - ls) - ls * mean_logp
-        # per-row: lse - (1-ls)*x_t - (ls/V)*sum_k x_k
-    else:
-        loss = lse - picked
-    return float(loss.sum()), int(sel.shape[0])
+    return float((lse - picked).sum()), int(sel.shape[0])
 
 
-def ce_backward(logits, targets, valid, label_smoothing, scale):
+def ce_backward(logits, targets, valid, scale):
     """Gradient of ``scale * sum_valid ce_row`` w.r.t. logits."""
     grad = np.zeros_like(logits)
     if not valid.any() or scale == 0.0:
@@ -51,11 +44,7 @@ def ce_backward(logits, targets, valid, label_smoothing, scale):
     m = sel.max(axis=1, keepdims=True)
     e = np.exp(sel - m)
     p = e / e.sum(axis=1, keepdims=True)
-    ls = label_smoothing
-    v = sel.shape[1]
-    p[np.arange(sel.shape[0]), tgt] -= 1.0 - ls
-    if ls > 0.0:
-        p -= ls / v
+    p[np.arange(sel.shape[0]), tgt] -= 1.0
     grad[valid] = (p * scale).astype(logits.dtype)
     return grad
 

@@ -1,9 +1,10 @@
 """Compact transformer encoder-decoder trained with teacher forcing.
 
-Pre-layer-norm residual blocks, learned absolute positions, tied input and
-output embeddings by default. The decoder starts from the eos token and
-predicts the target sequence; loss is the mean token cross entropy over
-non-pad target positions.
+Pre-layer-norm residual blocks, learned absolute positions, a GeLU
+feed-forward layer, and tied embeddings: the output projection is the
+transposed input embedding. Pad and eos ids are the tokenizer's. The
+decoder starts from the eos token and predicts the target sequence; loss
+is the mean token cross entropy over non-pad target positions.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .numerics import rng_fork
 from .numerics import autodiff as T
+from .tokenizer import EOS_ID, PAD_ID
 
 NEG_INF = -np.inf
 
@@ -30,26 +32,54 @@ class ModelConfig:
     d_ff: int = 256
     max_positions: int = 64
     dropout: float = 0.1
-    tie_embeddings: bool = True
-    activation: str = "gelu"
-    label_smoothing: float = 0.0
-    layer_norm_eps: float = 1e-5
-    pad_id: int = 0
-    eos_id: int = 1
+    # Class constants, not fields: the ids are the tokenizer's.
+    pad_id = PAD_ID
+    eos_id = EOS_ID
 
     def validate(self) -> None:
         if self.vocab_size < 4:
             raise ConfigError(f"vocab_size {self.vocab_size} is too small")
+        for name in ("d_model", "n_heads", "d_ff", "n_enc_layers", "n_dec_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.activation not in ("gelu", "relu"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.max_positions < 2:
             raise ConfigError("max_positions must be at least 2")
+
+
+# Keys that configs saved by earlier versions carry, with the one value each
+# may hold: the layout this model always has.
+_RETIRED_KEYS = {
+    "tie_embeddings": True,
+    "activation": "gelu",
+    "label_smoothing": 0.0,
+    "layer_norm_eps": 1e-5,
+    "pad_id": PAD_ID,
+    "eos_id": EOS_ID,
+}
+
+
+def config_from_saved(saved: dict) -> ModelConfig:
+    """The ModelConfig of a saved config dict.
+
+    A retired key is dropped when it holds the value this model has, and
+    refused with CheckpointError otherwise.
+    """
+    config = dict(saved)
+    for key, value in _RETIRED_KEYS.items():
+        if key in config and config.pop(key) != value:
+            raise CheckpointError(
+                f"saved model config has {key}={saved[key]!r}; this model only supports {value!r}"
+            )
+    try:
+        return ModelConfig(**config)
+    except TypeError as exc:
+        raise CheckpointError(f"saved model config does not fit ModelConfig: {exc}") from None
 
 
 class Params:
@@ -61,12 +91,6 @@ class Params:
 
     def __getitem__(self, name: str) -> T.Tensor:
         return self.tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
-    def names(self) -> list[str]:
-        return list(self.tensors)
 
     def copy(self) -> "Params":
         return Params(
@@ -112,8 +136,6 @@ def _layer_names(config: ModelConfig):
         ln(f"dec{i}.ln3")
         ffn(f"dec{i}.ffn")
     ln("dec_final_ln")
-    if not config.tie_embeddings:
-        names.append(("out_proj", (d, config.vocab_size)))
     return names
 
 
@@ -205,13 +227,12 @@ def _attention(params, prefix, q_in, kv_in, bias, n_heads):
     return T.add(T.matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
 
 
-def _ln(params, prefix, x, eps):
-    return T.add(T.mul(T.layer_norm(x, eps), params[f"{prefix}.g"]), params[f"{prefix}.b"])
+def _ln(params, prefix, x):
+    return T.add(T.mul(T.layer_norm(x), params[f"{prefix}.g"]), params[f"{prefix}.b"])
 
 
-def _ffn(params, prefix, x, activation):
-    h = T.add(T.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"])
-    h = T.gelu(h) if activation == "gelu" else T.relu(h)
+def _ffn(params, prefix, x):
+    h = T.gelu(T.add(T.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
     return T.add(T.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
 
 
@@ -219,10 +240,7 @@ def _embed(params, table_name, ids, dropout_p, rng):
     t = ids.shape[1]
     tok = T.embedding_lookup(params["embed"], ids)
     pos = T.embedding_lookup(params[table_name], np.arange(t))
-    x = T.add(tok, pos)
-    if rng is not None and dropout_p > 0.0:
-        x = T.dropout(x, dropout_p, rng)
-    return x
+    return T.dropout(T.add(tok, pos), dropout_p, rng)
 
 
 def encode_source(params: Params, src_ids: np.ndarray, src_mask: np.ndarray, dropout_rng=None):
@@ -233,17 +251,12 @@ def encode_source(params: Params, src_ids: np.ndarray, src_mask: np.ndarray, dro
     x = _embed(params, "pos_enc", src_ids, p, dropout_rng)
     bias = _key_bias(src_mask, x.dtype)
     for i in range(cfg.n_enc_layers):
-        h = _ln(params, f"enc{i}.ln1", x, cfg.layer_norm_eps)
+        h = _ln(params, f"enc{i}.ln1", x)
         a = _attention(params, f"enc{i}.attn", h, h, bias, cfg.n_heads)
-        if dropout_rng is not None and p > 0.0:
-            a = T.dropout(a, p, dropout_rng)
-        x = T.add(x, a)
-        h = _ln(params, f"enc{i}.ln2", x, cfg.layer_norm_eps)
-        f = _ffn(params, f"enc{i}.ffn", h, cfg.activation)
-        if dropout_rng is not None and p > 0.0:
-            f = T.dropout(f, p, dropout_rng)
-        x = T.add(x, f)
-    return _ln(params, "enc_final_ln", x, cfg.layer_norm_eps)
+        x = T.add(x, T.dropout(a, p, dropout_rng))
+        h = _ln(params, f"enc{i}.ln2", x)
+        x = T.add(x, T.dropout(_ffn(params, f"enc{i}.ffn", h), p, dropout_rng))
+    return _ln(params, "enc_final_ln", x)
 
 
 def decoder_logits(
@@ -251,39 +264,31 @@ def decoder_logits(
     enc_out: T.Tensor,
     src_mask: np.ndarray,
     dec_in_ids: np.ndarray,
-    dec_in_mask: np.ndarray,
     dropout_rng=None,
 ) -> T.Tensor:
-    """Causally masked decoder over shifted target input ids."""
+    """Causally masked decoder over shifted target input ids.
+
+    Only the causal mask applies to the decoder's own keys. That is exact
+    for right-padded targets: a real query position sees only earlier
+    positions, which are real, and padded query positions carry no loss.
+    """
     cfg = params.config
     _check_len(cfg, dec_in_ids.shape[1], "target")
     p = cfg.dropout if dropout_rng is not None else 0.0
     x = _embed(params, "pos_dec", dec_in_ids, p, dropout_rng)
-    tt = dec_in_ids.shape[1]
-    self_bias = _causal_bias(tt, x.dtype) + _key_bias(dec_in_mask, x.dtype)
+    self_bias = _causal_bias(dec_in_ids.shape[1], x.dtype)
     cross_bias = _key_bias(src_mask, x.dtype)
     for i in range(cfg.n_dec_layers):
-        h = _ln(params, f"dec{i}.ln1", x, cfg.layer_norm_eps)
+        h = _ln(params, f"dec{i}.ln1", x)
         a = _attention(params, f"dec{i}.self_attn", h, h, self_bias, cfg.n_heads)
-        if dropout_rng is not None and p > 0.0:
-            a = T.dropout(a, p, dropout_rng)
-        x = T.add(x, a)
-        h = _ln(params, f"dec{i}.ln2", x, cfg.layer_norm_eps)
+        x = T.add(x, T.dropout(a, p, dropout_rng))
+        h = _ln(params, f"dec{i}.ln2", x)
         a = _attention(params, f"dec{i}.cross_attn", h, enc_out, cross_bias, cfg.n_heads)
-        if dropout_rng is not None and p > 0.0:
-            a = T.dropout(a, p, dropout_rng)
-        x = T.add(x, a)
-        h = _ln(params, f"dec{i}.ln3", x, cfg.layer_norm_eps)
-        f = _ffn(params, f"dec{i}.ffn", h, cfg.activation)
-        if dropout_rng is not None and p > 0.0:
-            f = T.dropout(f, p, dropout_rng)
-        x = T.add(x, f)
-    x = _ln(params, "dec_final_ln", x, cfg.layer_norm_eps)
-    if cfg.tie_embeddings:
-        logits = T.matmul(x, T.transpose(params["embed"], (1, 0)))
-    else:
-        logits = T.matmul(x, params["out_proj"])
-    return logits
+        x = T.add(x, T.dropout(a, p, dropout_rng))
+        h = _ln(params, f"dec{i}.ln3", x)
+        x = T.add(x, T.dropout(_ffn(params, f"dec{i}.ffn", h), p, dropout_rng))
+    x = _ln(params, "dec_final_ln", x)
+    return T.matmul(x, T.transpose(params["embed"], (1, 0)))
 
 
 def forward_logits(params: Params, batch: Batch, dropout_rng=None) -> T.Tensor:
@@ -293,10 +298,7 @@ def forward_logits(params: Params, batch: Batch, dropout_rng=None) -> T.Tensor:
     _check_ids(cfg, batch.tgt_ids)
     enc = encode_source(params, batch.src_ids, batch.src_mask, dropout_rng)
     dec_in = shift_right(batch.tgt_ids, cfg.eos_id)
-    dec_in_mask = np.concatenate(
-        [np.ones((batch.tgt_ids.shape[0], 1), dtype=bool), batch.tgt_mask[:, :-1]], axis=1
-    )
-    return decoder_logits(params, enc, batch.src_mask, dec_in, dec_in_mask, dropout_rng)
+    return decoder_logits(params, enc, batch.src_mask, dec_in, dropout_rng)
 
 
 def loss_teacher_forcing(params: Params, batch: Batch, dropout_rng=None) -> T.Tensor:
@@ -304,9 +306,7 @@ def loss_teacher_forcing(params: Params, batch: Batch, dropout_rng=None) -> T.Te
     if not batch.tgt_mask.any():
         raise ShapeError("loss_teacher_forcing: batch target is all padding")
     logits = forward_logits(params, batch, dropout_rng)
-    return T.cross_entropy(
-        logits, batch.tgt_ids, params.config.pad_id, params.config.label_smoothing
-    )
+    return T.cross_entropy(logits, batch.tgt_ids, params.config.pad_id)
 
 
 def _check_len(cfg: ModelConfig, length: int, side: str) -> None:

@@ -2,7 +2,7 @@
 
 The op set is exactly what a small encoder-decoder transformer needs:
 (batched) matmul, broadcasting elementwise arithmetic, embedding lookup,
-softmax, layer norm, GeLU/ReLU, dropout, reshape/transpose, and a
+softmax, layer norm, GeLU, dropout, reshape/transpose, and a
 fused padded cross entropy. Graphs are recorded eagerly as each op runs
 (the recorded graph plays the tape role); ``backward`` replays it once in
 reverse topological order.
@@ -32,22 +32,18 @@ def default_dtype():
     return _DEFAULT_DTYPE
 
 
-def set_default_dtype(dtype) -> None:
+@contextlib.contextmanager
+def using_dtype(dtype):
     global _DEFAULT_DTYPE
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ShapeError(f"default dtype must be float32 or float64, got {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-@contextlib.contextmanager
-def using_dtype(dtype):
     previous = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    _DEFAULT_DTYPE = dtype.type
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _DEFAULT_DTYPE = previous
 
 
 @contextlib.contextmanager
@@ -180,12 +176,6 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
     return grads
 
 
-def _record(data: np.ndarray, parents, vjp) -> Tensor:
-    if not _GRAD_ENABLED:
-        return Tensor(data)
-    return Tensor(data, parents=parents, vjp=vjp)
-
-
 # ---------------------------------------------------------------------------
 # elementwise / broadcasting ops
 # ---------------------------------------------------------------------------
@@ -200,7 +190,7 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _record(out, (a, b), vjp)
+    return Tensor(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -213,7 +203,7 @@ def mul(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _record(out, (a, b), vjp)
+    return Tensor(out, (a, b), vjp)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -223,7 +213,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     def vjp(g):
         return (g * s,)
 
-    return _record(out, (a,), vjp)
+    return Tensor(out, (a,), vjp)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -235,7 +225,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         g_exp = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g_exp, a.shape).copy(),)
 
-    return _record(np.asarray(out), (a,), vjp)
+    return Tensor(np.asarray(out), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +246,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = np.matmul(a.data.swapaxes(-1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
-    return _record(out, (a, b), vjp)
+    return Tensor(out, (a, b), vjp)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -273,7 +263,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         kernels.embedding_grad(grad, ids.reshape(-1).astype(np.int64), rows)
         return (grad,)
 
-    return _record(out, (table,), vjp)
+    return Tensor(out, (table,), vjp)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -284,7 +274,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     def vjp(g):
         return (np.transpose(g, inverse),)
 
-    return _record(out, (a,), vjp)
+    return Tensor(out, (a,), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -294,7 +284,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def vjp(g):
         return (g.reshape(a.shape),)
 
-    return _record(out, (a,), vjp)
+    return Tensor(out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +300,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         inner = (g * s).sum(axis=axis, keepdims=True)
         return ((g - inner) * s,)
 
-    return _record(s, (x,), vjp)
+    return Tensor(s, (x,), vjp)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -326,16 +316,7 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
         gy_mean = (g * y).mean(axis=-1, keepdims=True)
         return (inv * (g - g_mean - y * gy_mean),)
 
-    return _record(y, (x,), vjp)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0)
-
-    def vjp(g):
-        return (g * (x.data > 0),)
-
-    return _record(out, (x,), vjp)
+    return Tensor(y, (x,), vjp)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -350,7 +331,7 @@ def gelu(x: Tensor) -> Tensor:
         deriv = 0.5 * (1.0 + t) + 0.5 * d * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * d * d)
         return (g * deriv,)
 
-    return _record(out, (x,), vjp)
+    return Tensor(out, (x,), vjp)
 
 
 def dropout(x: Tensor, p: float, rng) -> Tensor:
@@ -367,14 +348,14 @@ def dropout(x: Tensor, p: float, rng) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _record(out, (x,), vjp)
+    return Tensor(out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
 # fused loss
 # ---------------------------------------------------------------------------
 
-def cross_entropy(logits: Tensor, target_ids, pad_id: int, label_smoothing: float = 0.0) -> Tensor:
+def cross_entropy(logits: Tensor, target_ids, pad_id: int) -> Tensor:
     """Mean token-level cross entropy over non-pad targets.
 
     ``logits`` has shape [..., V]; ``target_ids`` matches the leading shape.
@@ -395,14 +376,14 @@ def cross_entropy(logits: Tensor, target_ids, pad_id: int, label_smoothing: floa
     tflat = targets.reshape(-1)
     valid = tflat != pad_id
     safe_targets = np.where(valid, tflat, 0)
-    loss_sum, count = kernels.ce_forward(flat, safe_targets, valid, float(label_smoothing))
+    loss_sum, count = kernels.ce_forward(flat, safe_targets, valid)
     value = np.asarray(loss_sum / count if count else 0.0, dtype=logits.dtype)
 
     def vjp(g):
         if count == 0:
             return (np.zeros_like(logits.data),)
         grad_scale = float(g) / count
-        grad = kernels.ce_backward(flat, safe_targets, valid, float(label_smoothing), grad_scale)
+        grad = kernels.ce_backward(flat, safe_targets, valid, grad_scale)
         return (np.asarray(grad).reshape(logits.shape),)
 
-    return _record(value, (logits,), vjp)
+    return Tensor(value, (logits,), vjp)

@@ -53,6 +53,8 @@ class BTConfig:
             raise ConfigError("start_epoch is 1-based and must be >= 1")
         if any(n < 1 for n in self.num_bt_decay):
             raise ConfigError("decay entries must be >= 1")
+        if self.temperature <= 0:
+            raise ConfigError(f"bt temperature must be > 0, got {self.temperature}")
 
     def num_bt_for_round(self, round_index: int) -> int:
         """Per-language sentence budget for the given 0-based BT round.

@@ -95,6 +95,8 @@ class SubwordModel:
             f"<{code}>": self.piece_to_id[f"<{code}>"] for code in self.lang_tags
         }
         self._chunk_cache: dict[str, tuple[str, ...]] = {}
+        # longest first, so a tag that prefixes another cannot shadow it
+        self._tag_surfaces = sorted(self.special_tokens[3:], key=len, reverse=True)
 
     # -- encoding ----------------------------------------------------------
 
@@ -125,9 +127,8 @@ class SubwordModel:
     def _pieces_of(self, text: str) -> list[str]:
         out: list[str] = []
         remainder = normalize(text)
-        tag_surfaces = sorted(self.special_tokens[3:], key=len, reverse=True)
         while True:
-            matched = next((s for s in tag_surfaces if remainder.startswith(s)), None)
+            matched = next((s for s in self._tag_surfaces if remainder.startswith(s)), None)
             if matched is None:
                 break
             out.append(matched)

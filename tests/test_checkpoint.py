@@ -1,5 +1,8 @@
 """Checkpoint format: manifest + f64 LE data, checksums, params round-trip."""
 
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,11 +49,11 @@ def test_corruption_detected(tmp_path):
 def test_params_round_trip(tmp_path, tiny_model_config):
     params = M.init(tiny_model_config, seed=3)
     path = tmp_path / "params.ckpt"
-    ckpt.save_params(path, params, {"tokenizer_sha256": "abc"})
+    ckpt.save_params(path, params)
     loaded, meta = ckpt.load_params(path)
-    assert meta["tokenizer_sha256"] == "abc"
+    assert set(meta) == {"config"}
     assert loaded.config == tiny_model_config
-    for name in params.names():
+    for name in params.tensors:
         np.testing.assert_allclose(loaded[name].data, params[name].data, atol=1e-7)
 
 
@@ -66,9 +69,47 @@ def test_mismatched_names_rejected(tmp_path, tiny_model_config):
     path = tmp_path / "bad.ckpt"
     arrays = {k: v.data for k, v in params.tensors.items()}
     del arrays["embed"]
-    from dataclasses import asdict
-
     ckpt.save_arrays(path, arrays, {"config": asdict(tiny_model_config)})
     with pytest.raises(CheckpointError):
         ckpt.load_params(path)
 
+
+
+# Configs written before the model had one layout hold these keys.
+RETIRED = {"tie_embeddings": True, "activation": "gelu", "label_smoothing": 0.0,
+           "layer_norm_eps": 1e-05, "pad_id": 0, "eos_id": 1}
+BASE_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "base_model" / "params.ckpt"
+
+
+def test_stored_benchmark_model_loads():
+    # read only: the benchmark's model file carries every retired key
+    _, meta = ckpt.load_arrays(BASE_MODEL)
+    assert RETIRED.items() <= meta["config"].items()
+    params, _ = ckpt.load_params(BASE_MODEL)
+    assert params.config == M.ModelConfig(
+        vocab_size=427, d_model=64, n_heads=4, n_enc_layers=2, n_dec_layers=2,
+        d_ff=128, max_positions=24, dropout=0.1,
+    )
+    batch = M.make_batch([[3, 300, 1]], [[301, 1]], M.ModelConfig.pad_id)
+    assert np.isfinite(M.loss_teacher_forcing(params, batch).item())
+
+
+def test_retired_keys_at_their_one_value_load(tmp_path, tiny_model_config):
+    params = M.init(tiny_model_config, seed=0)
+    path = tmp_path / "old.ckpt"
+    arrays = {k: v.data for k, v in params.tensors.items()}
+    ckpt.save_arrays(path, arrays, {"config": {**asdict(tiny_model_config), **RETIRED}})
+    loaded, _ = ckpt.load_params(path)
+    assert loaded.config == tiny_model_config
+
+
+@pytest.mark.parametrize(
+    "key, value", [("activation", "relu"), ("tie_embeddings", False), ("unknown_key", 1)]
+)
+def test_unsupported_saved_config_refused(tmp_path, tiny_model_config, key, value):
+    params = M.init(tiny_model_config, seed=0)
+    path = tmp_path / "other.ckpt"
+    arrays = {k: v.data for k, v in params.tensors.items()}
+    ckpt.save_arrays(path, arrays, {"config": {**asdict(tiny_model_config), key: value}})
+    with pytest.raises(CheckpointError, match=key):
+        ckpt.load_params(path)

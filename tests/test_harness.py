@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from mtlab import checkpoint as ckpt
 from mtlab import model as M
 from mtlab.config import build_experiment_config, parse_config_file
 from mtlab.corpus import LangTag, MonoSentence, MonoStore
@@ -171,6 +172,9 @@ class TestRunExperiment:
         bad_model = _config(model=M.ModelConfig(d_model=30, n_heads=4))
         with pytest.raises(ConfigError):
             run_experiment(bad_model, parallel, mono, tokenizer)
+        no_heads = build_experiment_config({"languages": "sy1,sy2,sy3", "model.n_heads": "0"})
+        with pytest.raises(ConfigError, match="n_heads"):
+            run_experiment(no_heads, parallel, mono, tokenizer)
 
 
 class _Crash(Exception):
@@ -250,10 +254,35 @@ class TestCheckpointResume:
             config, parallel, mono, tokenizer, resume_from=resume_dir
         )
         assert log_resumed.loss_trace == log_full.loss_trace
-        for name in params_full.names():
+        for name in params_full.tensors:
             np.testing.assert_array_equal(
                 params_resumed[name].data, params_full[name].data
             )
+
+    def test_run_file_with_retired_model_keys_resumes(self, small_world, tmp_path):
+        # a run.ckpt as written before the model config lost its retired keys
+        _, parallel, mono, tokenizer = small_world
+        config = _config(FinetuneSetting.BT_REC, epochs=2)
+        _, log_full = run_experiment(config, parallel, mono, tokenizer)
+        run_experiment(
+            config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "r", stop_after_epoch=1
+        )
+        path = tmp_path / "r" / "run.ckpt"
+        arrays, meta = ckpt.load_arrays(path)
+        retired = {"tie_embeddings": True, "activation": "gelu", "label_smoothing": 0.0,
+                   "layer_norm_eps": 1e-05, "pad_id": 0, "eos_id": 1}
+        meta["config"].update(retired)
+        meta["experiment"]["model"].update(retired)
+        good = (arrays, json.loads(json.dumps(meta)))
+        meta["experiment"]["model"]["activation"] = "relu"
+        ckpt.save_arrays(path, arrays, meta)
+        with pytest.raises(CheckpointError, match="activation"):
+            run_experiment(config, parallel, mono, tokenizer, resume_from=tmp_path / "r")
+        ckpt.save_arrays(path, *good)
+        _, log_resumed = run_experiment(
+            config, parallel, mono, tokenizer, resume_from=tmp_path / "r"
+        )
+        assert log_resumed.loss_trace == log_full.loss_trace
 
     def test_resume_config_mismatch_rejected(self, small_world, tmp_path):
         _, parallel, mono, tokenizer = small_world
@@ -301,7 +330,7 @@ class TestCheckpointResume:
                 assert k < first_export, f"crash at {event} left a run that cannot resume"
                 continue
             assert log.loss_trace == log_full.loss_trace, event
-            for name in params_full.names():
+            for name in params_full.tensors:
                 np.testing.assert_array_equal(params[name].data, params_full[name].data)
             audit = (run_dir / "augmentation_audit.jsonl").read_text(encoding="utf-8")
             assert audit == audit_full, event
@@ -340,7 +369,7 @@ class TestCheckpointResume:
         assert on_disk[1:] == log.entries
         assert on_disk[-1]["type"] == "finish"
         loaded, _, _ = load_model(run_dir)
-        for name in params.names():
+        for name in params.tensors:
             np.testing.assert_array_equal(loaded[name].data, params[name].data)
 
     def test_audit_log_written(self, small_world, tmp_path):
@@ -469,3 +498,16 @@ class TestConfigFiles:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             build_experiment_config({"languages": "sy1,sy2", "nonsense": "1"})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tie_embeddings", "false"), ("activation", "relu"), ("label_smoothing", "0.1"),
+         ("layer_norm_eps", "1e-6"), ("pad_id", "3"), ("eos_id", "5")],
+    )
+    def test_retired_model_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            build_experiment_config({"languages": "sy1,sy2", f"model.{key}": value})
+
+    def test_zero_bt_temperature_rejected(self):
+        with pytest.raises(ConfigError, match="temperature"):
+            build_experiment_config({"languages": "sy1,sy2", "bt.temperature": "0"})

@@ -18,7 +18,6 @@ from mtlab.numerics import (
     matmul,
     mul,
     no_grad,
-    relu,
     reshape,
     rng_fork,
     sample_categorical,
@@ -138,7 +137,6 @@ class TestPerOpGradients:
         cases = [
             (lambda: tsum(mul(add(a, b), add(a, c))), [a, b, c]),
             (lambda: tsum(scale(mul(a, a), 0.7)), [a]),
-            (lambda: tsum(mul(relu(a), relu(a))), [a]),
             (lambda: tsum(mul(gelu(a), gelu(a))), [a]),
             (lambda: tsum(mul(softmax(a, axis=-1), b)), [a, b]),
             (lambda: tsum(mul(layer_norm(a), b)), [a, b]),
@@ -177,16 +175,6 @@ class TestPerOpGradients:
 
         def fn():
             return cross_entropy(logits, targets, pad_id=0)
-
-        finite_difference_check(fn, [logits], rtol=1e-4)
-
-    def test_cross_entropy_label_smoothing_grad(self, float64):
-        rng = np.random.default_rng(8)
-        logits = _leaf(rng, 4, 5)
-        targets = np.array([1, 2, 3, 4])
-
-        def fn():
-            return cross_entropy(logits, targets, pad_id=0, label_smoothing=0.1)
 
         finite_difference_check(fn, [logits], rtol=1e-4)
 

@@ -292,6 +292,11 @@ class TestBtExamples:
         assert [cfg.num_bt_for_round(i) for i in range(5)] == [100, 50, 10, 10, 10]
         assert BTConfig(num_bt=77).num_bt_for_round(3) == 77
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    def test_non_positive_temperature_rejected(self, temperature):
+        with pytest.raises(ConfigError, match="temperature"):
+            BTConfig(temperature=temperature)
+
 
 def test_audit_log(tmp_path):
     examples = [

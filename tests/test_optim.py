@@ -124,9 +124,8 @@ class TestAdamW:
 class TestAccumulation:
     def _loss_and_grads(self, params, batch):
         loss = M.loss_teacher_forcing(params, batch)
-        tensors = [params[n] for n in params.names()]
-        grads = backward(loss, tensors)
-        return {n: grads[params[n]] for n in params.names()}
+        grads = backward(loss, list(params.tensors.values()))
+        return {n: grads[t] for n, t in params.tensors.items()}
 
     def test_flush_before_add_rejected(self):
         with pytest.raises(OptimError):
@@ -192,7 +191,7 @@ class TestAccumulation:
         # two optimizer steps each way
         full = train([[data[:4]], [data[4:]]])
         micro = train([[data[0:2], data[2:4]], [data[4:6], data[6:8]]])
-        for name in full.names():
+        for name in full.tensors:
             np.testing.assert_allclose(
                 micro[name].data, full[name].data, rtol=1e-5, atol=1e-9
             )
