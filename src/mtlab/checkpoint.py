@@ -123,7 +123,7 @@ def save_params(path, params) -> None:
 
 
 def load_params(path):
-    """Restore Params; arrays cast to the current default dtype."""
+    """Restore Params; arrays cast to float32."""
     arrays, meta = load_arrays(path)
     if "config" not in meta:
         raise CheckpointError(f"{path}: missing model config metadata")
@@ -134,14 +134,13 @@ def params_from_arrays(path, arrays: dict[str, np.ndarray], config: dict):
     """Params of the model config ``config`` (a dict) from named arrays.
 
     The names must be exactly the config's parameter names; arrays are cast
-    to the current default dtype.
+    to float32, the model's parameter dtype.
     """
     from .model import Params, _layer_names, config_from_saved
     from .numerics import autodiff as T
 
     config = config_from_saved(config)
-    want = T.default_dtype()
-    tensors = {k: T.Tensor(v.astype(want)) for k, v in arrays.items()}
+    tensors = {k: T.Tensor(v.astype(np.float32)) for k, v in arrays.items()}
     expected = {name for name, _ in _layer_names(config)}
     if set(tensors) != expected:
         missing = expected - set(tensors)

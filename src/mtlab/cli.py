@@ -36,6 +36,14 @@ def _parse_kv_list(items, what):
     return out
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not valid UTF-8: {exc}") from None
+
+
 def _load_store_dir(path):
     if not os.path.isdir(path):
         raise FormatError(f"store directory {path!r} does not exist")
@@ -192,8 +200,9 @@ def cmd_translate(args):
         mode=args.mode, temperature=args.temperature, beam_size=args.beam_size,
         max_new_tokens=args.max_new_tokens,
     )
-    with open(args.input, encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f]
+    lines = _read_text(args.input).split("\n")
+    if lines[-1] == "":
+        lines.pop()  # a final newline ends the last line; it starts no new one
     # Blank lines are not decoded; they stay blank so output line N matches input line N.
     nonblank = [i for i, line in enumerate(lines) if line.strip()]
     tag = corpus.LangTag(args.target_lang).surface
@@ -334,8 +343,10 @@ def cmd_compare(args):
 
 
 def cmd_report(args):
-    with open(args.comparison, encoding="utf-8") as f:
-        table = harness.ComparisonTable.from_json(f.read())
+    try:
+        table = harness.ComparisonTable.from_json(_read_text(args.comparison))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{args.comparison} is not a comparison table: {exc!r}") from None
     os.makedirs(args.out, exist_ok=True)
     text = table.to_text()
     print(text)

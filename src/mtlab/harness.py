@@ -102,6 +102,9 @@ class ExperimentConfig:
             raise ConfigError("batch size and accumulation factor must be >= 1")
         if self.eval_every_steps < 1:
             raise ConfigError("eval_every_steps must be >= 1")
+        outside = sorted(set(self.mono_langs or ()) - set(self.languages))
+        if outside:
+            raise ConfigError(f"mono_langs {outside} are not among the run's languages")
         if self.bt_workers != 1:
             raise ConfigError("bt_workers must be 1; backtranslation runs on the calling thread")
         self.optimizer.validate()
@@ -303,12 +306,11 @@ def run_experiment(
         use_bt = config.setting in (FinetuneSetting.BT, FinetuneSetting.BT_REC)
         if use_bt and epoch >= config.bt.start_epoch and n_mono_langs > 0:
             n_bt = config.bt.num_bt_for_round(state.bt_rounds_done)
-            bt_langs = [LangTag(c) for c in config.languages if c in set(mono_langs)]
             bt_examples = make_bt_examples(
                 params,
                 tokenizer,
                 active_mono,
-                bt_langs,
+                config.languages,
                 config.bt,
                 rng_fork(config.seed, f"bt-round:{epoch}"),
                 exclusions=exclusions,
@@ -322,8 +324,7 @@ def run_experiment(
                 num_bt=n_bt,
                 emitted=len(bt_examples),
                 # budgeted sentences of languages with data whose decode failed
-                skipped=n_bt * len(set(bt_langs) & set(active_mono.languages()))
-                - len(bt_examples),
+                skipped=n_bt * n_mono_langs - len(bt_examples),
             )
             if audit_path:
                 write_audit(audit_path, bt_examples, state.bt_rounds_done)

@@ -2,9 +2,12 @@
 
 Pre-layer-norm residual blocks, learned absolute positions, a GeLU
 feed-forward layer, and tied embeddings: the output projection is the
-transposed input embedding. Pad and eos ids are the tokenizer's. The
-decoder starts from the eos token and predicts the target sequence; loss
-is the mean token cross entropy over non-pad target positions.
+transposed input embedding. Each layer norm is one ``layer_norm`` node
+with its gain and bias. Parameters are float32 (``checkpoint`` casts loaded
+ones to float32); every op computes in its inputs' dtype. Pad and eos ids
+are the tokenizer's. The decoder starts from the eos token and predicts the
+target sequence; loss is the mean token cross entropy over non-pad target
+positions.
 """
 
 from __future__ import annotations
@@ -140,19 +143,18 @@ def _layer_names(config: ModelConfig):
 
 
 def init(config: ModelConfig, seed: int) -> Params:
-    """Initialize parameters: N(0, 0.02) weights, unit gains, zero biases."""
+    """Initialize float32 parameters: N(0, 0.02) weights, unit gains, zero biases."""
     config.validate()
     rng = rng_fork(seed, "model-init")
-    dtype = T.default_dtype()
     tensors: dict[str, T.Tensor] = {}
     for name, shape in _layer_names(config):
         leaf = name.split(".")[-1]
         if leaf == "g":
-            data = np.ones(shape, dtype=dtype)
+            data = np.ones(shape, dtype=np.float32)
         elif leaf.startswith("b"):
-            data = np.zeros(shape, dtype=dtype)
+            data = np.zeros(shape, dtype=np.float32)
         else:
-            data = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+            data = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
         tensors[name] = T.Tensor(data)
     return Params(config, tensors)
 
@@ -228,7 +230,7 @@ def _attention(params, prefix, q_in, kv_in, bias, n_heads):
 
 
 def _ln(params, prefix, x):
-    return T.add(T.mul(T.layer_norm(x), params[f"{prefix}.g"]), params[f"{prefix}.b"])
+    return T.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
 def _ffn(params, prefix, x):

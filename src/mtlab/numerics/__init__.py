@@ -6,21 +6,16 @@ from .autodiff import (
     add,
     backward,
     cross_entropy,
-    default_dtype,
     dropout,
     embedding_lookup,
     gelu,
     layer_norm,
     matmul,
-    mul,
     no_grad,
     reshape,
     scale,
     softmax,
-    tensor,
     transpose,
-    tsum,
-    using_dtype,
 )
 
 __all__ = [
@@ -28,21 +23,16 @@ __all__ = [
     "add",
     "backward",
     "cross_entropy",
-    "default_dtype",
     "dropout",
     "embedding_lookup",
     "gelu",
     "layer_norm",
     "matmul",
-    "mul",
     "no_grad",
     "reshape",
     "rng_fork",
     "sample_categorical",
     "scale",
     "softmax",
-    "tensor",
     "transpose",
-    "tsum",
-    "using_dtype",
 ]

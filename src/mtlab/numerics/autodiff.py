@@ -1,14 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what a small encoder-decoder transformer needs:
-(batched) matmul, broadcasting elementwise arithmetic, embedding lookup,
-softmax, layer norm, GeLU, dropout, reshape/transpose, and a
-fused padded cross entropy. Graphs are recorded eagerly as each op runs
+(batched) matmul, broadcasting add, scaling, embedding lookup, softmax,
+layer norm with its gain and bias, GeLU, dropout, reshape/transpose, and
+a fused padded cross entropy. Graphs are recorded eagerly as each op runs
 (the recorded graph plays the tape role); ``backward`` replays it once in
 reverse topological order.
 
-Values are float32 by default; ``using_dtype(np.float64)`` switches newly
-created tensors to 64-bit, which the gradient-check suite relies on.
+There is no dtype setting: every op computes in the dtype of its inputs.
+The model's parameters are float32 (``model.init``, ``checkpoint``); the
+gradient checks cast theirs to float64.
 """
 
 from __future__ import annotations
@@ -21,29 +22,10 @@ import numpy as np
 from .. import kernels
 from ..errors import ShapeError
 
-_DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-@contextlib.contextmanager
-def using_dtype(dtype):
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ShapeError(f"default dtype must be float32 or float64, got {dtype}")
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = dtype.type
-    try:
-        yield
-    finally:
-        _DEFAULT_DTYPE = previous
 
 
 @contextlib.contextmanager
@@ -70,10 +52,7 @@ class Tensor:
     __slots__ = ("data", "parents", "vjp")
 
     def __init__(self, data, parents=(), vjp=None):
-        if isinstance(data, np.ndarray):
-            self.data = data
-        else:
-            self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data)
         if _GRAD_ENABLED:
             self.parents = tuple(parents)
             self.vjp = vjp
@@ -102,16 +81,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-
-def tensor(data, dtype=None) -> Tensor:
-    """Create a leaf tensor (no recorded parents)."""
-    arr = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
-    return Tensor(arr)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else tensor(x)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -146,18 +115,18 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
-    """Accumulate d(loss)/d(node) for every node reachable from ``loss``.
+def backward(loss: Tensor, params) -> dict[Tensor, np.ndarray]:
+    """d(loss)/d(p) for each tensor p of ``params``.
 
-    Returns a dict keyed by tensor identity. When ``params`` is given, the
-    result contains exactly those tensors, with zeros for any parameter the
-    loss does not reach.
+    Returns a dict keyed by tensor identity holding exactly those tensors,
+    with zeros for any the loss does not reach. Other nodes' gradients are
+    freed as soon as they have been passed on.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     order = _toposort(loss)
-    keep = None if params is None else {id(p) for p in params}
+    keep = {id(p) for p in params}
     for node in reversed(order):
         grad = grads.get(node)
         if grad is None:
@@ -169,19 +138,16 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
                     continue
                 existing = grads.get(parent)
                 grads[parent] = pg if existing is None else existing + pg
-        if node.vjp is not None and keep is not None and id(node) not in keep and node is not loss:
-            del grads[node]  # free intermediates eagerly
-    if params is not None:
-        return {p: grads.get(p, np.zeros_like(p.data)) for p in params}
-    return grads
+        if id(node) not in keep:
+            del grads[node]
+    return {p: grads.get(p, np.zeros_like(p.data)) for p in params}
 
 
 # ---------------------------------------------------------------------------
 # elementwise / broadcasting ops
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = a.data + b.data
     except ValueError:
@@ -189,19 +155,6 @@ def add(a, b) -> Tensor:
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return Tensor(out, (a, b), vjp)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}") from None
-
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return Tensor(out, (a, b), vjp)
 
@@ -216,24 +169,11 @@ def scale(a: Tensor, s: float) -> Tensor:
     return Tensor(out, (a,), vjp)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, a.shape).copy(),)
-
-    return Tensor(np.asarray(out), (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and lookups
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     try:
@@ -303,20 +243,28 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor(s, (x,), vjp)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (no affine)."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Layer norm over the last axis with a learned gain and bias.
+
+    One node: ``gain * (x - mean) / sqrt(var + 1e-5) + bias``, whose
+    pullback returns the gradients of ``x``, ``gain`` and ``bias``
+    (Ba et al. 2016).
+    """
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     y = xc * inv
+    out = y * gain.data + bias.data
 
     def vjp(g):
-        g_mean = g.mean(axis=-1, keepdims=True)
-        gy_mean = (g * y).mean(axis=-1, keepdims=True)
-        return (inv * (g - g_mean - y * gy_mean),)
+        gn = g * gain.data  # gradient of the normalized y
+        gn_mean = gn.mean(axis=-1, keepdims=True)
+        gny_mean = (gn * y).mean(axis=-1, keepdims=True)
+        gx = inv * (gn - gn_mean - y * gny_mean)
+        return gx, _unbroadcast(g * y, gain.shape), _unbroadcast(g, bias.shape)
 
-    return Tensor(y, (x,), vjp)
+    return Tensor(out, (x, gain, bias), vjp)
 
 
 def gelu(x: Tensor) -> Tensor:

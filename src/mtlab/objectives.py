@@ -204,13 +204,14 @@ def make_bt_examples(
 ) -> list[TaggedExample]:
     """Backtranslation examples: '<m> model(y -> pivot)' -> y.
 
-    For each language m with monolingual data, ``num_bt`` sentences are
-    sampled with replacement; each picks a uniform pivot s among the
-    non-excluded partners, gets ``num_sample`` sampled translations of
-    '<s> y', and one candidate chosen uniformly becomes the synthetic
-    source. The whole round is one decoding call; each sample draws from
-    its own rng stream, and each sentence's pivot and candidate pick from
-    another. A sentence with a failed decode (e.g. longer than
+    ``langs`` are the run's languages. For each language m among them
+    with monolingual data, ``num_bt`` sentences are sampled with
+    replacement; each picks a uniform pivot s among m's non-excluded
+    partners in ``langs`` (with or without monolingual data), gets
+    ``num_sample`` sampled translations of '<s> y', and one candidate
+    chosen uniformly becomes the synthetic source. The whole round is one
+    decoding call; each sample draws from its own rng stream, and each
+    sentence's pivot and candidate pick from another. A sentence with a failed decode (e.g. longer than
     max_positions) is skipped with a warning, so a round may emit fewer
     than its budget.
 

@@ -222,8 +222,12 @@ class SubwordModel:
 
     @classmethod
     def load(cls, path) -> "SubwordModel":
-        with open(path, encoding="utf-8") as f:
-            return cls.deserialize(f.read())
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"tokenizer file {path} is not valid UTF-8: {exc}") from None
+        return cls.deserialize(text)
 
 
 def train_subword(corpora, vocab_size: int, lang_tags) -> SubwordModel:

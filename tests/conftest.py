@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mtlab import model as M
-from mtlab.numerics import autodiff, backward, using_dtype
+from mtlab.numerics import Tensor, autodiff, backward, matmul, reshape
 from mtlab.tokenizer import train_subword
 
 
@@ -77,7 +77,14 @@ def finite_difference_check(fn, tensors, rtol, atol=1e-8, h=1e-5, max_entries=No
     return checked
 
 
-@pytest.fixture
-def float64():
-    with using_dtype(np.float64):
-        yield
+def dot(a, b):
+    """Scalar sum(a * b) built from model ops: reshape, matmul, reshape."""
+    n = a.size
+    return reshape(matmul(reshape(a, (1, n)), reshape(b, (n, 1))), ())
+
+
+def float64_params(params):
+    """A copy of ``params`` cast to float64, for 64-bit gradient checks."""
+    return M.Params(
+        params.config, {k: Tensor(v.data.astype(np.float64)) for k, v in params.tensors.items()}
+    )

@@ -106,6 +106,42 @@ def test_missing_input_file_is_one_line_error(tmp_path, model_dir, capsys):
     assert err.startswith("error FileNotFoundError: ") and err.count("\n") == 1
 
 
+_NOT_UTF8 = b"languages = sy1,sy2\n\xff\xfe\n"
+
+
+@pytest.mark.parametrize(
+    "case, content, code",
+    [
+        ("config", _NOT_UTF8, 2),
+        ("tokenizer", _NOT_UTF8, 1),
+        ("comparison", _NOT_UTF8, 1),
+        ("comparison", b"{not json", 1),
+        ("comparison", b'{"directions": [], "settings": []}', 1),
+        ("input", _NOT_UTF8, 1),
+    ],
+    ids=["config", "tokenizer", "comparison-utf8", "comparison-json", "comparison-key", "input"],
+)
+def test_unreadable_input_file_is_one_line_error(tmp_path, model_dir, capsys, case, content, code):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    store = tmp_path / "store"
+    store.mkdir()
+    train = ["train", "--set", "languages=sy1,sy2", "--store", str(store),
+             "--out", str(tmp_path / "run")]
+    argv = {
+        "config": [*train, "--tokenizer", str(model_dir / "tokenizer.txt"), "--config", str(bad)],
+        "tokenizer": [*train, "--tokenizer", str(bad)],
+        "comparison": ["report", "--comparison", str(bad), "--out", str(tmp_path / "report")],
+        "input": ["translate", "--model", str(model_dir), "--input", str(bad),
+                  "--output", str(tmp_path / "out.txt"), "--target-lang", "sy2"],
+    }[case]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    kind = "ConfigError" if code == 2 else "FormatError"
+    assert err.startswith(f"error {kind}: ") and err.count("\n") == 1
+    assert str(bad) in err
+
+
 def test_compare_resolves_config_like_train(tmp_path, capsys):
     code = cli.main([
         "compare", "--set", "languages=sy1,sy2", "--set", "epochs=0",

@@ -163,6 +163,18 @@ class TestRunExperiment:
         assert sum("skipping backtranslation" in r.message for r in caplog.records) == 3
         assert log.entries_of("finish")
 
+    def test_bt_pivots_include_languages_without_monolingual_data(self, small_world, tmp_path):
+        _, parallel, mono, tokenizer = small_world
+        sy1_only = MonoStore(tuple(s for s in mono.sentences if s.lang.code == "sy1"))
+        config = _config(
+            FinetuneSetting.BT, epochs=1, bt=BTConfig(num_bt=6, num_sample=1, start_epoch=1)
+        )
+        run_experiment(config, parallel, sy1_only, tokenizer, checkpoint_dir=tmp_path / "run")
+        audit = _jsonl(tmp_path / "run" / "augmentation_audit.jsonl")
+        assert len(audit) == 6
+        assert all(e["target"] in {s.text for s in sy1_only.sentences} for e in audit)
+        assert {e["pivot"] for e in audit} <= {"sy2", "sy3"}
+
     def test_config_validation_precedes_training(self, small_world):
         _, parallel, mono, tokenizer = small_world
         with pytest.raises(ConfigError):
@@ -507,6 +519,10 @@ class TestConfigFiles:
     def test_retired_model_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             build_experiment_config({"languages": "sy1,sy2", f"model.{key}": value})
+
+    def test_mono_langs_outside_languages_rejected(self):
+        with pytest.raises(ConfigError, match="sy3"):
+            build_experiment_config({"languages": "sy1,sy2", "mono_langs": "sy1,sy2,sy3"})
 
     def test_zero_bt_temperature_rejected(self):
         with pytest.raises(ConfigError, match="temperature"):

@@ -7,9 +7,9 @@ import pytest
 
 from mtlab import model as M
 from mtlab.errors import ConfigError, ShapeError
-from mtlab.numerics import rng_fork, using_dtype
+from mtlab.numerics import rng_fork
 
-from conftest import finite_difference_check
+from conftest import finite_difference_check, float64_params
 
 
 def _random_batch(cfg, rng, b=2, ts=5, tt=7):
@@ -99,8 +99,8 @@ class TestForward:
         logits = M.forward_logits(params, batch)
         assert logits.shape == (2, 7, tiny_model_config.vocab_size)
 
-    def test_causality_exact(self, tiny_model_config, float64):
-        params = M.init(tiny_model_config, seed=3)
+    def test_causality_exact(self, tiny_model_config):
+        params = float64_params(M.init(tiny_model_config, seed=3))
         rng = np.random.default_rng(3)
         batch = _random_batch(tiny_model_config, rng, b=1, ts=4, tt=6)
         base = M.forward_logits(params, batch).data.copy()
@@ -112,8 +112,8 @@ class TestForward:
         # teacher forcing shifts right: position t feeds logits from t+1 on
         np.testing.assert_array_equal(base[:, : t + 1], changed[:, : t + 1])
 
-    def test_source_pad_invariance(self, tiny_model_config, float64):
-        params = M.init(tiny_model_config, seed=4)
+    def test_source_pad_invariance(self, tiny_model_config):
+        params = float64_params(M.init(tiny_model_config, seed=4))
         rng = np.random.default_rng(4)
         src = rng.integers(3, tiny_model_config.vocab_size, (1, 4))
         tgt = rng.integers(3, tiny_model_config.vocab_size, (1, 5))
@@ -154,8 +154,8 @@ class TestLoss:
             tiny_model_config.vocab_size
         )
 
-    def test_row_duplication_leaves_loss_unchanged(self, tiny_model_config, float64):
-        params = M.init(tiny_model_config, seed=6)
+    def test_row_duplication_leaves_loss_unchanged(self, tiny_model_config):
+        params = float64_params(M.init(tiny_model_config, seed=6))
         rng = np.random.default_rng(6)
         batch = _random_batch(tiny_model_config, rng, b=2, ts=4, tt=5)
         doubled = M.Batch(
@@ -168,6 +168,13 @@ class TestLoss:
         b = M.loss_teacher_forcing(params, doubled).item()
         assert abs(a - b) < 1e-6
 
+    def test_loss_follows_parameter_dtype(self, tiny_model_config):
+        params = M.init(tiny_model_config, seed=0)
+        assert {t.dtype for t in params.tensors.values()} == {np.dtype(np.float32)}
+        batch = _random_batch(tiny_model_config, np.random.default_rng(0))
+        assert M.loss_teacher_forcing(params, batch).dtype == np.float32
+        assert M.loss_teacher_forcing(float64_params(params), batch).dtype == np.float64
+
     def test_all_pad_target_rejected(self, tiny_model_config):
         params = M.init(tiny_model_config, seed=0)
         batch = M.Batch(
@@ -177,8 +184,8 @@ class TestLoss:
         with pytest.raises(ShapeError):
             M.loss_teacher_forcing(params, batch)
 
-    def test_pad_positions_do_not_affect_loss(self, tiny_model_config, float64):
-        params = M.init(tiny_model_config, seed=7)
+    def test_pad_positions_do_not_affect_loss(self, tiny_model_config):
+        params = float64_params(M.init(tiny_model_config, seed=7))
         rng = np.random.default_rng(7)
         src = rng.integers(3, tiny_model_config.vocab_size, (1, 4))
         tgt = rng.integers(3, tiny_model_config.vocab_size, (1, 4))
@@ -192,12 +199,12 @@ class TestLoss:
 
 
 class TestFullModelGradient:
-    def test_matches_finite_differences(self, float64):
+    def test_matches_finite_differences(self):
         cfg = M.ModelConfig(
             vocab_size=13, d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1,
             d_ff=12, max_positions=10, dropout=0.0,
         )
-        params = M.init(cfg, seed=1)
+        params = float64_params(M.init(cfg, seed=1))
         batch = M.make_batch([[3, 4, 5, 1], [6, 7, 1]], [[8, 9, 1], [10, 11, 12, 1]], cfg.pad_id)
 
         def fn():
@@ -210,12 +217,12 @@ class TestFullModelGradient:
         )
         assert checked > 400
 
-    def test_dropout_gradient(self, float64):
+    def test_dropout_gradient(self):
         cfg = M.ModelConfig(
             vocab_size=13, d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1,
             d_ff=12, max_positions=10, dropout=0.2,
         )
-        params = M.init(cfg, seed=2)
+        params = float64_params(M.init(cfg, seed=2))
         batch = M.make_batch([[3, 4, 1]], [[5, 6, 1]], cfg.pad_id)
 
         def fn():

@@ -6,7 +6,9 @@ import pytest
 from mtlab import model as M
 from mtlab import optim
 from mtlab.errors import ConfigError, OptimError
-from mtlab.numerics import Tensor, backward, using_dtype
+from mtlab.numerics import Tensor, backward
+
+from conftest import float64_params
 
 
 def _scalar_params(value=1.0):
@@ -138,10 +140,10 @@ class TestAccumulation:
         assert acc.ready
         np.testing.assert_allclose(acc.flush()["w"], [1.0, 2.0])
 
-    def test_micro_batches_equal_full_batch(self, float64):
+    def test_micro_batches_equal_full_batch(self):
         cfg = M.ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_enc_layers=1,
                             n_dec_layers=1, d_ff=12, max_positions=12, dropout=0.0)
-        params = M.init(cfg, seed=3)
+        params = float64_params(M.init(cfg, seed=3))
         rng = np.random.default_rng(4)
         # unequal lengths: per-token weighting must still reproduce the
         # full-batch mean gradient
@@ -163,7 +165,7 @@ class TestAccumulation:
         for name in want:
             np.testing.assert_allclose(got[name], want[name], atol=1e-6)
 
-    def test_training_equivalence_accumulated_vs_full(self, float64):
+    def test_training_equivalence_accumulated_vs_full(self):
         # k micro-batches of size b, stepped through AdamW, match full
         # batches of size k*b step for step
         cfg = M.ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_enc_layers=1,
@@ -176,7 +178,7 @@ class TestAccumulation:
         ]
 
         def train(batch_groups):
-            params = M.init(cfg, seed=9)
+            params = float64_params(M.init(cfg, seed=9))
             state = optim.AdamWState(params)
             ocfg = optim.AdamWConfig(lr=1e-3)
             for group in batch_groups:
