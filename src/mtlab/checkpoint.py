@@ -19,11 +19,15 @@ one such file, so one checksum and one rename cover it:
   the augmentation audit written so far), ``adam_t`` (AdamW step count),
   ``tokenizer_sha256`` and ``run_log`` (the run-log entries so far).
 
-Model configs saved before the model had one layout carry six retired
-keys. A reader accepts each only at the value the model now always has
-(``tie_embeddings`` true, ``activation`` "gelu", ``label_smoothing`` 0,
-``layer_norm_eps`` 1e-5, ``pad_id`` 0, ``eos_id`` 1) and refuses any other
-value with CheckpointError; see ``model.config_from_saved``.
+Configs saved by earlier versions carry retired keys. A reader drops each
+one that holds the value the program now always uses and refuses any other
+value with CheckpointError naming the key (``drop_retired``). Model
+configs: ``tie_embeddings`` true, ``activation`` "gelu",
+``label_smoothing`` 0, ``layer_norm_eps`` 1e-5, ``pad_id`` 0, ``eos_id`` 1.
+Experiment configs: ``total_steps`` 0 (estimate the schedule from the
+data), ``mono_langs`` null (every run language with data),
+``bt.temperature`` 1, ``rec.n_swaps`` 2, ``rec.p_del`` 0.2,
+``optimizer.beta1`` 0.9, ``beta2`` 0.999, ``eps`` 1e-8, ``weight_decay`` 0.01.
 """
 
 from __future__ import annotations
@@ -112,6 +116,24 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
             np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
         )
     return arrays, meta
+
+
+def drop_retired(saved: dict, retired: dict, what: str) -> dict:
+    """``saved`` without its ``retired`` keys, each at the one value it may hold.
+
+    A dict value in ``retired`` lists a nested section's retired keys.
+    """
+    out = dict(saved)
+    for key, value in retired.items():
+        if key not in out:
+            continue
+        if isinstance(value, dict):
+            out[key] = drop_retired(out[key], value, f"{what} section {key!r}")
+        elif out.pop(key) != value:
+            raise CheckpointError(
+                f"saved {what} has {key}={saved[key]!r}; this version only supports {value!r}"
+            )
+    return out
 
 
 def save_params(path, params) -> None:

@@ -196,6 +196,7 @@ def cmd_train(args):
 
 def cmd_translate(args):
     params, tokenizer, params_path = harness.load_model(args.model)
+    tokenizer.require_tags([args.target_lang])
     config = decoding.DecodeConfig(
         mode=args.mode, temperature=args.temperature, beam_size=args.beam_size,
         max_new_tokens=args.max_new_tokens,
@@ -232,6 +233,7 @@ def cmd_translate(args):
 def cmd_evaluate(args):
     params, tokenizer, params_path = harness.load_model(args.model)
     direction = corpus.Direction.parse(args.direction)
+    tokenizer.require_tags([direction.tgt.code])
     store = corpus.load_parallel(args.test, direction, args.format)
     report = metrics.evaluate_direction(params, tokenizer, list(store.pairs))
     os.makedirs(args.out, exist_ok=True)

@@ -2,7 +2,7 @@
 
 Config files are plain text: one ``key = value`` per line, ``#`` comments,
 dotted keys for nested sections (``model.d_model``, ``bt.num_bt``,
-``optimizer.lr``, ``rec.p_del``). Lists are comma-separated; excluded
+``optimizer.lr``, ``rec.num_rec``). Lists are comma-separated; excluded
 pairs look like ``eng-fra``. Flag overrides always win over file values,
 which win over the preset.
 
@@ -83,22 +83,14 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, raw, annotation):
-    if not isinstance(raw, str):
-        return raw
+def _coerce(key: str, raw, ann: str):
+    """The value of a config field annotated ``ann`` (postponed, so a string)."""
     text = raw.strip()
-    ann = str(annotation)
     try:
-        if annotation is int or ann == "int":
+        if ann == "int":
             return int(text)
-        if annotation is float or ann == "float":
+        if ann == "float":
             return float(text)
-        if annotation is bool or ann == "bool":
-            if text.lower() in ("1", "true", "yes", "on"):
-                return True
-            if text.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
         if "FinetuneSetting" in ann:
             return FinetuneSetting.parse(text)
         if "tuple[int" in ann:
@@ -140,9 +132,7 @@ def build_experiment_config(
             )
         merged.update(PRESETS[preset])
     merged.update(values)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
+    merged.update(overrides or {})
 
     sections: dict[str, dict] = {name: {} for name in _SECTION_TYPES}
     top: dict[str, object] = {}

@@ -422,14 +422,12 @@ class DirectionCountTable:
         return "\n".join(lines) + "\n"
 
 
-def stats(store: ParallelStore, langs=None) -> DirectionCountTable:
-    """Square per-direction count table, rows and columns sorted by code."""
+def stats(store: ParallelStore) -> DirectionCountTable:
+    """Square per-direction count table over the store's languages, sorted by code."""
     counter: Counter = Counter()
     for p in store.pairs:
         counter[(p.direction.src, p.direction.tgt)] += 1
-    if langs is None:
-        langs = store.languages()
-    return DirectionCountTable(tuple(sorted(langs)), dict(counter))
+    return DirectionCountTable(tuple(store.languages()), dict(counter))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 One coordinating thread runs the epoch loop. From the configured start
 epoch, BT settings run one backtranslation round per epoch (num_bt follows
 the decay list across rounds) and BT&REC additionally one reconstruction
-round; the synthetic examples are shuffled uniformly into that epoch's
-training stream. Dev loss is evaluated every ``eval_every_steps`` optimizer
-steps; training stops early after ``patience_evals`` non-improving evals
-and the best-dev checkpoint is returned.
+round, each over every run language with monolingual training data; the
+synthetic examples are shuffled uniformly into that epoch's training
+stream. The lr schedule's length is estimated from the data. Dev loss is
+evaluated every ``eval_every_steps`` optimizer steps; training stops early
+after ``patience_evals`` non-improving evals and the best-dev checkpoint
+is returned.
 
 All randomness is derived from ``(seed, epoch or counter)`` streams, so a
 run resumed from an epoch checkpoint reproduces the uninterrupted run's
@@ -44,6 +46,8 @@ from .errors import CheckpointError, ConfigError
 from .metrics import EvalReport, evaluate_direction
 from .numerics import backward, no_grad, rng_fork
 from .objectives import (
+    REC_N_SWAPS,
+    REC_P_DEL,
     BTConfig,
     FinetuneSetting,
     RECConfig,
@@ -72,13 +76,11 @@ class ExperimentConfig:
     rec: RECConfig = field(default_factory=RECConfig)
     optimizer: optim.AdamWConfig = field(default_factory=optim.AdamWConfig)
     warmup_steps: int = 200
-    total_steps: int = 0  # 0 -> estimated from the data at run start
     batch_size_sentences: int = 32
     accumulation_factor: int = 1
     eval_every_steps: int = 50
     patience_evals: int = 100
-    mono_langs: tuple[str, ...] | None = None  # None -> every language with data
-    # Always 1; kept because saved run configs, which resume compares, carry it.
+    # Always 1; kept because the perfbench workloads set it (ROADMAP item 6).
     bt_workers: int = 1
     seed: int = 13
 
@@ -102,18 +104,27 @@ class ExperimentConfig:
             raise ConfigError("batch size and accumulation factor must be >= 1")
         if self.eval_every_steps < 1:
             raise ConfigError("eval_every_steps must be >= 1")
-        outside = sorted(set(self.mono_langs or ()) - set(self.languages))
-        if outside:
-            raise ConfigError(f"mono_langs {outside} are not among the run's languages")
         if self.bt_workers != 1:
             raise ConfigError("bt_workers must be 1; backtranslation runs on the calling thread")
-        self.optimizer.validate()
         for code in self.languages:
             LangTag(code)
 
     def config_hash(self) -> str:
         blob = json.dumps(_config_dict(self), sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# Keys that experiment configs saved by earlier versions carry, with the one
+# value each may hold (see ``checkpoint.drop_retired``).
+_RETIRED_KEYS = {
+    "model": M.RETIRED_KEYS,
+    "total_steps": 0,
+    "mono_langs": None,
+    "bt": {"temperature": 1.0},
+    "rec": {"n_swaps": REC_N_SWAPS, "p_del": REC_P_DEL},
+    "optimizer": {"beta1": optim.BETA1, "beta2": optim.BETA2, "eps": optim.EPS,
+                  "weight_decay": optim.WEIGHT_DECAY},
+}
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
@@ -231,6 +242,7 @@ def run_experiment(
     matches the uninterrupted run).
     """
     config.validate()
+    tokenizer.require_tags(config.languages)
     model_cfg = config.model
     if model_cfg.vocab_size == 0:
         model_cfg = replace(model_cfg, vocab_size=tokenizer.vocab_size)
@@ -249,19 +261,13 @@ def run_experiment(
     if not train_examples:
         raise ConfigError("no training pairs for the configured directions")
 
-    mono_langs = config.mono_langs
-    if mono_langs is None:
-        mono_langs = tuple(
-            l.code for l in mono.languages() if l.code in set(config.languages)
-        )
+    run_langs = set(config.languages)
     active_mono = MonoStore(
-        tuple(s for s in mono.sentences if s.lang.code in set(mono_langs) and s.split == "train")
+        tuple(s for s in mono.sentences if s.lang.code in run_langs and s.split == "train")
     )
     n_mono_langs = len(active_mono.languages())
 
-    total_steps = config.total_steps or _estimate_total_steps(
-        config, len(train_examples), n_mono_langs
-    )
+    total_steps = _estimate_total_steps(config, len(train_examples), n_mono_langs)
     schedule = optim.ScheduleConfig(min(config.warmup_steps, total_steps), total_steps)
     schedule.validate()
 
@@ -464,9 +470,7 @@ def _load_run(directory, config, tokenizer):
     path = os.path.join(directory, "run.ckpt")
     arrays, meta = ckpt.load_arrays(path)
     live = json.loads(json.dumps(_config_dict(config)))  # tuples -> lists
-    saved = meta.get("experiment") or {}
-    if "model" in saved:  # a run file of an earlier version also holds retired model keys
-        saved = {**saved, "model": asdict(M.config_from_saved(saved["model"]))}
+    saved = ckpt.drop_retired(meta.get("experiment") or {}, _RETIRED_KEYS, "experiment config")
     if saved != live:
         raise CheckpointError("resume config does not match the checkpointed config")
     if meta.get("tokenizer_sha256") != tokenizer.hash():

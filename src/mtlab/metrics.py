@@ -35,8 +35,8 @@ def _ngrams(tokens, n: int) -> Counter:
     return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
 
 
-def bleu(hyps, refs, max_n: int = BLEU_MAX_N) -> float:
-    """Corpus BLEU over pre-tokenized segments, 0-100.
+def bleu(hyps, refs) -> float:
+    """Corpus BLEU up to ``BLEU_MAX_N``-grams over pre-tokenized segments, 0-100.
 
     Exponential smoothing: a factor s starts at 1; an order with zero
     matches but a nonzero candidate count sets s <- 2s and scores
@@ -47,8 +47,8 @@ def bleu(hyps, refs, max_n: int = BLEU_MAX_N) -> float:
         raise MetricError(f"got {len(hyps)} hypotheses for {len(refs)} references")
     if not hyps:
         raise MetricError("need at least one segment")
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * BLEU_MAX_N
+    totals = [0] * BLEU_MAX_N
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hyps, refs):
@@ -56,7 +56,7 @@ def bleu(hyps, refs, max_n: int = BLEU_MAX_N) -> float:
         ref = tuple(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_MAX_N + 1):
             hyp_ngrams = _ngrams(hyp, n)
             if not hyp_ngrams:
                 continue
@@ -68,7 +68,7 @@ def bleu(hyps, refs, max_n: int = BLEU_MAX_N) -> float:
     smooth = 1.0
     log_sum = 0.0
     orders = 0
-    for n in range(max_n):
+    for n in range(BLEU_MAX_N):
         if totals[n] == 0:
             continue
         orders += 1
@@ -92,22 +92,22 @@ def spbleu(hyps_text, refs_text, subword_model) -> float:
     )
 
 
-def chrf(hyps_text, refs_text, n: int = CHRF_ORDER, beta: float = CHRF_BETA) -> float:
+def chrf(hyps_text, refs_text) -> float:
     """Character n-gram F-score on whitespace-stripped text, 0-100.
 
-    Precision and recall are corpus totals per order, averaged over orders
-    where both sides have n-grams, then combined with weight beta on
-    recall.
+    Precision and recall are corpus totals per order up to ``CHRF_ORDER``,
+    averaged over orders where both sides have n-grams, then combined with
+    weight ``CHRF_BETA`` on recall.
     """
     if len(hyps_text) != len(refs_text):
         raise MetricError(f"got {len(hyps_text)} hypotheses for {len(refs_text)} references")
     if not hyps_text:
         raise MetricError("need at least one segment")
-    stats = [[0, 0, 0] for _ in range(n)]  # hyp total, ref total, matches
+    stats = [[0, 0, 0] for _ in range(CHRF_ORDER)]  # hyp total, ref total, matches
     for hyp, ref in zip(hyps_text, refs_text):
         h = "".join(hyp.split())
         r = "".join(ref.split())
-        for order in range(1, n + 1):
+        for order in range(1, CHRF_ORDER + 1):
             hn = _ngrams(h, order)
             rn = _ngrams(r, order)
             stats[order - 1][0] += sum(hn.values())
@@ -127,7 +127,7 @@ def chrf(hyps_text, refs_text, n: int = CHRF_ORDER, beta: float = CHRF_BETA) -> 
     recall /= effective
     if precision + recall == 0.0:
         return 0.0
-    b2 = beta * beta
+    b2 = CHRF_BETA * CHRF_BETA
     return 100.0 * (1 + b2) * precision * recall / (b2 * precision + recall)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import drop_retired
 from .errors import CheckpointError, ConfigError, ShapeError
 from .numerics import rng_fork
 from .numerics import autodiff as T
@@ -57,7 +58,7 @@ class ModelConfig:
 
 # Keys that configs saved by earlier versions carry, with the one value each
 # may hold: the layout this model always has.
-_RETIRED_KEYS = {
+RETIRED_KEYS = {
     "tie_embeddings": True,
     "activation": "gelu",
     "label_smoothing": 0.0,
@@ -68,19 +69,9 @@ _RETIRED_KEYS = {
 
 
 def config_from_saved(saved: dict) -> ModelConfig:
-    """The ModelConfig of a saved config dict.
-
-    A retired key is dropped when it holds the value this model has, and
-    refused with CheckpointError otherwise.
-    """
-    config = dict(saved)
-    for key, value in _RETIRED_KEYS.items():
-        if key in config and config.pop(key) != value:
-            raise CheckpointError(
-                f"saved model config has {key}={saved[key]!r}; this model only supports {value!r}"
-            )
+    """The ModelConfig of a saved config dict; see ``checkpoint.drop_retired``."""
     try:
-        return ModelConfig(**config)
+        return ModelConfig(**drop_retired(saved, RETIRED_KEYS, "model config"))
     except TypeError as exc:
         raise CheckpointError(f"saved model config does not fit ModelConfig: {exc}") from None
 

@@ -44,7 +44,6 @@ class BTConfig:
     num_bt_decay: tuple[int, ...] = ()
     num_sample: int = 2
     start_epoch: int = 2
-    temperature: float = 1.0
 
     def __post_init__(self):
         if self.num_bt < 1 or self.num_sample < 1:
@@ -53,8 +52,6 @@ class BTConfig:
             raise ConfigError("start_epoch is 1-based and must be >= 1")
         if any(n < 1 for n in self.num_bt_decay):
             raise ConfigError("decay entries must be >= 1")
-        if self.temperature <= 0:
-            raise ConfigError(f"bt temperature must be > 0, got {self.temperature}")
 
     def num_bt_for_round(self, round_index: int) -> int:
         """Per-language sentence budget for the given 0-based BT round.
@@ -67,19 +64,18 @@ class BTConfig:
         return self.num_bt_decay[min(round_index, len(self.num_bt_decay) - 1)]
 
 
+# The reconstruction noise: swaps per sentence, then the per-token deletion rate.
+REC_N_SWAPS = 2
+REC_P_DEL = 0.2
+
+
 @dataclass(frozen=True)
 class RECConfig:
     num_rec: int = 50
-    n_swaps: int = 2
-    p_del: float = 0.2
 
     def __post_init__(self):
         if self.num_rec < 1:
             raise ConfigError("num_rec must be >= 1")
-        if self.n_swaps < 0:
-            raise ConfigError("n_swaps must be >= 0")
-        if not 0.0 <= self.p_del < 1.0:
-            raise ConfigError(f"p_del must be in [0, 1), got {self.p_del}")
 
 
 @dataclass(frozen=True)
@@ -160,27 +156,20 @@ def noise(sentence: str, n_swaps: int, p_del: float, rng: np.random.Generator) -
 
 
 def make_rec_examples(
-    mono_store: MonoStore, rec_config: RECConfig, rng: np.random.Generator, langs=None
+    mono_store: MonoStore, rec_config: RECConfig, rng: np.random.Generator
 ) -> list[TaggedExample]:
-    """Reconstruction examples: '<m> noised(x)' -> x, per language.
+    """Reconstruction examples: '<m> noised(x)' -> x, per language with data.
 
-    Sentences are sampled with replacement; languages with no monolingual
-    data are skipped with a warning.
+    Sentences are sampled with replacement and noised with ``REC_N_SWAPS``
+    swaps and deletion rate ``REC_P_DEL``.
     """
     by_lang = mono_store.by_lang()
-    if langs is None:
-        wanted = sorted(by_lang)
-    else:
-        wanted = sorted(l if isinstance(l, LangTag) else LangTag(l) for l in langs)
     out: list[TaggedExample] = []
-    for lang in wanted:
-        sentences = by_lang.get(lang, ())
-        if not sentences:
-            log.warning("no monolingual data for %s; skipping reconstruction", lang)
-            continue
+    for lang in sorted(by_lang):
+        sentences = by_lang[lang]
         for _ in range(rec_config.num_rec):
             sent = sentences[int(rng.integers(len(sentences)))]
-            noisy = noise(sent.text, rec_config.n_swaps, rec_config.p_del, rng)
+            noisy = noise(sent.text, REC_N_SWAPS, REC_P_DEL, rng)
             out.append(
                 TaggedExample(
                     input_text=f"{lang.surface} {noisy}",
@@ -208,12 +197,12 @@ def make_bt_examples(
     with monolingual data, ``num_bt`` sentences are sampled with
     replacement; each picks a uniform pivot s among m's non-excluded
     partners in ``langs`` (with or without monolingual data), gets
-    ``num_sample`` sampled translations of '<s> y', and one candidate
-    chosen uniformly becomes the synthetic source. The whole round is one
-    decoding call; each sample draws from its own rng stream, and each
-    sentence's pivot and candidate pick from another. A sentence with a failed decode (e.g. longer than
-    max_positions) is skipped with a warning, so a round may emit fewer
-    than its budget.
+    ``num_sample`` translations of '<s> y' sampled at temperature 1, and
+    one candidate chosen uniformly becomes the synthetic source. The whole
+    round is one decoding call; each sample draws from its own rng stream,
+    and each sentence's pivot and candidate pick from another. A sentence
+    with a failed decode (e.g. longer than max_positions) is skipped with a
+    warning, so a round may emit fewer than its budget.
 
     ``generate_fn(input_texts, rngs) -> list[str | None]`` overrides model
     decoding; None marks a failed decode.
@@ -226,9 +215,7 @@ def make_bt_examples(
     if generate_fn is None:
         from . import decoding
 
-        config = decoding.DecodeConfig(
-            mode="sample", temperature=bt_config.temperature
-        )
+        config = decoding.DecodeConfig(mode="sample")
 
         def generate_fn(texts, rngs):
             results = decoding.generate(params, tokenizer, texts, config, rng=rngs)

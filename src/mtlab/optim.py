@@ -1,8 +1,9 @@
 """AdamW with decoupled weight decay, linear warmup/decay schedule, and
 token-weighted gradient accumulation.
 
-Weight decay is applied to the parameter before the Adam term; 1-D
-parameters (layer-norm gains and all biases) are exempt from decay.
+Only the learning rate is configured; the other hyperparameters are the
+constants below. Weight decay is applied to the parameter before the Adam
+term; 1-D parameters (layer-norm gains and all biases) are exempt.
 """
 
 from __future__ import annotations
@@ -15,22 +16,19 @@ from . import kernels
 from .errors import ConfigError, OptimError
 from .model import Params
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+WEIGHT_DECAY = 0.01
+
 
 @dataclass(frozen=True)
 class AdamWConfig:
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0 or self.weight_decay < 0:
-            raise ConfigError("eps must be positive and weight_decay non-negative")
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,6 @@ def adamw_step(
 
     ``lr`` overrides config.lr (the schedule feeds it per step).
     """
-    config.validate()
     step_lr = config.lr if lr is None else lr
     state.t += 1
     for name, tensor in params.tensors.items():
@@ -91,7 +88,7 @@ def adamw_step(
             raise OptimError(f"non-finite gradient for parameter {name!r}")
         if not tensor.data.flags["C_CONTIGUOUS"]:
             tensor.data = np.ascontiguousarray(tensor.data)
-        wd = config.weight_decay if tensor.data.ndim > 1 else 0.0
+        wd = WEIGHT_DECAY if tensor.data.ndim > 1 else 0.0
         kernels.adamw_update(
             tensor.data.reshape(-1),
             np.ascontiguousarray(grad, dtype=tensor.data.dtype).reshape(-1),
@@ -99,9 +96,9 @@ def adamw_step(
             state.v[name].reshape(-1),
             state.t,
             float(step_lr),
-            config.beta1,
-            config.beta2,
-            config.eps,
+            BETA1,
+            BETA2,
+            EPS,
             wd,
         )
 

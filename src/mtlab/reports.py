@@ -45,7 +45,7 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def bar_chart_svg(directions, settings, score_fn, title="spBLEU by direction") -> str:
+def bar_chart_svg(directions, settings, score_fn) -> str:
     """Grouped bar chart; score_fn(setting, direction) -> float."""
     bar_w = 18
     group_gap = 24
@@ -61,7 +61,7 @@ def bar_chart_svg(directions, settings, score_fn, title="spBLEU by direction") -
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="sans-serif" font-size="11">',
-        f'<text x="{left}" y="20" font-size="14">{_escape(title)}</text>',
+        f'<text x="{left}" y="20" font-size="14">spBLEU by direction</text>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="#333"/>',
         f'<line x1="{left}" y1="{top + plot_h}" x2="{width - 120}" y2="{top + plot_h}" stroke="#333"/>',
     ]

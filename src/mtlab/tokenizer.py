@@ -19,7 +19,7 @@ import re
 import unicodedata
 from collections import Counter
 
-from .errors import FormatError, VocabularyError
+from .errors import ConfigError, FormatError, VocabularyError
 
 PAD_ID = 0
 EOS_ID = 1
@@ -103,6 +103,12 @@ class SubwordModel:
     @property
     def tag_ids(self) -> list[int]:
         return [self._tag_ids[f"<{code}>"] for code in self.lang_tags]
+
+    def require_tags(self, codes) -> None:
+        """ConfigError for a language code with no tag here: it would encode as bytes."""
+        missing = [code for code in codes if code not in self.lang_tags]
+        if missing:
+            raise ConfigError(f"no tokenizer tag for {missing}; its tags are {self.lang_tags}")
 
     def _merge_chunk(self, visible: str) -> tuple[str, ...]:
         cached = self._chunk_cache.get(visible)
@@ -224,10 +230,9 @@ class SubwordModel:
     def load(cls, path) -> "SubwordModel":
         try:
             with open(path, encoding="utf-8") as f:
-                text = f.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"tokenizer file {path} is not valid UTF-8: {exc}") from None
-        return cls.deserialize(text)
+                return cls.deserialize(f.read())
+        except (UnicodeDecodeError, FormatError) as exc:
+            raise FormatError(f"tokenizer file {path}: {exc}") from None
 
 
 def train_subword(corpora, vocab_size: int, lang_tags) -> SubwordModel:

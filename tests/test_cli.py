@@ -118,8 +118,10 @@ _NOT_UTF8 = b"languages = sy1,sy2\n\xff\xfe\n"
         ("comparison", b"{not json", 1),
         ("comparison", b'{"directions": [], "settings": []}', 1),
         ("input", _NOT_UTF8, 1),
+        ("tokenizer", b"hello\n", 1),
     ],
-    ids=["config", "tokenizer", "comparison-utf8", "comparison-json", "comparison-key", "input"],
+    ids=["config", "tokenizer", "comparison-utf8", "comparison-json", "comparison-key", "input",
+         "tokenizer-corrupt"],
 )
 def test_unreadable_input_file_is_one_line_error(tmp_path, model_dir, capsys, case, content, code):
     bad = tmp_path / "bad.txt"
@@ -140,6 +142,22 @@ def test_unreadable_input_file_is_one_line_error(tmp_path, model_dir, capsys, ca
     kind = "ConfigError" if code == 2 else "FormatError"
     assert err.startswith(f"error {kind}: ") and err.count("\n") == 1
     assert str(bad) in err
+
+
+@pytest.mark.parametrize("command", ["translate", "evaluate"])
+def test_target_language_without_tokenizer_tag_is_config_error(tmp_path, model_dir, capsys,
+                                                               command):
+    src = tmp_path / "in.txt"
+    src.write_text("a b c\tc a b\n", encoding="utf-8")
+    argv = {
+        "translate": ["--input", str(src), "--output", str(tmp_path / "out.txt"),
+                      "--target-lang", "zzz"],
+        "evaluate": ["--test", str(src), "--direction", "sy1-zzz", "--out", str(tmp_path / "e")],
+    }[command]
+    assert cli.main([command, "--model", str(model_dir), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error ConfigError: ") and "zzz" in err
+    assert not (tmp_path / "out.txt").exists() and not (tmp_path / "e").exists()
 
 
 def test_compare_resolves_config_like_train(tmp_path, capsys):

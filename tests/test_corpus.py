@@ -236,8 +236,8 @@ class TestSplit:
 
 class TestStats:
     def test_empty_store_all_zero(self):
-        table = stats(ParallelStore(), langs=[LangTag("eng"), LangTag("fra")])
-        assert sum(table.counts.values()) == 0
+        table = stats(ParallelStore())
+        assert table.langs == () and sum(table.counts.values()) == 0
         assert table.cell(LangTag("fra"), LangTag("eng")) == 0
 
     def test_counts(self):

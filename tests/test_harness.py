@@ -9,7 +9,7 @@ import pytest
 
 from mtlab import checkpoint as ckpt
 from mtlab import model as M
-from mtlab.config import build_experiment_config, parse_config_file
+from mtlab.config import PRESETS, build_experiment_config, parse_config_file
 from mtlab.corpus import LangTag, MonoSentence, MonoStore
 from mtlab.errors import CheckpointError, ConfigError
 from mtlab.harness import (
@@ -188,6 +188,13 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="n_heads"):
             run_experiment(no_heads, parallel, mono, tokenizer)
 
+    def test_run_language_without_tokenizer_tag_rejected(self, small_world):
+        # "<zzz>" is not a tag of this tokenizer; it would be encoded as bytes
+        _, parallel, mono, tokenizer = small_world
+        config = _config(languages=("sy1", "sy2", "zzz"), epochs=1)
+        with pytest.raises(ConfigError, match="zzz"):
+            run_experiment(config, parallel, mono, tokenizer)
+
 
 class _Crash(Exception):
     """A simulated process death at one write."""
@@ -284,13 +291,23 @@ class TestCheckpointResume:
         retired = {"tie_embeddings": True, "activation": "gelu", "label_smoothing": 0.0,
                    "layer_norm_eps": 1e-05, "pad_id": 0, "eos_id": 1}
         meta["config"].update(retired)
-        meta["experiment"]["model"].update(retired)
-        good = (arrays, json.loads(json.dumps(meta)))
-        meta["experiment"]["model"]["activation"] = "relu"
-        ckpt.save_arrays(path, arrays, meta)
-        with pytest.raises(CheckpointError, match="activation"):
-            run_experiment(config, parallel, mono, tokenizer, resume_from=tmp_path / "r")
-        ckpt.save_arrays(path, *good)
+        experiment = meta["experiment"]
+        experiment["model"].update(retired)
+        # and before the experiment config lost the recipe's fixed values
+        experiment.update(total_steps=0, mono_langs=None)
+        experiment["bt"]["temperature"] = 1.0
+        experiment["rec"].update(n_swaps=2, p_del=0.2)
+        experiment["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-08, weight_decay=0.01)
+        good = json.dumps(meta)
+        for section, key, value in [("model", "activation", "relu"), (None, "total_steps", 100),
+                                    (None, "mono_langs", ["sy1"]), ("bt", "temperature", 0.5),
+                                    ("rec", "p_del", 0.3), ("optimizer", "beta1", 0.8)]:
+            bad = json.loads(good)
+            (bad["experiment"][section] if section else bad["experiment"])[key] = value
+            ckpt.save_arrays(path, arrays, bad)
+            with pytest.raises(CheckpointError, match=key):
+                run_experiment(config, parallel, mono, tokenizer, resume_from=tmp_path / "r")
+        ckpt.save_arrays(path, arrays, json.loads(good))
         _, log_resumed = run_experiment(
             config, parallel, mono, tokenizer, resume_from=tmp_path / "r"
         )
@@ -460,7 +477,7 @@ class TestConfigFiles:
             model.n_heads = 4
             bt.num_bt = 7
             bt.num_bt_decay = 7,3
-            rec.p_del = 0.3
+            rec.num_rec = 30
             optimizer.lr = 2e-4
             exclusions =
             """,
@@ -472,7 +489,7 @@ class TestConfigFiles:
         assert config.setting is FinetuneSetting.BT_REC
         assert config.model.d_model == 48
         assert config.bt.num_bt_decay == (7, 3)
-        assert config.rec.p_del == 0.3
+        assert config.rec.num_rec == 30
         assert config.optimizer.lr == 2e-4
 
     def test_preset_paper_baseline(self):
@@ -520,10 +537,17 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match=key):
             build_experiment_config({"languages": "sy1,sy2", f"model.{key}": value})
 
-    def test_mono_langs_outside_languages_rejected(self):
-        with pytest.raises(ConfigError, match="sy3"):
-            build_experiment_config({"languages": "sy1,sy2", "mono_langs": "sy1,sy2,sy3"})
+    @pytest.mark.parametrize(
+        "key, value",
+        [("optimizer.beta1", "0.8"), ("optimizer.beta2", "0.99"), ("optimizer.eps", "1e-6"),
+         ("optimizer.weight_decay", "0"), ("bt.temperature", "0"), ("rec.n_swaps", "1"),
+         ("rec.p_del", "0.3"), ("total_steps", "100"), ("mono_langs", "sy1,sy2,sy3")],
+    )
+    def test_retired_recipe_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            build_experiment_config({"languages": "sy1,sy2", key: value})
 
-    def test_zero_bt_temperature_rejected(self):
-        with pytest.raises(ConfigError, match="temperature"):
-            build_experiment_config({"languages": "sy1,sy2", "bt.temperature": "0"})
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_each_preset_builds(self, preset):
+        config = build_experiment_config({"languages": "sy1,sy2"}, preset=preset)
+        assert config.languages == ("sy1", "sy2")

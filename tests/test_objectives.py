@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mtlab import objectives
 from mtlab.corpus import Direction, LangTag, MonoSentence, MonoStore, ParallelPair
 from mtlab.errors import ConfigError, FormatError
 from mtlab.numerics import rng_fork
@@ -132,11 +133,11 @@ class TestRecExamples:
         assert len(out) == 150
         assert all(ex.kind == "reconstruction" for ex in out)
 
-    def test_noiseless_config_input_equals_target(self):
+    def test_noiseless_config_input_equals_target(self, monkeypatch):
+        monkeypatch.setattr(objectives, "REC_N_SWAPS", 0)
+        monkeypatch.setattr(objectives, "REC_P_DEL", 0.0)
         mono = _mono({"sy1": ["alpha beta gamma"]})
-        out = make_rec_examples(
-            mono, RECConfig(num_rec=5, n_swaps=0, p_del=0.0), rng_fork(1, "rec")
-        )
+        out = make_rec_examples(mono, RECConfig(num_rec=5), rng_fork(1, "rec"))
         for ex in out:
             assert ex.input_text == f"<sy1> {ex.target_text}"
 
@@ -148,10 +149,8 @@ class TestRecExamples:
         assert a == b
 
     def test_language_without_data_skipped(self):
-        mono = _mono({"sy1": ["a b c"]})
-        out = make_rec_examples(
-            mono, RECConfig(num_rec=3), rng_fork(0, "rec"), langs=["sy1", "sy2"]
-        )
+        mono = _mono({"sy1": ["a b c"], "sy2": []})
+        out = make_rec_examples(mono, RECConfig(num_rec=3), rng_fork(0, "rec"))
         assert len(out) == 3
         assert all(ex.input_text.startswith("<sy1>") for ex in out)
 
@@ -291,11 +290,6 @@ class TestBtExamples:
         cfg = BTConfig(num_bt=500, num_bt_decay=(100, 50, 10))
         assert [cfg.num_bt_for_round(i) for i in range(5)] == [100, 50, 10, 10, 10]
         assert BTConfig(num_bt=77).num_bt_for_round(3) == 77
-
-    @pytest.mark.parametrize("temperature", [0.0, -1.0])
-    def test_non_positive_temperature_rejected(self, temperature):
-        with pytest.raises(ConfigError, match="temperature"):
-            BTConfig(temperature=temperature)
 
 
 def test_audit_log(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mtlab import kernels
 from mtlab import model as M
 from mtlab import optim
 from mtlab.errors import ConfigError, OptimError
@@ -50,54 +51,46 @@ class TestSchedule:
 
 class TestAdamW:
     def test_single_step_hand_value(self):
-        # theta=1, g=1, t=1, lr=0.1, wd=0: m_hat=1, v_hat=1
-        # theta' = 1 - 0.1 * 1/(1 + 1e-8)
+        # theta=1, g=1, t=1, lr=0.1: decay to 1 - 0.1 * 0.01, then m_hat=1, v_hat=1
+        # theta' = 0.999 - 0.1 * 1/(1 + 1e-8)
         params = _scalar_params(1.0)
         state = optim.AdamWState(params)
-        cfg = optim.AdamWConfig(lr=0.1, weight_decay=0.0)
-        optim.adamw_step(params, {"w": np.array([[1.0]])}, state, cfg)
-        expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))
+        optim.adamw_step(params, {"w": np.array([[1.0]])}, state, optim.AdamWConfig(lr=0.1))
+        expected = 1.0 - 0.1 * 0.01 - 0.1 * (1.0 / (1.0 + 1e-8))
         assert params["w"].data[0, 0] == pytest.approx(expected, abs=1e-6)
-        assert params["w"].data[0, 0] == pytest.approx(0.9, abs=1e-6)
+        assert params["w"].data[0, 0] == pytest.approx(0.899, abs=1e-6)
 
     def test_zero_gradient_no_decay_keeps_params(self):
-        params = _scalar_params(2.5)
-        state = optim.AdamWState(params)
-        cfg = optim.AdamWConfig(lr=0.1, weight_decay=0.0)
-        optim.adamw_step(params, {"w": np.zeros((1, 1))}, state, cfg)
-        assert params["w"].data[0, 0] == 2.5
+        param = np.array([2.5])
+        kernels.adamw_update(param, np.zeros(1), np.zeros(1), np.zeros(1), 1, 0.1,
+                             optim.BETA1, optim.BETA2, optim.EPS, 0.0)
+        assert param[0] == 2.5
 
     def test_decoupled_decay_scales_exactly(self):
         params = _scalar_params(2.0)
         state = optim.AdamWState(params)
-        cfg = optim.AdamWConfig(lr=0.1, weight_decay=0.01)
-        optim.adamw_step(params, {"w": np.zeros((1, 1))}, state, cfg)
-        assert params["w"].data[0, 0] == pytest.approx(2.0 * (1 - 0.001), rel=1e-12)
+        optim.adamw_step(params, {"w": np.zeros((1, 1))}, state, optim.AdamWConfig(lr=0.1))
+        assert params["w"].data[0, 0] == pytest.approx(
+            2.0 * (1 - 0.1 * optim.WEIGHT_DECAY), rel=1e-12
+        )
 
     def test_one_dim_params_exempt_from_decay(self):
         cfg = M.ModelConfig(vocab_size=10, d_model=2, n_heads=1, n_enc_layers=1,
                             n_dec_layers=1, d_ff=2, max_positions=4)
         params = M.Params(cfg, {"b": Tensor(np.array([3.0], dtype=np.float64))})
         state = optim.AdamWState(params)
-        optim.adamw_step(
-            params, {"b": np.zeros(1)}, state, optim.AdamWConfig(lr=0.1, weight_decay=0.5)
-        )
+        optim.adamw_step(params, {"b": np.zeros(1)}, state, optim.AdamWConfig(lr=0.1))
         assert params["b"].data[0] == 3.0
 
     def test_wd_zero_equals_adam(self):
         rng = np.random.default_rng(0)
         grads = [rng.standard_normal((3, 3)) for _ in range(5)]
-
-        def run(wd):
-            cfg_model = M.ModelConfig(vocab_size=10, d_model=2, n_heads=1,
-                                      n_enc_layers=1, n_dec_layers=1, d_ff=2,
-                                      max_positions=4)
-            params = M.Params(cfg_model, {"w": Tensor(np.ones((3, 3)))})
-            state = optim.AdamWState(params)
-            cfg = optim.AdamWConfig(lr=0.01, weight_decay=wd)
-            for g in grads:
-                optim.adamw_step(params, {"w": g}, state, cfg)
-            return params["w"].data.copy()
+        param = np.ones(9)
+        m = np.zeros(9)
+        v = np.zeros(9)
+        for t, g in enumerate(grads, 1):
+            kernels.adamw_update(param, g.reshape(-1), m, v, t, 0.01,
+                                 optim.BETA1, optim.BETA2, optim.EPS, 0.0)
 
         # manual Adam (no decay) as the oracle
         theta = np.ones((3, 3))
@@ -107,7 +100,11 @@ class TestAdamW:
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             theta -= 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-        np.testing.assert_allclose(run(0.0), theta, rtol=1e-6)
+        np.testing.assert_allclose(param.reshape(3, 3), theta, rtol=1e-6)
+
+    def test_non_positive_lr_rejected(self):
+        with pytest.raises(ConfigError, match="lr"):
+            optim.AdamWConfig(lr=0.0)
 
     def test_non_finite_gradient_names_parameter(self):
         params = _scalar_params()
@@ -119,8 +116,8 @@ class TestAdamW:
         params = _scalar_params(1.0)
         state = optim.AdamWState(params)
         optim.adamw_step(params, {"w": np.array([[1.0]])}, state,
-                         optim.AdamWConfig(lr=99.0, weight_decay=0.0), lr=0.1)
-        assert params["w"].data[0, 0] == pytest.approx(0.9, abs=1e-6)
+                         optim.AdamWConfig(lr=99.0), lr=0.1)
+        assert params["w"].data[0, 0] == pytest.approx(0.899, abs=1e-6)
 
 
 class TestAccumulation:
