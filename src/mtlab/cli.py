@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Commands: data prepare|stats|split, tokenizer train, train, translate,
-evaluate, synth generate, compare, report. Every command seeds all
-randomness from --seed (default 13) and writes a manifest next to its
+evaluate, synth generate, compare, report. The commands that draw random
+numbers (data split, translate, synth generate, train, compare) seed them
+all from --seed (default 13); every command writes a manifest next to its
 outputs. Exit codes: 0 success, 2 usage/config error, 1 runtime failure
 (with a one-line ``error <ErrorClass>: <message>`` on stderr).
 """
@@ -13,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import __version__
 from . import config as C
@@ -21,7 +22,6 @@ from . import corpus, decoding, harness, metrics, reports, synth
 from . import model as M
 from . import tokenizer as tok_mod
 from .errors import ConfigError, FormatError, MTLabError
-from .objectives import FinetuneSetting
 
 DEFAULT_SEED = 13
 
@@ -84,7 +84,7 @@ def cmd_data_prepare(args):
     print(f"mono:     kept {m_report.kept} of {m_report.input_count}")
     outputs = [os.path.join(args.out, n) for n in ("parallel.jsonl", "mono.jsonl", "clean_report.csv")]
     reports.write_manifest(
-        args.out, "data prepare", args.seed,
+        args.out, "data prepare", None,
         {"cleaning": asdict(cleaning), "format": args.format},
         inputs=inputs, outputs=outputs,
     )
@@ -100,7 +100,7 @@ def cmd_data_stats(args):
         path = os.path.join(args.out, "direction_counts.csv")
         with open(path, "w", encoding="utf-8") as f:
             f.write(table.to_csv())
-        reports.write_manifest(args.out, "data stats", args.seed, {}, outputs=[path])
+        reports.write_manifest(args.out, "data stats", None, {}, outputs=[path])
     return 0
 
 
@@ -144,7 +144,7 @@ def cmd_tokenizer_train(args):
     print(f"vocab {model.vocab_size} ({len(model.merges)} merges), sha256 {model.hash()[:16]}")
     reports.write_manifest(
         os.path.dirname(os.path.abspath(args.out)) or ".",
-        "tokenizer train", args.seed,
+        "tokenizer train", None,
         {"vocab_size": args.vocab_size, "langs": langs},
         outputs=[args.out],
     )
@@ -246,7 +246,7 @@ def cmd_evaluate(args):
         f"truncated {report.metadata['truncated']}"
     )
     reports.write_manifest(
-        args.out, "evaluate", args.seed, {"direction": direction.key},
+        args.out, "evaluate", None, {"direction": direction.key},
         inputs=[args.test, params_path],
         outputs=[os.path.join(args.out, "report.json"), os.path.join(args.out, "report.csv")],
     )
@@ -322,21 +322,14 @@ def cmd_synth_generate(args):
 
 
 def cmd_compare(args):
-    base = _resolve_config(args)
-    configs = {
-        "BASE": replace(base, setting=FinetuneSetting.BASE),
-        "BT": replace(base, setting=FinetuneSetting.BT),
-        "BT&REC": replace(base, setting=FinetuneSetting.BT_REC),
-    }
+    config = _resolve_config(args)
     parallel, mono = _load_store_dir(args.store)
     tokenizer = tok_mod.SubwordModel.load(args.tokenizer)
     os.makedirs(args.out, exist_ok=True)
-    table, _logs = harness.compare_settings(
-        configs, parallel, mono, tokenizer, out_dir=args.out
-    )
+    table = harness.compare_settings(config, parallel, mono, tokenizer, args.out)
     print(table.to_text())
     reports.write_manifest(
-        args.out, "compare", base.seed, harness._config_dict(base),
+        args.out, "compare", config.seed, harness._config_dict(config),
         inputs=[args.tokenizer], config_path=args.config,
         outputs=[os.path.join(args.out, "comparison.csv"),
                  os.path.join(args.out, "comparison.json")],
@@ -360,7 +353,7 @@ def cmd_report(args):
     with open(os.path.join(args.out, "comparison.csv"), "w", encoding="utf-8") as f:
         f.write(table.to_csv())
     reports.write_manifest(
-        args.out, "report", args.seed, {},
+        args.out, "report", None, {},
         inputs=[args.comparison],
         outputs=[os.path.join(args.out, n)
                  for n in ("comparison.txt", "comparison.svg", "comparison.csv")],
@@ -394,13 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-len", type=int, default=2)
     p.add_argument("--no-dedup", action="store_true")
     p.add_argument("--out", required=True)
-    add_seed(p)
     p.set_defaults(func=cmd_data_prepare)
 
     p = data_sub.add_parser("stats", help="per-direction count table")
     p.add_argument("--store", required=True)
     p.add_argument("--out")
-    add_seed(p)
     p.set_defaults(func=cmd_data_stats)
 
     p = data_sub.add_parser("split", help="assign train/dev/test labels")
@@ -419,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int, default=4096)
     p.add_argument("--langs", help="comma-separated codes; default: languages in the store")
     p.add_argument("--out", required=True)
-    add_seed(p)
     p.set_defaults(func=cmd_tokenizer_train)
 
     p = sub.add_parser("train", help="run one finetuning setting")
@@ -454,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True, metavar="SRC-TGT")
     p.add_argument("--format", choices=("tsv2", "jsonl"), default="tsv2")
     p.add_argument("--out", required=True)
-    add_seed(p)
     p.set_defaults(func=cmd_evaluate)
 
     synth_p = sub.add_parser("synth", help="synthetic-language bench")
@@ -488,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="render serialized comparison artifacts")
     p.add_argument("--comparison", required=True, help="comparison.json from compare")
     p.add_argument("--out", required=True)
-    add_seed(p)
     p.set_defaults(func=cmd_report)
 
     return parser

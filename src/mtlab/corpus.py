@@ -116,7 +116,6 @@ class ParallelStore:
 @dataclass(frozen=True)
 class MonoStore:
     sentences: tuple[MonoSentence, ...] = ()
-    malformed: int = 0
 
     def __len__(self):
         return len(self.sentences)
@@ -131,7 +130,7 @@ class MonoStore:
         return sorted({s.lang for s in self.sentences})
 
     def merge(self, other: "MonoStore") -> "MonoStore":
-        return MonoStore(self.sentences + other.sentences, self.malformed + other.malformed)
+        return MonoStore(self.sentences + other.sentences)
 
 
 @dataclass(frozen=True)
@@ -234,16 +233,13 @@ def load_parallel(path, direction: Direction, fmt: str = "tsv2") -> ParallelStor
 def load_mono(path, lang: LangTag) -> MonoStore:
     """Load monolingual text, one sentence per line."""
     sentences = []
-    malformed = 0
     for line in _read_lines(path):
         text = normalize_text(line)
         if text:
             sentences.append(MonoSentence(lang, text))
-        elif line.strip():
-            malformed += 1
     if not sentences:
         raise EmptyCorpusError(f"no sentences in {path}")
-    return MonoStore(tuple(sentences), malformed)
+    return MonoStore(tuple(sentences))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +310,7 @@ def _clean_mono(store: MonoStore, config: CleaningConfig):
             seen.add(key)
         kept.append(replace(sent, text=text))
     report.kept = len(kept)
-    return MonoStore(tuple(kept), store.malformed), report
+    return MonoStore(tuple(kept)), report
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ A run directory holds:
 Resume reads only ``run.ckpt``. It rejects a different config or
 tokenizer and cuts the audit back to the lines the checkpoint covers, so
 a crash at any write leaves a run that resumes exactly or is refused.
+
+``compare_settings`` runs the paper's comparison: one config trained as
+BASE, BT and BT&REC on the same stores, each in its own run directory
+``run-<label>``, and every setting scored on the shared test split.
 """
 
 from __future__ import annotations
@@ -197,25 +201,28 @@ class _TrainerState:
     epoch_done: int = 0
     opt_step: int = 0
     micro_step: int = 0
-    bt_rounds_done: int = 0
     best_dev: float = float("inf")
     evals_since_best: int = 0
     stopped_early: bool = False
     audit_lines: int = 0  # lines of augmentation_audit.jsonl written so far
 
 
+def _bt_round(config, epoch: int) -> int | None:
+    """0-based BT round that ``epoch`` runs, or None if it runs none."""
+    if config.setting is FinetuneSetting.BASE or epoch < config.bt.start_epoch:
+        return None
+    return epoch - config.bt.start_epoch
+
+
 def _estimate_total_steps(config, n_translation, n_mono_langs) -> int:
     total_examples = 0
-    rounds = 0
     for epoch in range(1, config.epochs + 1):
-        n = n_translation
-        if config.setting in (FinetuneSetting.BT, FinetuneSetting.BT_REC):
-            if epoch >= config.bt.start_epoch:
-                n += config.bt.num_bt_for_round(rounds) * n_mono_langs
-                if config.setting is FinetuneSetting.BT_REC:
-                    n += config.rec.num_rec * n_mono_langs
-                rounds += 1
-        total_examples += n
+        total_examples += n_translation
+        bt_round = _bt_round(config, epoch)
+        if bt_round is not None:
+            total_examples += config.bt.num_bt_for_round(bt_round) * n_mono_langs
+            if config.setting is FinetuneSetting.BT_REC:
+                total_examples += config.rec.num_rec * n_mono_langs
     micro_per_epoch = -(-total_examples // (config.epochs * config.batch_size_sentences))
     steps = config.epochs * (micro_per_epoch // config.accumulation_factor + 1)
     return max(steps, 1)
@@ -303,16 +310,14 @@ def run_experiment(
     tensors_by_name = None
     wall_start = time.time()
 
-    start_epoch = state.epoch_done + 1
-    stop = state.stopped_early
-    for epoch in range(start_epoch, config.epochs + 1):
-        if stop:
+    for epoch in range(state.epoch_done + 1, config.epochs + 1):
+        if state.stopped_early:
             break
         epoch_examples = list(train_examples)
-        use_bt = config.setting in (FinetuneSetting.BT, FinetuneSetting.BT_REC)
-        if use_bt and epoch >= config.bt.start_epoch and n_mono_langs > 0:
-            n_bt = config.bt.num_bt_for_round(state.bt_rounds_done)
-            bt_examples = make_bt_examples(
+        bt_round = _bt_round(config, epoch)
+        if bt_round is not None and n_mono_langs > 0:
+            n_bt = config.bt.num_bt_for_round(bt_round)
+            synthetic = make_bt_examples(
                 params,
                 tokenizer,
                 active_mono,
@@ -322,34 +327,25 @@ def run_experiment(
                 exclusions=exclusions,
                 num_bt=n_bt,
             )
-            epoch_examples.extend(bt_examples)
             run_log.log(
                 "bt_round",
                 epoch=epoch,
-                round=state.bt_rounds_done,
+                round=bt_round,
                 num_bt=n_bt,
-                emitted=len(bt_examples),
+                emitted=len(synthetic),
                 # budgeted sentences of languages with data whose decode failed
-                skipped=n_bt * n_mono_langs - len(bt_examples),
+                skipped=n_bt * n_mono_langs - len(synthetic),
             )
-            if audit_path:
-                write_audit(audit_path, bt_examples, state.bt_rounds_done)
-                state.audit_lines += len(bt_examples)
             if config.setting is FinetuneSetting.BT_REC:
                 rec_examples = make_rec_examples(
                     active_mono, config.rec, rng_fork(config.seed, f"rec-round:{epoch}")
                 )
-                epoch_examples.extend(rec_examples)
-                run_log.log(
-                    "rec_round",
-                    epoch=epoch,
-                    round=state.bt_rounds_done,
-                    emitted=len(rec_examples),
-                )
-                if audit_path:
-                    write_audit(audit_path, rec_examples, state.bt_rounds_done)
-                    state.audit_lines += len(rec_examples)
-            state.bt_rounds_done += 1
+                run_log.log("rec_round", epoch=epoch, round=bt_round, emitted=len(rec_examples))
+                synthetic = synthetic + rec_examples
+            epoch_examples.extend(synthetic)
+            if audit_path:
+                write_audit(audit_path, synthetic, bt_round)
+                state.audit_lines += len(synthetic)
 
         order = rng_fork(config.seed, f"shuffle:{epoch}").permutation(len(epoch_examples))
         epoch_examples = [epoch_examples[i] for i in order]
@@ -359,7 +355,7 @@ def run_experiment(
         pending_loss = 0.0
         pending_tokens = 0
         for start in range(0, len(epoch_examples), config.batch_size_sentences):
-            if stop:
+            if state.stopped_early:
                 break
             chunk = epoch_examples[start : start + config.batch_size_sentences]
             batch = _make_batch(tokenizer, chunk, model_cfg.max_positions)
@@ -414,7 +410,6 @@ def run_experiment(
                     )
                     if state.evals_since_best >= config.patience_evals:
                         state.stopped_early = True
-                        stop = True
                         run_log.log("early_stop", step=state.opt_step, epoch=epoch)
 
         run_log.log(
@@ -483,7 +478,9 @@ def _load_run(directory, config, tokenizer):
     opt_state.v = {k: t.data for k, t in _section(path, arrays, meta, "adam_v").tensors.items()}
     run_log = RunLog(config.seed, config.config_hash())
     run_log.entries = meta["run_log"]
-    state = _TrainerState(**meta["trainer"])
+    trainer = dict(meta["trainer"])
+    trainer.pop("bt_rounds_done", None)  # kept by earlier versions; the epoch fixes the round
+    state = _TrainerState(**trainer)
     _trim_audit(os.path.join(directory, "augmentation_audit.jsonl"), state.audit_lines)
     return params, best_params, opt_state, state, run_log
 
@@ -586,62 +583,44 @@ class ComparisonTable:
         return cls(obj["directions"], obj["settings"], reports)
 
 
-def compare_settings(
-    configs: dict,
-    parallel: ParallelStore,
-    mono: MonoStore,
-    tokenizer,
-    out_dir=None,
-):
-    """Run BASE/BT/BT&REC on shared stores and score the shared test split.
+# The settings ``compare_settings`` trains, in table order, with their labels.
+_COMPARED = (
+    ("BASE", FinetuneSetting.BASE),
+    ("BT", FinetuneSetting.BT),
+    ("BT&REC", FinetuneSetting.BT_REC),
+)
 
-    ``configs`` maps setting name -> ExperimentConfig; configs must agree
-    on everything except the setting and its BT/REC knobs. Returns
-    (ComparisonTable, {setting: RunLog}).
+
+def compare_settings(config, parallel: ParallelStore, mono: MonoStore, tokenizer, out_dir):
+    """Train ``config`` as BASE, BT and BT&REC and score each on the test split.
+
+    Each setting runs in ``out_dir/run-<label>``; the table goes to
+    ``comparison.csv`` and ``comparison.json`` in ``out_dir`` and is
+    returned.
     """
-    names = list(configs)
-    base_fingerprint = None
-    for name, config in configs.items():
-        fp = _config_dict(config)
-        fp.pop("setting")
-        fp.pop("bt")
-        fp.pop("rec")
-        if base_fingerprint is None:
-            base_fingerprint = fp
-        elif fp != base_fingerprint:
-            raise ConfigError(
-                f"config {name!r} differs from the others beyond setting/bt/rec"
-            )
     test_by_direction = ParallelStore(
         tuple(p for p in parallel.pairs if p.split == "test")
     ).by_direction()
     if not test_by_direction:
         raise ConfigError("no test split in the parallel store")
+    wanted = build_directions(config.languages, config.resolved_exclusions())
+    directions = [d for d in wanted if d in test_by_direction]
 
     reports = {}
-    logs = {}
-    directions = None
-    for name in names:
-        config = configs[name]
-        run_dir = os.path.join(out_dir, f"run-{name}") if out_dir else None
-        params, run_log = run_experiment(
-            config, parallel, mono, tokenizer, checkpoint_dir=run_dir
+    for label, setting in _COMPARED:
+        params, _ = run_experiment(
+            replace(config, setting=setting), parallel, mono, tokenizer,
+            checkpoint_dir=os.path.join(out_dir, f"run-{label}"),
         )
-        logs[name] = run_log
-        wanted = build_directions(config.languages, config.resolved_exclusions())
-        if directions is None:
-            directions = [d.key for d in wanted if d in test_by_direction]
-        for direction in wanted:
-            pairs = test_by_direction.get(direction)
-            if not pairs:
-                continue
-            reports[(name, direction.key)] = evaluate_direction(
-                params, tokenizer, pairs
+        for direction in directions:
+            reports[(label, direction.key)] = evaluate_direction(
+                params, tokenizer, test_by_direction[direction]
             )
-    table = ComparisonTable(directions or [], names, reports)
-    if out_dir:
-        with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8") as f:
-            f.write(table.to_csv())
-        with open(os.path.join(out_dir, "comparison.json"), "w", encoding="utf-8") as f:
-            f.write(table.to_json())
-    return table, logs
+    table = ComparisonTable(
+        [d.key for d in directions], [label for label, _ in _COMPARED], reports
+    )
+    with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8") as f:
+        f.write(table.to_csv())
+    with open(os.path.join(out_dir, "comparison.json"), "w", encoding="utf-8") as f:
+        f.write(table.to_json())
+    return table

@@ -23,7 +23,7 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir, command: str, seed: int, config_snapshot: dict,
+def write_manifest(out_dir, command: str, seed: int | None, config_snapshot: dict,
                    inputs=(), outputs=(), config_path=None) -> str:
     """Write run metadata next to a command's outputs; returns the path."""
     manifest = {

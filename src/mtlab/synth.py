@@ -1,10 +1,11 @@
-"""Synthetic cipher languages with exact ground-truth translation.
+"""Synthetic cipher languages with exact ground truth.
 
 Each language renders integer concept sequences as words
 ``prefix + base36(permuted concept id)`` and then applies a word-order
-rule. Parallel pairs share the concept sequence, so the true translation
-function is known exactly in both directions; vocabularies are disjoint
-because surface prefixes are required to be prefix-free.
+rule. The two sides of a parallel pair render one concept sequence, so
+every pair is an exact translation; vocabularies are disjoint because
+surface prefixes are required to be prefix-free. Each reorder rule is its
+own inverse, so a sentence's concepts can be read back from its words.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class SyntheticLangSpec:
             raise SynthError("concept_vocab_size must be >= 2")
         _parse_rule(self.reorder_rule)
 
-    @property
-    def lang(self) -> LangTag:
-        return LangTag(self.code)
-
 
 def _parse_rule(rule: str):
     if rule == "identity":
@@ -91,33 +88,17 @@ class Lexicon:
         self.spec = spec
         perm = rng_fork(spec.lexicon_seed, "lexicon").permutation(spec.concept_vocab_size)
         self.words = [spec.surface_prefix + _to_base36(int(p)) for p in perm]
-        self.word_to_concept = {w: i for i, w in enumerate(self.words)}
 
     def render(self, concepts) -> str:
         words = [self.words[c] for c in concepts]
         return " ".join(_apply_rule(self.spec.reorder_rule, words))
 
-    def parse(self, sentence: str) -> list[int]:
-        words = sentence.split()
-        # all three rules are involutive, so applying the rule again
-        # restores concept order
-        words = _apply_rule(self.spec.reorder_rule, words)
-        try:
-            return [self.word_to_concept[w] for w in words]
-        except KeyError as exc:
-            raise SynthError(f"word {exc.args[0]!r} is not in {self.spec.code}") from None
-
 
 class GroundTruth:
-    """Exact translation oracle over a set of synthetic languages."""
+    """The lexicons of a set of synthetic languages, by code."""
 
     def __init__(self, specs):
-        self.specs = {s.code: s for s in specs}
         self.lexicons = {s.code: Lexicon(s) for s in specs}
-
-    def translate(self, sentence: str, src: str, tgt: str) -> str:
-        concepts = self.lexicons[str(src)].parse(sentence)
-        return self.lexicons[str(tgt)].render(concepts)
 
     def render(self, concepts, lang: str) -> str:
         return self.lexicons[str(lang)].render(concepts)

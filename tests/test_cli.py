@@ -1,4 +1,5 @@
-"""Command-line entry point: train and translate end to end, config resolution for compare."""
+"""Command-line entry point: the data pipeline, train and translate end to end, the
+commands that take --seed, config resolution for compare."""
 
 import json
 import os
@@ -209,3 +210,56 @@ def test_train_then_translate_from_run_dir(tmp_path):
     assert sorted(train_manifest["outputs"]) == sorted(
         str(run_dir / n) for n in harness.RUN_FILES
     )
+
+
+def _manifest(directory):
+    return json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+
+
+def test_data_pipeline_commands_write_files_and_manifests(tmp_path, capsys):
+    store, split, stats = tmp_path / "store", tmp_path / "split", tmp_path / "stats"
+    tok, prepared = tmp_path / "tok" / "tokenizer.txt", tmp_path / "prepared"
+    tok.parent.mkdir()
+    pairs, mono = tmp_path / "pairs.tsv", tmp_path / "mono.txt"
+    pairs.write_text("a b c\tc b a\nb a\ta b\nc c b\tb c c\nbad line\n", encoding="utf-8")
+    mono.write_text("a b c a\n\nc b a\nb b\n", encoding="utf-8")
+    steps = [
+        (["synth", "generate", "--langs", "sy1,sy2", "--n-parallel", "12", "--n-mono", "6",
+          "--len-range", "2,4", "--concept-vocab", "20", "--dev", "0", "--test", "0",
+          "--out", str(store)],
+         store, ["parallel.jsonl", "mono.jsonl", "synth_specs.json"], 13),
+        (["data", "split", "--store", str(store), "--dev", "2", "--test", "2", "--out", str(split)],
+         split, ["parallel.jsonl", "mono.jsonl"], 13),
+        (["data", "stats", "--store", str(split), "--out", str(stats)],
+         stats, ["direction_counts.csv"], None),
+        (["tokenizer", "train", "--store", str(split), "--vocab-size", "300", "--out", str(tok)],
+         tok.parent, ["tokenizer.txt"], None),
+        (["data", "prepare", "--parallel", f"sy1-sy2={pairs}", "--mono", f"sy1={mono}",
+          "--out", str(prepared)],
+         prepared, ["parallel.jsonl", "mono.jsonl", "clean_report.csv"], None),
+    ]
+    for argv, out_dir, files, seed in steps:
+        assert cli.main(argv) == 0, argv
+        manifest = _manifest(out_dir)
+        assert manifest["command"] == " ".join(argv[:2])
+        assert manifest["seed"] == seed
+        assert all((out_dir / n).is_file() for n in files)
+        assert manifest["outputs"] and set(manifest["outputs"]) <= {str(out_dir / n) for n in files}
+    assert "(malformed lines: 1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["data", "prepare", "--out", "o"],
+        ["data", "stats", "--store", "s"],
+        ["tokenizer", "train", "--store", "s", "--out", "t"],
+        ["evaluate", "--model", "m", "--test", "t", "--direction", "sy1-sy2", "--out", "o"],
+        ["report", "--comparison", "c", "--out", "o"],
+    ],
+    ids=["data-prepare", "data-stats", "tokenizer-train", "evaluate", "report"],
+)
+def test_commands_without_randomness_take_no_seed(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", "1"])
+    assert exc.value.code == 2

@@ -259,10 +259,16 @@ class _WriteInjector:
 
 class TestCheckpointResume:
     def test_resume_reproduces_trace(self, small_world, tmp_path):
+        # The decay schedule makes each BT round's budget depend on its index.
         _, parallel, mono, tokenizer = small_world
-        config = _config(FinetuneSetting.BT_REC, epochs=4, eval_every_steps=7)
+        config = _config(
+            FinetuneSetting.BT_REC, epochs=4, eval_every_steps=7,
+            bt=BTConfig(num_bt=5, num_bt_decay=(5, 3, 2), num_sample=2, start_epoch=2),
+        )
 
-        params_full, log_full = run_experiment(config, parallel, mono, tokenizer)
+        params_full, log_full = run_experiment(
+            config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "full"
+        )
 
         resume_dir = tmp_path / "run"
         run_experiment(
@@ -277,6 +283,12 @@ class TestCheckpointResume:
             np.testing.assert_array_equal(
                 params_resumed[name].data, params_full[name].data
             )
+        rounds = log_full.entries_of("bt_round")
+        assert [(r["round"], r["num_bt"]) for r in rounds] == [(0, 5), (1, 3), (2, 2)]
+        assert log_resumed.entries_of("bt_round") == rounds
+        audit_full = _jsonl(tmp_path / "full" / "augmentation_audit.jsonl")
+        audit_resumed = _jsonl(resume_dir / "augmentation_audit.jsonl")
+        assert audit_resumed == audit_full
 
     def test_run_file_with_retired_model_keys_resumes(self, small_world, tmp_path):
         # a run.ckpt as written before the model config lost its retired keys
@@ -288,6 +300,7 @@ class TestCheckpointResume:
         )
         path = tmp_path / "r" / "run.ckpt"
         arrays, meta = ckpt.load_arrays(path)
+        meta["trainer"]["bt_rounds_done"] = 0  # the BT round count earlier versions kept
         retired = {"tie_embeddings": True, "activation": "gelu", "label_smoothing": 0.0,
                    "layer_norm_eps": 1e-05, "pad_id": 0, "eos_id": 1}
         meta["config"].update(retired)
@@ -430,16 +443,15 @@ class TestRunLog:
 class TestCompareSettings:
     def test_table_shape_and_artifacts(self, small_world, tmp_path):
         _, parallel, mono, tokenizer = small_world
-        configs = {
-            "BASE": _config(FinetuneSetting.BASE, epochs=1),
-            "BT": _config(FinetuneSetting.BT, epochs=1, bt=BTConfig(num_bt=3, start_epoch=1)),
-            "BT&REC": _config(FinetuneSetting.BT_REC, epochs=1,
-                              bt=BTConfig(num_bt=3, start_epoch=1)),
-        }
-        table, logs = compare_settings(
-            configs, parallel, mono, tokenizer, out_dir=tmp_path
-        )
+        config = _config(epochs=1, bt=BTConfig(num_bt=3, start_epoch=1))
+        table = compare_settings(config, parallel, mono, tokenizer, tmp_path)
         assert table.settings == ["BASE", "BT", "BT&REC"]
+        rounds = {
+            label: {e["type"] for e in _jsonl(tmp_path / f"run-{label}" / "runlog.jsonl")}
+            & {"bt_round", "rec_round"}
+            for label in table.settings
+        }
+        assert rounds == {"BASE": set(), "BT": {"bt_round"}, "BT&REC": {"bt_round", "rec_round"}}
         assert len(table.directions) == 6  # 3 languages, no exclusions
         for direction in table.directions:
             for setting in table.settings:
@@ -453,15 +465,6 @@ class TestCompareSettings:
             assert line.split() == [direction] + [
                 f"{table.score(s, direction):.2f}" for s in table.settings
             ]
-
-    def test_mismatched_configs_rejected(self, small_world):
-        _, parallel, mono, tokenizer = small_world
-        configs = {
-            "BASE": _config(FinetuneSetting.BASE),
-            "BT": _config(FinetuneSetting.BT, seed=999),
-        }
-        with pytest.raises(ConfigError):
-            compare_settings(configs, parallel, mono, tokenizer)
 
 
 class TestConfigFiles:

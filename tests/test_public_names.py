@@ -1,4 +1,5 @@
-"""Every public module-level function and class in src/mtlab has a caller.
+"""Every public module-level function and class in src/mtlab, and every
+public method and property of those classes, has a caller.
 
 A name counts as used when some Name or Attribute node in src/ or
 perfbench/ refers to it outside its own definition. Tests do not count:
@@ -36,6 +37,11 @@ def test_every_public_definition_is_used_outside_tests():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if uses[node.name] - _referenced(node)[node.name] <= 0:
-                unused.append(f"{path.relative_to(ROOT)}: {node.name}")
+            defs = [node]
+            if isinstance(node, ast.ClassDef):
+                defs += [m for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            for d in defs:
+                if uses[d.name] - _referenced(d)[d.name] <= 0:
+                    unused.append(f"{path.relative_to(ROOT)}: {d.name}")
     assert not unused, f"public names no program uses: {unused}"
