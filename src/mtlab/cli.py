@@ -82,7 +82,7 @@ def cmd_data_prepare(args):
     print(f"parallel: kept {p_report.kept} of {p_report.input_count} "
           f"(malformed lines: {parallel.malformed})")
     print(f"mono:     kept {m_report.kept} of {m_report.input_count}")
-    outputs = [os.path.join(args.out, n) for n in ("parallel.jsonl", "mono.jsonl", "clean_report.csv")]
+    outputs = [os.path.join(args.out, n) for n in (*corpus.STORE_FILES, "clean_report.csv")]
     reports.write_manifest(
         args.out, "data prepare", None,
         {"cleaning": asdict(cleaning), "format": args.format},
@@ -119,7 +119,8 @@ def cmd_data_split(args):
     print(" ".join(f"{k}={v}" for k, v in counts.items()))
     reports.write_manifest(
         args.out, "data split", args.seed, {"spec": asdict(spec)},
-        outputs=[os.path.join(args.out, "parallel.jsonl")],
+        inputs=[os.path.join(args.store, n) for n in corpus.STORE_FILES],
+        outputs=[os.path.join(args.out, n) for n in corpus.STORE_FILES],
     )
     return 0
 
@@ -243,7 +244,8 @@ def cmd_evaluate(args):
         f.write(metrics.report_csv([report]))
     print(
         f"{report.to_text()}  decode_errors {report.metadata['decode_errors']}  "
-        f"truncated {report.metadata['truncated']}"
+        f"truncated {report.metadata['truncated']}  "
+        f"distinct_hypotheses {report.metadata['distinct_hypotheses']}"
     )
     reports.write_manifest(
         args.out, "evaluate", None, {"direction": direction.key},
@@ -316,7 +318,7 @@ def cmd_synth_generate(args):
          "low_resource_factor": args.low_resource_factor,
          "dev": args.dev, "test": args.test},
         outputs=[os.path.join(args.out, n)
-                 for n in ("parallel.jsonl", "mono.jsonl", "synth_specs.json")],
+                 for n in (*corpus.STORE_FILES, "synth_specs.json")],
     )
     return 0
 

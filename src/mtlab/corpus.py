@@ -430,6 +430,10 @@ def stats(store: ParallelStore) -> DirectionCountTable:
 # store persistence (jsonl, one record per line)
 # ---------------------------------------------------------------------------
 
+# The files of a store directory: what save_stores writes and load_stores reads.
+STORE_FILES = ("parallel.jsonl", "mono.jsonl")
+
+
 def save_stores(directory, parallel: ParallelStore, mono: MonoStore) -> None:
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "parallel.jsonl"), "w", encoding="utf-8") as f:

@@ -166,29 +166,34 @@ class RunLog:
             f.write(self.to_jsonl())
 
 
-def _encode_example(tokenizer, example: TaggedExample, max_positions: int):
-    """Source and target ids; an over-long sequence keeps its last id, the eos."""
-    src = tokenizer.encode(example.input_text)
-    tgt = tokenizer.encode(example.target_text)
-    if len(src) > max_positions:
-        src = src[: max_positions - 1] + [src[-1]]
-    if len(tgt) > max_positions:
-        tgt = tgt[: max_positions - 1] + [tgt[-1]]
-    return src, tgt
+def _encode_examples(tokenizer, examples: list[TaggedExample], max_positions: int):
+    """(source ids, target ids) of each example, encoding each distinct text
+    once; an over-long sequence keeps its last id, the eos.
+    """
+    ids: dict[str, list[int]] = {}
+
+    def encode(text):
+        seq = ids.get(text)
+        if seq is None:
+            seq = tokenizer.encode(text)
+            if len(seq) > max_positions:
+                seq = seq[: max_positions - 1] + [seq[-1]]
+            ids[text] = seq
+        return seq
+
+    return [(encode(ex.input_text), encode(ex.target_text)) for ex in examples]
 
 
-def _make_batch(tokenizer, examples, max_positions: int) -> M.Batch:
-    pairs = [_encode_example(tokenizer, ex, max_positions) for ex in examples]
+def _make_batch(pairs) -> M.Batch:
     return M.make_batch([s for s, _ in pairs], [t for _, t in pairs], M.ModelConfig.pad_id)
 
 
-def _dev_loss(params, tokenizer, dev_examples, batch_size: int) -> float:
+def _dev_loss(params, dev_pairs, batch_size: int) -> float:
     total = 0.0
     tokens = 0
     with no_grad():
-        for start in range(0, len(dev_examples), batch_size):
-            chunk = dev_examples[start : start + batch_size]
-            batch = _make_batch(tokenizer, chunk, params.config.max_positions)
+        for start in range(0, len(dev_pairs), batch_size):
+            batch = _make_batch(dev_pairs[start : start + batch_size])
             n_tok = int(batch.tgt_mask.sum())
             loss = M.loss_teacher_forcing(params, batch)
             total += loss.item() * n_tok
@@ -247,6 +252,13 @@ def run_experiment(
     ``stop_after_epoch`` interrupts the run at an epoch boundary (the
     config, and with it the lr schedule, is unchanged, so a later resume
     matches the uninterrupted run).
+
+    Translation and dev examples are encoded once, before the first epoch;
+    BT and REC examples when their round makes them. Batches are cut from
+    the stored ids. Each optimizer step takes the token-weighted mean of its
+    micro-batches' flat gradients (``Params.flat_grad``) and logs a ``step``
+    entry with the mean loss, lr, target tokens and ``grad_norm``, the L2
+    norm of that mean gradient in float64.
     """
     config.validate()
     tokenizer.require_tags(config.languages)
@@ -267,6 +279,8 @@ def run_experiment(
                 dev_examples.append(format_translation(pair))
     if not train_examples:
         raise ConfigError("no training pairs for the configured directions")
+    encoded = _encode_examples(tokenizer, train_examples + dev_examples, model_cfg.max_positions)
+    train_pairs, dev_pairs = encoded[: len(train_examples)], encoded[len(train_examples) :]
 
     run_langs = set(config.languages)
     active_mono = MonoStore(
@@ -307,13 +321,12 @@ def run_experiment(
             open(audit_path, "w", encoding="utf-8").close()
 
     accumulator = optim.GradAccumulator(config.accumulation_factor)
-    tensors_by_name = None
     wall_start = time.time()
 
     for epoch in range(state.epoch_done + 1, config.epochs + 1):
         if state.stopped_early:
             break
-        epoch_examples = list(train_examples)
+        epoch_pairs = list(train_pairs)
         bt_round = _bt_round(config, epoch)
         if bt_round is not None and n_mono_langs > 0:
             n_bt = config.bt.num_bt_for_round(bt_round)
@@ -342,23 +355,22 @@ def run_experiment(
                 )
                 run_log.log("rec_round", epoch=epoch, round=bt_round, emitted=len(rec_examples))
                 synthetic = synthetic + rec_examples
-            epoch_examples.extend(synthetic)
+            epoch_pairs += _encode_examples(tokenizer, synthetic, model_cfg.max_positions)
             if audit_path:
                 write_audit(audit_path, synthetic, bt_round)
                 state.audit_lines += len(synthetic)
 
-        order = rng_fork(config.seed, f"shuffle:{epoch}").permutation(len(epoch_examples))
-        epoch_examples = [epoch_examples[i] for i in order]
+        order = rng_fork(config.seed, f"shuffle:{epoch}").permutation(len(epoch_pairs))
+        epoch_pairs = [epoch_pairs[i] for i in order]
 
         epoch_loss_sum = 0.0
         epoch_token_sum = 0
         pending_loss = 0.0
         pending_tokens = 0
-        for start in range(0, len(epoch_examples), config.batch_size_sentences):
+        for start in range(0, len(epoch_pairs), config.batch_size_sentences):
             if state.stopped_early:
                 break
-            chunk = epoch_examples[start : start + config.batch_size_sentences]
-            batch = _make_batch(tokenizer, chunk, model_cfg.max_positions)
+            batch = _make_batch(epoch_pairs[start : start + config.batch_size_sentences])
             state.micro_step += 1
             drop_rng = (
                 rng_fork(config.seed, f"dropout:{state.micro_step}")
@@ -366,18 +378,15 @@ def run_experiment(
                 else None
             )
             loss = M.loss_teacher_forcing(params, batch, dropout_rng=drop_rng)
-            if tensors_by_name is None:
-                tensors_by_name = list(params.tensors.items())
-            grad_map = backward(loss, [t for _, t in tensors_by_name])
-            grads = {name: grad_map[t] for name, t in tensors_by_name}
+            grads = backward(loss, list(params.tensors.values()))
             n_tok = int(batch.tgt_mask.sum())
-            accumulator.add(grads, float(n_tok))
+            accumulator.add(params.flat_grad(grads), float(n_tok))
             pending_loss += loss.item() * n_tok
             pending_tokens += n_tok
-            if accumulator.ready or start + config.batch_size_sentences >= len(epoch_examples):
-                mean_grads = accumulator.flush()
+            if accumulator.ready or start + config.batch_size_sentences >= len(epoch_pairs):
+                mean_grad = accumulator.flush()
                 lr = optim.lr_at(schedule, config.optimizer.lr, state.opt_step)
-                optim.adamw_step(params, mean_grads, opt_state, config.optimizer, lr=lr)
+                optim.adamw_step(params, mean_grad, opt_state, config.optimizer, lr=lr)
                 state.opt_step += 1
                 run_log.log(
                     "step",
@@ -386,13 +395,14 @@ def run_experiment(
                     loss=pending_loss / max(pending_tokens, 1),
                     lr=lr,
                     tokens=pending_tokens,
+                    grad_norm=float(np.sqrt(np.dot(mean_grad, mean_grad))),
                 )
                 epoch_loss_sum += pending_loss
                 epoch_token_sum += pending_tokens
                 pending_loss = 0.0
                 pending_tokens = 0
                 if dev_examples and state.opt_step % config.eval_every_steps == 0:
-                    dev = _dev_loss(params, tokenizer, dev_examples, config.batch_size_sentences)
+                    dev = _dev_loss(params, dev_pairs, config.batch_size_sentences)
                     improved = dev < state.best_dev
                     if improved:
                         state.best_dev = dev
@@ -416,7 +426,7 @@ def run_experiment(
             "epoch",
             epoch=epoch,
             mean_loss=epoch_loss_sum / max(epoch_token_sum, 1),
-            examples=len(epoch_examples),
+            examples=len(epoch_pairs),
         )
         state.epoch_done = epoch
         if checkpoint_dir is not None:
@@ -474,8 +484,9 @@ def _load_run(directory, config, tokenizer):
     best_params = _section(path, arrays, meta, "best")
     opt_state = optim.AdamWState(params)
     opt_state.t = meta["adam_t"]
-    opt_state.m = {k: t.data for k, t in _section(path, arrays, meta, "adam_m").tensors.items()}
-    opt_state.v = {k: t.data for k, t in _section(path, arrays, meta, "adam_v").tensors.items()}
+    for moments, name in ((opt_state.m, "adam_m"), (opt_state.v, "adam_v")):
+        for k, t in _section(path, arrays, meta, name).tensors.items():
+            moments[k][...] = t.data
     run_log = RunLog(config.seed, config.config_hash())
     run_log.entries = meta["run_log"]
     trainer = dict(meta["trainer"])

@@ -22,29 +22,32 @@ def ce_forward(logits, targets, valid):
     """Sum of per-row cross entropies over valid rows.
 
     logits: [N, V] float array; targets: [N] int64; valid: [N] bool.
-    Returns (loss_sum, n_valid) with loss_sum accumulated in float64.
+    Returns (loss_sum, n_valid, exp, row_sums): loss_sum is accumulated in
+    float64, and ``exp`` ([n_valid, V], float64, shifted by each row's max)
+    and its row sums are what ``ce_backward`` needs for the softmax.
     """
     if not valid.any():
-        return 0.0, 0
-    sel = logits[valid].astype(np.float64)
-    tgt = targets[valid]
-    m = sel.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(sel - m).sum(axis=1)) + m[:, 0]
-    picked = sel[np.arange(sel.shape[0]), tgt]
-    return float((lse - picked).sum()), int(sel.shape[0])
-
-
-def ce_backward(logits, targets, valid, scale):
-    """Gradient of ``scale * sum_valid ce_row`` w.r.t. logits."""
-    grad = np.zeros_like(logits)
-    if not valid.any() or scale == 0.0:
-        return grad
+        return 0.0, 0, None, None
     sel = logits[valid].astype(np.float64)
     tgt = targets[valid]
     m = sel.max(axis=1, keepdims=True)
     e = np.exp(sel - m)
-    p = e / e.sum(axis=1, keepdims=True)
-    p[np.arange(sel.shape[0]), tgt] -= 1.0
+    s = e.sum(axis=1)
+    lse = np.log(s) + m[:, 0]
+    picked = sel[np.arange(sel.shape[0]), tgt]
+    return float((lse - picked).sum()), int(sel.shape[0]), e, s
+
+
+def ce_backward(logits, targets, valid, scale, exp, row_sums):
+    """Gradient of ``scale * sum_valid ce_row`` w.r.t. logits.
+
+    ``exp`` and ``row_sums`` are ``ce_forward``'s for the same arguments.
+    """
+    grad = np.zeros_like(logits)
+    if not valid.any() or scale == 0.0:
+        return grad
+    p = exp / row_sums[:, None]
+    p[np.arange(p.shape[0]), targets[valid]] -= 1.0
     grad[valid] = (p * scale).astype(logits.dtype)
     return grad
 

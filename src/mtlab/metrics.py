@@ -302,7 +302,9 @@ def evaluate_direction(
     which keeps the metric path testable against stub translators. When the
     model decodes, ``metadata`` counts the sources that failed to decode
     (``decode_errors``; each is scored as an empty hypothesis) and the
-    outputs cut at the token limit (``truncated``).
+    outputs cut at the token limit (``truncated``). In both cases it counts
+    the distinct hypotheses (``distinct_hypotheses``): a model that gives
+    one output for every source reads 1, whatever its scores.
     """
     from . import decoding  # late import; decoding depends on model
 
@@ -339,5 +341,6 @@ def evaluate_direction(
             "ter_max_shift": TER_MAX_SHIFT,
             "sp_variant": "subword-piece chrF/TER",
             **decode_counts,
+            "distinct_hypotheses": len(set(hyps)),
         },
     )

@@ -77,20 +77,53 @@ def config_from_saved(saved: dict) -> ModelConfig:
 
 
 class Params:
-    """Named parameter tensors plus the config they were built for."""
+    """Named parameter tensors plus the config they were built for.
+
+    The tensors live in one contiguous buffer ``flat`` of their one dtype:
+    first the weight matrices (every tensor of two or more axes, which
+    AdamW decays), then the vectors; ``n_decayed`` is the length of the
+    first part. Building a Params packs the given tensors into a new buffer
+    and makes each one's ``data`` a view into it, so an in-place update of
+    ``flat`` is an update of every tensor. ``tensors`` keeps the names in
+    the order given, which is the order checkpoints store them in.
+    """
 
     def __init__(self, config: ModelConfig, tensors: dict[str, T.Tensor]):
+        dtypes = {t.dtype for t in tensors.values()}
+        if len(dtypes) > 1:
+            raise ShapeError(f"parameter tensors mix dtypes {sorted(map(str, dtypes))}")
         self.config = config
         self.tensors = tensors
+        order = sorted(tensors, key=lambda k: tensors[k].ndim < 2)  # stable: dict order within
+        self._spans, start = {}, 0
+        for name in order:
+            self._spans[name] = (start, start + tensors[name].size)
+            start += tensors[name].size
+        self.n_decayed = sum(t.size for t in tensors.values() if t.ndim >= 2)
+        self.flat = np.empty(start, dtype=dtypes.pop() if dtypes else np.float32)
+        for name, view in self.views(self.flat).items():
+            view[...] = tensors[name].data
+            tensors[name].data = view
 
     def __getitem__(self, name: str) -> T.Tensor:
         return self.tensors[name]
 
-    def copy(self) -> "Params":
-        return Params(
-            self.config,
-            {k: T.Tensor(v.data.copy()) for k, v in self.tensors.items()},
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> view of ``buffer`` (laid out like ``flat``) in the tensor's shape."""
+        return {
+            name: buffer[slice(*self._spans[name])].reshape(t.shape)
+            for name, t in self.tensors.items()
+        }
+
+    def flat_grad(self, grads: dict[T.Tensor, np.ndarray]) -> np.ndarray:
+        """``backward``'s gradients of these tensors as one float64 vector laid out like ``flat``."""
+        return np.concatenate(
+            [grads[self.tensors[name]].reshape(-1) for name in self._spans], dtype=np.float64
         )
+
+    def copy(self) -> "Params":
+        """Params on a new buffer: one copy of the data."""
+        return Params(self.config, {k: T.Tensor(t.data) for k, t in self.tensors.items()})
 
 
 def _layer_names(config: ModelConfig):

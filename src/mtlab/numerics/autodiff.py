@@ -174,6 +174,13 @@ def scale(a: Tensor, s: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b``, batched over leading axes as ``np.matmul``.
+
+    When ``b`` is 2-D (a weight, or the transposed embedding of the tied
+    output projection), the pullback flattens ``a``'s leading axes, so each
+    gradient is one GEMM: ``gb = a2.T @ g2`` and ``ga = g2 @ b.T``. The
+    forward stays one batched ``np.matmul``.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     try:
@@ -182,6 +189,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from None
 
     def vjp(g):
+        if b.ndim == 2:
+            # one GEMM per gradient over the flattened leading axes of a
+            a2 = a.data.reshape(-1, a.shape[-1])
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
         ga = np.matmul(g, b.data.swapaxes(-1, -2))
         gb = np.matmul(a.data.swapaxes(-1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
@@ -308,7 +320,9 @@ def cross_entropy(logits: Tensor, target_ids, pad_id: int) -> Tensor:
 
     ``logits`` has shape [..., V]; ``target_ids`` matches the leading shape.
     Targets equal to ``pad_id`` contribute neither loss nor gradient; if
-    every target is pad the loss is exactly 0 with zero gradients.
+    every target is pad the loss is exactly 0 with zero gradients. The
+    pullback reuses the forward's float64 exponentials and row sums
+    (``kernels.ce_forward``) instead of computing the softmax again.
     """
     targets = np.asarray(target_ids, dtype=np.int64)
     if targets.shape != logits.shape[:-1]:
@@ -324,14 +338,14 @@ def cross_entropy(logits: Tensor, target_ids, pad_id: int) -> Tensor:
     tflat = targets.reshape(-1)
     valid = tflat != pad_id
     safe_targets = np.where(valid, tflat, 0)
-    loss_sum, count = kernels.ce_forward(flat, safe_targets, valid)
+    loss_sum, count, exp, row_sums = kernels.ce_forward(flat, safe_targets, valid)
     value = np.asarray(loss_sum / count if count else 0.0, dtype=logits.dtype)
 
     def vjp(g):
         if count == 0:
             return (np.zeros_like(logits.data),)
         grad_scale = float(g) / count
-        grad = kernels.ce_backward(flat, safe_targets, valid, grad_scale)
+        grad = kernels.ce_backward(flat, safe_targets, valid, grad_scale, exp, row_sums)
         return (np.asarray(grad).reshape(logits.shape),)
 
     return Tensor(value, (logits,), vjp)

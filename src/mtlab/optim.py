@@ -4,6 +4,10 @@ token-weighted gradient accumulation.
 Only the learning rate is configured; the other hyperparameters are the
 constants below. Weight decay is applied to the parameter before the Adam
 term; 1-D parameters (layer-norm gains and all biases) are exempt.
+
+Gradients and moments are flat vectors laid out like ``Params.flat``
+(weight matrices first, then vectors), so a step is two fused updates, one
+per part, and accumulating a micro-batch is one vector sum.
 """
 
 from __future__ import annotations
@@ -59,63 +63,63 @@ def lr_at(schedule: ScheduleConfig, base_lr: float, step: int) -> float:
 
 
 class AdamWState:
-    """First/second moment buffers and the shared step counter."""
+    """First/second moment buffers and the shared step counter.
+
+    ``m_flat`` and ``v_flat`` are laid out like ``Params.flat``; ``m`` and
+    ``v`` map each parameter name to its view of them, which is how
+    checkpoints save and restore the moments.
+    """
 
     def __init__(self, params: Params):
         self.t = 0
-        self.m = {k: np.zeros_like(v.data) for k, v in params.tensors.items()}
-        self.v = {k: np.zeros_like(v.data) for k, v in params.tensors.items()}
+        self.m_flat = np.zeros_like(params.flat)
+        self.v_flat = np.zeros_like(params.flat)
+        self.m = params.views(self.m_flat)
+        self.v = params.views(self.v_flat)
 
 
 def adamw_step(
     params: Params,
-    grads: dict[str, np.ndarray],
+    flat_grad: np.ndarray,
     state: AdamWState,
     config: AdamWConfig,
     lr: float | None = None,
 ) -> None:
-    """One in-place AdamW update over every parameter present in ``grads``.
+    """One in-place AdamW update of every parameter.
 
-    ``lr`` overrides config.lr (the schedule feeds it per step).
+    ``flat_grad`` is laid out like ``params.flat`` (``Params.flat_grad``).
+    The update runs over two slices of the buffers: the decayed weight
+    matrices, then the exempt vectors. ``lr`` overrides config.lr (the
+    schedule feeds it per step).
     """
-    step_lr = config.lr if lr is None else lr
+    if not np.isfinite(flat_grad).all():
+        bad = next(k for k, g in params.views(flat_grad).items() if not np.isfinite(g).all())
+        raise OptimError(f"non-finite gradient for parameter {bad!r}")
+    step_lr = float(config.lr if lr is None else lr)
     state.t += 1
-    for name, tensor in params.tensors.items():
-        grad = grads.get(name)
-        if grad is None:
-            continue
-        if not np.all(np.isfinite(grad)):
-            raise OptimError(f"non-finite gradient for parameter {name!r}")
-        if not tensor.data.flags["C_CONTIGUOUS"]:
-            tensor.data = np.ascontiguousarray(tensor.data)
-        wd = WEIGHT_DECAY if tensor.data.ndim > 1 else 0.0
+    grad = np.asarray(flat_grad, dtype=params.flat.dtype)
+    for part, wd in ((slice(0, params.n_decayed), WEIGHT_DECAY),
+                     (slice(params.n_decayed, None), 0.0)):
         kernels.adamw_update(
-            tensor.data.reshape(-1),
-            np.ascontiguousarray(grad, dtype=tensor.data.dtype).reshape(-1),
-            state.m[name].reshape(-1),
-            state.v[name].reshape(-1),
-            state.t,
-            float(step_lr),
-            BETA1,
-            BETA2,
-            EPS,
-            wd,
+            params.flat[part], grad[part], state.m_flat[part], state.v_flat[part],
+            state.t, step_lr, BETA1, BETA2, EPS, wd,
         )
 
 
 class GradAccumulator:
     """Token-weighted gradient averaging across micro-batches.
 
-    Each micro-batch contributes its per-token-mean gradients weighted by
-    its non-pad token count, so ``flush`` reproduces the gradient of the
-    mean loss over the combined batch exactly (up to float rounding).
+    Each micro-batch contributes its per-token-mean flat gradient
+    (``Params.flat_grad``) weighted by its non-pad token count, summed in
+    one float64 vector, so ``flush`` reproduces the gradient of the mean
+    loss over the combined batch exactly (up to float rounding).
     """
 
     def __init__(self, factor: int = 1):
         if factor < 1:
             raise ConfigError(f"accumulation factor must be >= 1, got {factor}")
         self.factor = factor
-        self._sums: dict[str, np.ndarray] | None = None
+        self._sum: np.ndarray | None = None
         self._weight = 0.0
         self.count = 0
 
@@ -123,22 +127,22 @@ class GradAccumulator:
     def ready(self) -> bool:
         return self.count >= self.factor
 
-    def add(self, grads: dict[str, np.ndarray], weight: float) -> None:
+    def add(self, flat_grad: np.ndarray, weight: float) -> None:
         if weight <= 0:
             raise OptimError(f"micro-batch weight must be positive, got {weight}")
-        if self._sums is None:
-            self._sums = {k: np.asarray(g, dtype=np.float64) * weight for k, g in grads.items()}
+        scaled = np.asarray(flat_grad, dtype=np.float64) * weight
+        if self._sum is None:
+            self._sum = scaled
         else:
-            for k, g in grads.items():
-                self._sums[k] += np.asarray(g, dtype=np.float64) * weight
+            self._sum += scaled
         self._weight += weight
         self.count += 1
 
-    def flush(self) -> dict[str, np.ndarray]:
-        if self._sums is None:
+    def flush(self) -> np.ndarray:
+        if self._sum is None:
             raise OptimError("flush called before any accumulate")
-        out = {k: s / self._weight for k, s in self._sums.items()}
-        self._sums = None
+        out = self._sum / self._weight
+        self._sum = None
         self._weight = 0.0
         self.count = 0
         return out

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from mtlab import checkpoint as ckpt
-from mtlab import cli, decoding, harness
+from mtlab import cli, decoding, harness, reports
 from mtlab import model as M
 from mtlab.corpus import LangTag
 from mtlab.tokenizer import SubwordModel
@@ -91,10 +91,14 @@ def test_evaluate_prints_decode_errors_and_truncations(tmp_path, model_dir, caps
         "--direction", "sy1-sy2", "--out", str(out),
     ])
     assert code == 0
-    printed = re.search(r"decode_errors (\d+)  truncated (\d+)", capsys.readouterr().out)
+    printed = re.search(
+        r"decode_errors (\d+)  truncated (\d+)  distinct_hypotheses (\d+)",
+        capsys.readouterr().out,
+    )
     metadata = json.loads((out / "report.json").read_text(encoding="utf-8"))["metadata"]
     assert int(printed.group(1)) == metadata["decode_errors"] == 1
     assert int(printed.group(2)) == metadata["truncated"]
+    assert int(printed.group(3)) == metadata["distinct_hypotheses"]
 
 
 def test_missing_input_file_is_one_line_error(tmp_path, model_dir, capsys):
@@ -244,7 +248,10 @@ def test_data_pipeline_commands_write_files_and_manifests(tmp_path, capsys):
         assert manifest["command"] == " ".join(argv[:2])
         assert manifest["seed"] == seed
         assert all((out_dir / n).is_file() for n in files)
-        assert manifest["outputs"] and set(manifest["outputs"]) <= {str(out_dir / n) for n in files}
+        assert set(manifest["outputs"]) == {str(out_dir / n) for n in files}
+    split_inputs = _manifest(split)["inputs"]
+    assert split_inputs == {str(store / n): reports.file_sha256(store / n)
+                            for n in ("parallel.jsonl", "mono.jsonl")}
     assert "(malformed lines: 1)" in capsys.readouterr().out
 
 

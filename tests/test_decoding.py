@@ -36,11 +36,10 @@ def copy_model():
     )
     state = optim.AdamWState(params)
     ocfg = optim.AdamWConfig(lr=3e-3)
-    names = list(params.tensors.items())
     for _ in range(400):
         loss = M.loss_teacher_forcing(params, batch)
-        grads = backward(loss, [t for _, t in names])
-        optim.adamw_step(params, {n: grads[t] for n, t in names}, state, ocfg)
+        grads = backward(loss, list(params.tensors.values()))
+        optim.adamw_step(params, params.flat_grad(grads), state, ocfg)
     assert loss.item() < 0.05
     return params, tok, sents
 

@@ -3,6 +3,7 @@
 import builtins
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,10 +22,17 @@ from mtlab.harness import (
     load_model,
     run_experiment,
 )
-from mtlab.objectives import BTConfig, FinetuneSetting, RECConfig
+from mtlab.numerics import backward
+from mtlab.objectives import (
+    BTConfig,
+    FinetuneSetting,
+    RECConfig,
+    build_directions,
+    format_translation,
+)
 from mtlab.optim import AdamWConfig
 from mtlab.synth import SyntheticLangSpec, gen_synthetic
-from mtlab.tokenizer import train_subword
+from mtlab.tokenizer import SubwordModel, train_subword
 
 
 @pytest.fixture(scope="module")
@@ -131,16 +139,59 @@ class TestRunExperiment:
         config = _config(epochs=2, eval_every_steps=5)
         params, log = run_experiment(config, parallel, mono, tokenizer)
         # dev loss of returned params equals the best eval seen
-        from mtlab.harness import _dev_loss
-        from mtlab.objectives import format_translation
+        from mtlab.harness import _dev_loss, _encode_examples
 
         dev = [
             format_translation(p) for p in parallel.pairs
             if p.split == "dev" and p.direction.key != "excluded"
         ]
-        got = _dev_loss(params, tokenizer, dev, 16)
+        got = _dev_loss(params, _encode_examples(tokenizer, dev, params.config.max_positions), 16)
         best = min(e["dev_loss"] for e in log.entries_of("eval"))
         assert got == pytest.approx(best, abs=1e-6)
+
+    def test_each_train_and_dev_text_encoded_once(self, small_world, tmp_path, monkeypatch):
+        _, parallel, mono, tokenizer = small_world
+        calls = Counter()
+        encode = SubwordModel.encode
+
+        def counting_encode(self, text):
+            calls[text] += 1
+            return encode(self, text)
+
+        monkeypatch.setattr(SubwordModel, "encode", counting_encode)
+        config = _config(FinetuneSetting.BT_REC, epochs=3, eval_every_steps=4,
+                         bt=BTConfig(num_bt=5, num_sample=2, start_epoch=2))
+        run_experiment(config, parallel, mono, tokenizer, checkpoint_dir=tmp_path)
+        texts = set()
+        for p in parallel.pairs:
+            if p.split in ("train", "dev"):
+                ex = format_translation(p)
+                texts |= {ex.input_text, ex.target_text}
+        # a BT or REC example may repeat a translation text; its round encodes it anew
+        for rec in _jsonl(tmp_path / "augmentation_audit.jsonl"):
+            texts -= {rec["input"], rec["target"]}
+        assert len(texts) > 200
+        assert {t: calls[t] for t in texts if calls[t] != 1} == {}
+
+    def test_step_logs_gradient_norm(self, small_world):
+        _, parallel, mono, tokenizer = small_world
+        model = M.ModelConfig(vocab_size=tokenizer.vocab_size, d_model=32, n_heads=2,
+                              n_enc_layers=1, n_dec_layers=1, d_ff=48, max_positions=24,
+                              dropout=0.0)
+        config = _config(epochs=1, model=model, batch_size_sentences=10_000)
+        init = M.init(model, seed=4)
+        _, log = run_experiment(config, parallel, mono, tokenizer, init_params=init)
+        [step] = log.entries_of("step")
+        wanted = {d.key for d in build_directions(config.languages, ())}
+        examples = [format_translation(p) for p in parallel.pairs
+                    if p.split == "train" and p.direction.key in wanted]
+        assert step["tokens"] == sum(len(tokenizer.encode(ex.target_text)) for ex in examples)
+        batch = M.make_batch([tokenizer.encode(ex.input_text) for ex in examples],
+                             [tokenizer.encode(ex.target_text) for ex in examples], 0)
+        loss = M.loss_teacher_forcing(init, batch)
+        grads = backward(loss, list(init.tensors.values()))
+        norm = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values()))
+        assert step["grad_norm"] == pytest.approx(norm, rel=1e-5)
 
     def test_overlong_mono_sentence_skipped_in_bt(self, small_world, caplog):
         _, parallel, mono, tokenizer = small_world

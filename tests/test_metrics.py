@@ -197,6 +197,17 @@ class TestEvaluateDirection:
         results = decoding.generate_batch(params, tiny_tokenizer, inputs)
         assert report.metadata["decode_errors"] == 1
         assert report.metadata["truncated"] == sum(r.truncated for r in results)
+        assert report.metadata["distinct_hypotheses"] == len({r.text for r in results})
+
+    def test_constant_output_counts_one_distinct_hypothesis(self, tiny_tokenizer):
+        pairs = self._pairs()
+        report = evaluate_direction(None, tiny_tokenizer, pairs, generate_fn=lambda _: "c a b")
+        assert report.metadata["distinct_hypotheses"] == 1
+        answers = {f"<{p.direction.tgt.code}> {p.src_text}": p.tgt_text for p in pairs}
+        report = evaluate_direction(
+            None, tiny_tokenizer, pairs, generate_fn=lambda text: answers[text]
+        )
+        assert report.metadata["distinct_hypotheses"] == len(pairs)
 
     def test_empty_test_set_rejected(self, tiny_tokenizer):
         with pytest.raises(MetricError):

@@ -92,6 +92,60 @@ class TestInit:
         assert np.isfinite(M.loss_teacher_forcing(params, batch).item())
 
 
+class TestParams:
+    def _check_layout(self, params):
+        flat = params.flat
+        assert flat.flags["C_CONTIGUOUS"] and flat.dtype == np.float32
+        assert flat.size == sum(t.size for t in params.tensors.values())
+        covered = np.zeros(flat.size, dtype=int)
+        for name, t in params.tensors.items():
+            # every tensor's data is a view into the one buffer
+            assert t.data.base is flat, name
+            start = (t.data.__array_interface__["data"][0]
+                     - flat.__array_interface__["data"][0]) // flat.itemsize
+            covered[start : start + t.size] += 1
+            # decayed matrices first, then the vectors
+            assert (start + t.size <= params.n_decayed) == (t.ndim >= 2), name
+        assert (covered == 1).all()
+
+    def test_tensors_are_views_of_one_buffer(self, tiny_model_config):
+        params = M.init(tiny_model_config, seed=0)
+        self._check_layout(params)
+        params.flat[:] = 0.5
+        assert all((t.data == 0.5).all() for t in params.tensors.values())
+
+    def test_copy_is_independent(self, tiny_model_config):
+        params = M.init(tiny_model_config, seed=0)
+        before = {k: t.data.copy() for k, t in params.tensors.items()}
+        clone = params.copy()
+        self._check_layout(clone)
+        assert list(clone.tensors) == list(params.tensors)
+        assert not np.shares_memory(clone.flat, params.flat)
+        clone.flat[:] = 0.0
+        params["embed"].data[0, 0] = 7.0
+        assert clone["embed"].data[0, 0] == 0.0
+        for k, t in params.tensors.items():
+            expect = before[k] if k != "embed" else t.data
+            np.testing.assert_array_equal(t.data, expect)
+
+    def test_save_load_round_trip_keeps_layout(self, tiny_model_config, tmp_path):
+        from mtlab import checkpoint
+
+        params = M.init(tiny_model_config, seed=2)
+        checkpoint.save_params(tmp_path / "p.ckpt", params)
+        loaded, _ = checkpoint.load_params(tmp_path / "p.ckpt")
+        self._check_layout(loaded)
+        assert list(loaded.tensors) == list(params.tensors)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    def test_mixed_dtypes_rejected(self, tiny_model_config):
+        from mtlab.numerics import Tensor
+
+        tensors = {"w": Tensor(np.zeros((2, 2), np.float32)), "b": Tensor(np.zeros(2))}
+        with pytest.raises(ShapeError, match="dtypes"):
+            M.Params(tiny_model_config, tensors)
+
+
 class TestForward:
     def test_logits_shape(self, tiny_model_config):
         params = M.init(tiny_model_config, seed=0)

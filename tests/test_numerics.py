@@ -169,6 +169,42 @@ class TestPerOpGradients:
 
         finite_difference_check(fn, [a, b], rtol=1e-4)
 
+    @pytest.mark.parametrize("case", ["weight-3d", "weight-4d", "tied"])
+    def test_matmul_weight_gradient_over_flattened_axes(self, case):
+        # a 2-D right operand takes the one-GEMM pullback; "tied" is the
+        # output projection's transposed view of an embedding table
+        rng = np.random.default_rng(14)
+        a = _leaf(rng, *((2, 2, 3, 4) if case == "weight-4d" else (2, 3, 4)))
+        w = _leaf(rng, 5, 4) if case == "tied" else _leaf(rng, 4, 5)
+        r = f64(rng.standard_normal(a.shape[:-1] + (5,)))
+
+        def fn():
+            b = transpose(w, (1, 0)) if case == "tied" else w
+            return dot(matmul(a, b), r)
+
+        n = finite_difference_check(fn, [a, w], rtol=1e-6)
+        assert n == a.size + w.size
+
+    def test_cross_entropy_backward_reuses_forward_softmax(self):
+        from mtlab import kernels
+
+        rng = np.random.default_rng(15)
+        for dtype in (np.float32, np.float64):
+            logits = (3 * rng.standard_normal((7, 9))).astype(dtype)
+            targets = rng.integers(0, 9, 7)
+            valid = np.array([True, True, False, True, False, True, True])
+            _, n, exp, row_sums = kernels.ce_forward(logits, targets, valid)
+            got = kernels.ce_backward(logits, targets, valid, 0.25, exp, row_sums)
+            # reference: the softmax recomputed from the logits
+            sel = logits[valid].astype(np.float64)
+            e = np.exp(sel - sel.max(axis=1, keepdims=True))
+            p = e / e.sum(axis=1, keepdims=True)
+            p[np.arange(n), targets[valid]] -= 1.0
+            want = np.zeros_like(logits)
+            want[valid] = (p * 0.25).astype(dtype)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_embedding_lookup(self):
         rng = np.random.default_rng(6)
         table = _leaf(rng, 7, 4)

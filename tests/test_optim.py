@@ -55,7 +55,7 @@ class TestAdamW:
         # theta' = 0.999 - 0.1 * 1/(1 + 1e-8)
         params = _scalar_params(1.0)
         state = optim.AdamWState(params)
-        optim.adamw_step(params, {"w": np.array([[1.0]])}, state, optim.AdamWConfig(lr=0.1))
+        optim.adamw_step(params, np.array([1.0]), state, optim.AdamWConfig(lr=0.1))
         expected = 1.0 - 0.1 * 0.01 - 0.1 * (1.0 / (1.0 + 1e-8))
         assert params["w"].data[0, 0] == pytest.approx(expected, abs=1e-6)
         assert params["w"].data[0, 0] == pytest.approx(0.899, abs=1e-6)
@@ -69,7 +69,7 @@ class TestAdamW:
     def test_decoupled_decay_scales_exactly(self):
         params = _scalar_params(2.0)
         state = optim.AdamWState(params)
-        optim.adamw_step(params, {"w": np.zeros((1, 1))}, state, optim.AdamWConfig(lr=0.1))
+        optim.adamw_step(params, np.zeros(1), state, optim.AdamWConfig(lr=0.1))
         assert params["w"].data[0, 0] == pytest.approx(
             2.0 * (1 - 0.1 * optim.WEIGHT_DECAY), rel=1e-12
         )
@@ -79,7 +79,7 @@ class TestAdamW:
                             n_dec_layers=1, d_ff=2, max_positions=4)
         params = M.Params(cfg, {"b": Tensor(np.array([3.0], dtype=np.float64))})
         state = optim.AdamWState(params)
-        optim.adamw_step(params, {"b": np.zeros(1)}, state, optim.AdamWConfig(lr=0.1))
+        optim.adamw_step(params, np.zeros(1), state, optim.AdamWConfig(lr=0.1))
         assert params["b"].data[0] == 3.0
 
     def test_wd_zero_equals_adam(self):
@@ -110,12 +110,54 @@ class TestAdamW:
         params = _scalar_params()
         state = optim.AdamWState(params)
         with pytest.raises(OptimError, match="'w'"):
-            optim.adamw_step(params, {"w": np.array([[np.nan]])}, state, optim.AdamWConfig())
+            optim.adamw_step(params, np.array([np.nan]), state, optim.AdamWConfig())
+
+    @pytest.mark.parametrize("name", ["b", "w2", "g"])
+    def test_non_finite_gradient_found_from_offsets(self, name):
+        # the vectors sit after every matrix in the buffer, whatever the name order
+        tensors = {"b": Tensor(np.zeros(3)), "w1": Tensor(np.ones((2, 2))),
+                   "g": Tensor(np.ones(2)), "w2": Tensor(np.ones((3, 1)))}
+        params = M.Params(_scalar_params().config, tensors)
+        before = params.flat.copy()
+        grad = np.zeros(params.flat.size)
+        params.views(grad)[name].reshape(-1)[-1] = np.inf
+        state = optim.AdamWState(params)
+        with pytest.raises(OptimError, match=f"'{name}'"):
+            optim.adamw_step(params, grad, state, optim.AdamWConfig())
+        np.testing.assert_array_equal(params.flat, before)
+        assert state.t == 0
+
+    def test_flat_step_bit_equals_per_tensor_reference(self):
+        rng = np.random.default_rng(12)
+        shapes = {"w1": (5, 3), "b1": (3,), "w2": (3, 4, 2), "g": (4,), "w3": (2, 6)}
+        init = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        params = M.Params(_scalar_params().config, {k: Tensor(v.copy()) for k, v in init.items()})
+        state = optim.AdamWState(params)
+        ref = {k: [v.copy(), np.zeros_like(v), np.zeros_like(v)] for k, v in init.items()}
+        for t in range(1, 6):
+            lr = 0.01 * t
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            flat = np.concatenate([grads[k].reshape(-1) for k in ("w1", "w2", "w3", "b1", "g")])
+            optim.adamw_step(params, flat, state, optim.AdamWConfig(), lr=lr)
+            for k, (p, m, v) in ref.items():
+                g = grads[k].astype(np.float32)
+                if p.ndim > 1:
+                    p -= lr * optim.WEIGHT_DECAY * p
+                m *= optim.BETA1
+                m += (1.0 - optim.BETA1) * g
+                v *= optim.BETA2
+                v += (1.0 - optim.BETA2) * g * g
+                p -= lr * (m / (1.0 - optim.BETA1 ** t)) / (
+                    np.sqrt(v / (1.0 - optim.BETA2 ** t)) + optim.EPS)
+            for k, (p, m, v) in ref.items():
+                assert params[k].data.tobytes() == p.tobytes(), k
+                assert state.m[k].tobytes() == m.tobytes(), k
+                assert state.v[k].tobytes() == v.tobytes(), k
 
     def test_scheduled_lr_override(self):
         params = _scalar_params(1.0)
         state = optim.AdamWState(params)
-        optim.adamw_step(params, {"w": np.array([[1.0]])}, state,
+        optim.adamw_step(params, np.array([1.0]), state,
                          optim.AdamWConfig(lr=99.0), lr=0.1)
         assert params["w"].data[0, 0] == pytest.approx(0.899, abs=1e-6)
 
@@ -123,8 +165,7 @@ class TestAdamW:
 class TestAccumulation:
     def _loss_and_grads(self, params, batch):
         loss = M.loss_teacher_forcing(params, batch)
-        grads = backward(loss, list(params.tensors.values()))
-        return {n: grads[t] for n, t in params.tensors.items()}
+        return params.flat_grad(backward(loss, list(params.tensors.values())))
 
     def test_flush_before_add_rejected(self):
         with pytest.raises(OptimError):
@@ -132,10 +173,9 @@ class TestAccumulation:
 
     def test_factor_one_is_identity(self):
         acc = optim.GradAccumulator(1)
-        g = {"w": np.array([1.0, 2.0])}
-        acc.add(g, weight=7.0)
+        acc.add(np.array([1.0, 2.0]), weight=7.0)
         assert acc.ready
-        np.testing.assert_allclose(acc.flush()["w"], [1.0, 2.0])
+        np.testing.assert_allclose(acc.flush(), [1.0, 2.0])
 
     def test_micro_batches_equal_full_batch(self):
         cfg = M.ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_enc_layers=1,
@@ -159,8 +199,8 @@ class TestAccumulation:
             grads = self._loss_and_grads(params, micro)
             acc.add(grads, weight=float(micro.tgt_mask.sum()))
         got = acc.flush()
-        for name in want:
-            np.testing.assert_allclose(got[name], want[name], atol=1e-6)
+        assert got.dtype == np.float64 and got.shape == params.flat.shape
+        np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_training_equivalence_accumulated_vs_full(self):
         # k micro-batches of size b, stepped through AdamW, match full
