@@ -28,6 +28,11 @@ Experiment configs: ``total_steps`` 0 (estimate the schedule from the
 data), ``mono_langs`` null (every run language with data),
 ``bt.temperature`` 1, ``rec.n_swaps`` 2, ``rec.p_del`` 0.2,
 ``optimizer.beta1`` 0.9, ``beta2`` 0.999, ``eps`` 1e-8, ``weight_decay`` 0.01.
+
+Tensors saved by earlier versions include each attention block's key bias
+``<block>.bk``, which has no effect on the model's output. A reader drops
+it whatever its value, unlike a retired config key, in every tensor
+section (``params_from_arrays``).
 """
 
 from __future__ import annotations
@@ -155,15 +160,17 @@ def load_params(path):
 def params_from_arrays(path, arrays: dict[str, np.ndarray], config: dict):
     """Params of the model config ``config`` (a dict) from named arrays.
 
-    The names must be exactly the config's parameter names; arrays are cast
-    to float32, the model's parameter dtype.
+    The names must be exactly the config's parameter names, apart from the
+    retired ``<block>.bk`` of each of the config's attention blocks, which
+    is dropped; arrays are cast to float32, the model's parameter dtype.
     """
     from .model import Params, _layer_names, config_from_saved
     from .numerics import autodiff as T
 
     config = config_from_saved(config)
-    tensors = {k: T.Tensor(v.astype(np.float32)) for k, v in arrays.items()}
     expected = {name for name, _ in _layer_names(config)}
+    retired = {name[: -len("wk")] + "bk" for name in expected if name.endswith(".wk")}
+    tensors = {k: T.Tensor(v.astype(np.float32)) for k, v in arrays.items() if k not in retired}
     if set(tensors) != expected:
         missing = expected - set(tensors)
         surplus = set(tensors) - expected

@@ -20,6 +20,7 @@ input-only vocabulary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class DecodeConfig:
             raise ConfigError("max_new_tokens must be >= 1")
         if self.mode not in ("greedy", "sample", "beam"):
             raise ConfigError(f"unknown decode mode {self.mode!r}")
+        if not math.isfinite(self.temperature):
+            raise ConfigError(f"temperature must be finite, got {self.temperature}")
         if self.mode == "sample" and self.temperature <= 0:
             raise ConfigError("sampling temperature must be > 0")
         if not 1 <= self.beam_size <= MAX_ROWS:

@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError("patience_evals must be >= 1")
         if self.batch_size_sentences < 1 or self.accumulation_factor < 1:
             raise ConfigError("batch size and accumulation factor must be >= 1")
+        if self.warmup_steps < 0:
+            raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.eval_every_steps < 1:
             raise ConfigError("eval_every_steps must be >= 1")
         if self.bt_workers != 1:
@@ -256,7 +258,8 @@ def run_experiment(
     Translation and dev examples are encoded once, before the first epoch;
     BT and REC examples when their round makes them. Batches are cut from
     the stored ids. Each optimizer step takes the token-weighted mean of its
-    micro-batches' flat gradients (``Params.flat_grad``) and logs a ``step``
+    ``accumulation_factor`` micro-batches' flat gradients
+    (``Params.flat_grad``), summed in float64, and logs a ``step``
     entry with the mean loss, lr, target tokens and ``grad_norm``, the L2
     norm of that mean gradient in float64.
     """
@@ -289,8 +292,7 @@ def run_experiment(
     n_mono_langs = len(active_mono.languages())
 
     total_steps = _estimate_total_steps(config, len(train_examples), n_mono_langs)
-    schedule = optim.ScheduleConfig(min(config.warmup_steps, total_steps), total_steps)
-    schedule.validate()
+    warmup_steps = min(config.warmup_steps, total_steps)
 
     state = _TrainerState()
     run_log = RunLog(config.seed, config.config_hash())
@@ -320,7 +322,6 @@ def run_experiment(
             tokenizer.save(os.path.join(checkpoint_dir, "tokenizer.txt"))
             open(audit_path, "w", encoding="utf-8").close()
 
-    accumulator = optim.GradAccumulator(config.accumulation_factor)
     wall_start = time.time()
 
     for epoch in range(state.epoch_done + 1, config.epochs + 1):
@@ -365,8 +366,10 @@ def run_experiment(
 
         epoch_loss_sum = 0.0
         epoch_token_sum = 0
+        # token-weighted sums over the micro-batches of the next optimizer step
         pending_loss = 0.0
         pending_tokens = 0
+        pending_micro = 0
         for start in range(0, len(epoch_pairs), config.batch_size_sentences):
             if state.stopped_early:
                 break
@@ -380,19 +383,25 @@ def run_experiment(
             loss = M.loss_teacher_forcing(params, batch, dropout_rng=drop_rng)
             grads = backward(loss, list(params.tensors.values()))
             n_tok = int(batch.tgt_mask.sum())
-            accumulator.add(params.flat_grad(grads), float(n_tok))
+            weighted = params.flat_grad(grads) * n_tok
+            if pending_micro:
+                pending_grad += weighted
+            else:
+                pending_grad = weighted
             pending_loss += loss.item() * n_tok
             pending_tokens += n_tok
-            if accumulator.ready or start + config.batch_size_sentences >= len(epoch_pairs):
-                mean_grad = accumulator.flush()
-                lr = optim.lr_at(schedule, config.optimizer.lr, state.opt_step)
-                optim.adamw_step(params, mean_grad, opt_state, config.optimizer, lr=lr)
+            pending_micro += 1
+            if (pending_micro == config.accumulation_factor
+                    or start + config.batch_size_sentences >= len(epoch_pairs)):
+                mean_grad = pending_grad / pending_tokens
+                lr = optim.lr_at(warmup_steps, total_steps, config.optimizer.lr, state.opt_step)
+                optim.adamw_step(params, mean_grad, opt_state, lr)
                 state.opt_step += 1
                 run_log.log(
                     "step",
                     step=state.opt_step,
                     epoch=epoch,
-                    loss=pending_loss / max(pending_tokens, 1),
+                    loss=pending_loss / pending_tokens,
                     lr=lr,
                     tokens=pending_tokens,
                     grad_norm=float(np.sqrt(np.dot(mean_grad, mean_grad))),
@@ -401,6 +410,7 @@ def run_experiment(
                 epoch_token_sum += pending_tokens
                 pending_loss = 0.0
                 pending_tokens = 0
+                pending_micro = 0
                 if dev_examples and state.opt_step % config.eval_every_steps == 0:
                     dev = _dev_loss(params, dev_pairs, config.batch_size_sentences)
                     improved = dev < state.best_dev

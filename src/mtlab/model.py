@@ -3,11 +3,13 @@
 Pre-layer-norm residual blocks, learned absolute positions, a GeLU
 feed-forward layer, and tied embeddings: the output projection is the
 transposed input embedding. Each layer norm is one ``layer_norm`` node
-with its gain and bias. Parameters are float32 (``checkpoint`` casts loaded
-ones to float32); every op computes in its inputs' dtype. Pad and eos ids
-are the tokenizer's. The decoder starts from the eos token and predicts the
-target sequence; loss is the mean token cross entropy over non-pad target
-positions.
+with its gain and bias. Attention projects keys without a bias: a key bias
+adds the same ``q . bk`` to all of a query's scores, which softmax ignores,
+so the loss would not depend on it. Parameters are float32 (``checkpoint``
+casts loaded ones to float32); every op computes in its inputs' dtype. Pad
+and eos ids are the tokenizer's. The decoder starts from the eos token and
+predicts the target sequence; loss is the mean token cross entropy over
+non-pad target positions.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ class ModelConfig:
     pad_id = PAD_ID
     eos_id = EOS_ID
 
+    def __post_init__(self):
+        # checked when built, so a config file's value fails before any data
+        # loads; the sizes are checked by validate, once the vocabulary is known
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+
     def validate(self) -> None:
         if self.vocab_size < 4:
             raise ConfigError(f"vocab_size {self.vocab_size} is too small")
@@ -50,8 +58,6 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.max_positions < 2:
             raise ConfigError("max_positions must be at least 2")
 
@@ -133,7 +139,7 @@ def _layer_names(config: ModelConfig):
     def attn(prefix):
         for p in ("wq", "wk", "wv", "wo"):
             names.append((f"{prefix}.{p}", (d, d)))
-        for p in ("bq", "bk", "bv", "bo"):
+        for p in ("bq", "bv", "bo"):
             names.append((f"{prefix}.{p}", (d,)))
 
     def ln(prefix):
@@ -240,7 +246,7 @@ def _merge_heads(x: T.Tensor) -> T.Tensor:
 
 def _attention(params, prefix, q_in, kv_in, bias, n_heads):
     q = T.add(T.matmul(q_in, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
-    k = T.add(T.matmul(kv_in, params[f"{prefix}.wk"]), params[f"{prefix}.bk"])
+    k = T.matmul(kv_in, params[f"{prefix}.wk"])
     v = T.add(T.matmul(kv_in, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
     qh = _split_heads(q, n_heads)
     kh = _split_heads(k, n_heads)

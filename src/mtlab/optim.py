@@ -1,5 +1,4 @@
-"""AdamW with decoupled weight decay, linear warmup/decay schedule, and
-token-weighted gradient accumulation.
+"""AdamW with decoupled weight decay and a linear warmup/decay schedule.
 
 Only the learning rate is configured; the other hyperparameters are the
 constants below. Weight decay is applied to the parameter before the Adam
@@ -7,11 +6,12 @@ term; 1-D parameters (layer-norm gains and all biases) are exempt.
 
 Gradients and moments are flat vectors laid out like ``Params.flat``
 (weight matrices first, then vectors), so a step is two fused updates, one
-per part, and accumulating a micro-batch is one vector sum.
+per part. ``harness.run_experiment`` sums micro-batch gradients itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,35 +31,21 @@ class AdamWConfig:
     lr: float = 3e-4
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
 
 
-@dataclass(frozen=True)
-class ScheduleConfig:
-    warmup_steps: int
-    total_steps: int
-
-    def validate(self) -> None:
-        if not 0 <= self.warmup_steps <= self.total_steps:
-            raise ConfigError(
-                f"need 0 <= warmup_steps <= total_steps, got "
-                f"{self.warmup_steps}, {self.total_steps}"
-            )
-
-
-def lr_at(schedule: ScheduleConfig, base_lr: float, step: int) -> float:
-    """Linear 0 -> base_lr over warmup, then linear base_lr -> 0, then 0."""
+def lr_at(warmup: int, total: int, base_lr: float, step: int) -> float:
+    """Linear 0 -> base_lr over ``warmup`` steps, linear down to 0 at ``total``, then 0."""
     if step < 0:
         raise OptimError(f"step must be non-negative, got {step}")
-    w, total = schedule.warmup_steps, schedule.total_steps
-    if step < w:
-        return base_lr * step / w
+    if step < warmup:
+        return base_lr * step / warmup
     if step >= total:
         return 0.0
-    if total == w:
+    if total == warmup:
         return base_lr
-    return base_lr * (total - step) / (total - w)
+    return base_lr * (total - step) / (total - warmup)
 
 
 class AdamWState:
@@ -78,71 +64,21 @@ class AdamWState:
         self.v = params.views(self.v_flat)
 
 
-def adamw_step(
-    params: Params,
-    flat_grad: np.ndarray,
-    state: AdamWState,
-    config: AdamWConfig,
-    lr: float | None = None,
-) -> None:
+def adamw_step(params: Params, flat_grad: np.ndarray, state: AdamWState, lr: float) -> None:
     """One in-place AdamW update of every parameter.
 
     ``flat_grad`` is laid out like ``params.flat`` (``Params.flat_grad``).
     The update runs over two slices of the buffers: the decayed weight
-    matrices, then the exempt vectors. ``lr`` overrides config.lr (the
-    schedule feeds it per step).
+    matrices, then the exempt vectors, at learning rate ``lr``.
     """
     if not np.isfinite(flat_grad).all():
         bad = next(k for k, g in params.views(flat_grad).items() if not np.isfinite(g).all())
         raise OptimError(f"non-finite gradient for parameter {bad!r}")
-    step_lr = float(config.lr if lr is None else lr)
     state.t += 1
     grad = np.asarray(flat_grad, dtype=params.flat.dtype)
     for part, wd in ((slice(0, params.n_decayed), WEIGHT_DECAY),
                      (slice(params.n_decayed, None), 0.0)):
         kernels.adamw_update(
             params.flat[part], grad[part], state.m_flat[part], state.v_flat[part],
-            state.t, step_lr, BETA1, BETA2, EPS, wd,
+            state.t, float(lr), BETA1, BETA2, EPS, wd,
         )
-
-
-class GradAccumulator:
-    """Token-weighted gradient averaging across micro-batches.
-
-    Each micro-batch contributes its per-token-mean flat gradient
-    (``Params.flat_grad``) weighted by its non-pad token count, summed in
-    one float64 vector, so ``flush`` reproduces the gradient of the mean
-    loss over the combined batch exactly (up to float rounding).
-    """
-
-    def __init__(self, factor: int = 1):
-        if factor < 1:
-            raise ConfigError(f"accumulation factor must be >= 1, got {factor}")
-        self.factor = factor
-        self._sum: np.ndarray | None = None
-        self._weight = 0.0
-        self.count = 0
-
-    @property
-    def ready(self) -> bool:
-        return self.count >= self.factor
-
-    def add(self, flat_grad: np.ndarray, weight: float) -> None:
-        if weight <= 0:
-            raise OptimError(f"micro-batch weight must be positive, got {weight}")
-        scaled = np.asarray(flat_grad, dtype=np.float64) * weight
-        if self._sum is None:
-            self._sum = scaled
-        else:
-            self._sum += scaled
-        self._weight += weight
-        self.count += 1
-
-    def flush(self) -> np.ndarray:
-        if self._sum is None:
-            raise OptimError("flush called before any accumulate")
-        out = self._sum / self._weight
-        self._sum = None
-        self._weight = 0.0
-        self.count = 0
-        return out

@@ -74,6 +74,38 @@ def test_mismatched_names_rejected(tmp_path, tiny_model_config):
         ckpt.load_params(path)
 
 
+def _with_key_biases(params, rng):
+    # the arrays of a model file written while attention had a key bias
+    arrays = {k: v.data for k, v in params.tensors.items()}
+    for name in list(arrays):
+        if name.endswith(".wk"):
+            arrays[name[:-2] + "bk"] = rng.standard_normal(arrays[name].shape[1])
+    return arrays
+
+
+def test_key_biases_of_earlier_versions_dropped(tmp_path, tiny_model_config):
+    params = M.init(tiny_model_config, seed=0)
+    arrays = _with_key_biases(params, np.random.default_rng(1))
+    assert len(arrays) == len(params.tensors) + 3  # enc attn, dec self and cross attn
+    path = tmp_path / "old.ckpt"
+    ckpt.save_arrays(path, arrays, {"config": asdict(tiny_model_config)})
+    loaded, _ = ckpt.load_params(path)
+    assert list(loaded.tensors) == list(params.tensors)
+    for name, tensor in loaded.tensors.items():
+        assert tensor.data.tobytes() == params[name].data.tobytes(), name
+
+
+@pytest.mark.parametrize("surplus", ["enc0.ffn.bk", "enc1.attn.bk", "dec0.attn.bk",
+                                     "enc0.attn.bz", "bk", "extra"])
+def test_other_surplus_names_still_refused(tmp_path, tiny_model_config, surplus):
+    params = M.init(tiny_model_config, seed=0)
+    arrays = _with_key_biases(params, np.random.default_rng(1))
+    arrays[surplus] = np.zeros(tiny_model_config.d_model)
+    path = tmp_path / "bad.ckpt"
+    ckpt.save_arrays(path, arrays, {"config": asdict(tiny_model_config)})
+    with pytest.raises(CheckpointError, match=f"surplus \\['{surplus}'\\]"):
+        ckpt.load_params(path)
+
 
 # Configs written before the model had one layout hold these keys.
 RETIRED = {"tie_embeddings": True, "activation": "gelu", "label_smoothing": 0.0,
@@ -90,6 +122,11 @@ def test_stored_benchmark_model_loads():
         vocab_size=427, d_model=64, n_heads=4, n_enc_layers=2, n_dec_layers=2,
         d_ff=128, max_positions=24, dropout=0.1,
     )
+    # and the key bias of each of its six attention blocks, which is dropped
+    arrays, _ = ckpt.load_arrays(BASE_MODEL)
+    dropped = set(arrays) - set(params.tensors)
+    assert len(dropped) == 6 and all(k.endswith("attn.bk") for k in dropped)
+    assert sum(arrays[k].size for k in dropped) == 384
     batch = M.make_batch([[3, 300, 1]], [[301, 1]], M.ModelConfig.pad_id)
     assert np.isfinite(M.loss_teacher_forcing(params, batch).item())
 

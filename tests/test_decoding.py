@@ -35,11 +35,10 @@ def copy_model():
         cfg.pad_id,
     )
     state = optim.AdamWState(params)
-    ocfg = optim.AdamWConfig(lr=3e-3)
     for _ in range(400):
         loss = M.loss_teacher_forcing(params, batch)
         grads = backward(loss, list(params.tensors.values()))
-        optim.adamw_step(params, params.flat_grad(grads), state, ocfg)
+        optim.adamw_step(params, params.flat_grad(grads), state, 3e-3)
     assert loss.item() < 0.05
     return params, tok, sents
 
@@ -52,6 +51,10 @@ class TestConfig:
             DecodeConfig(mode="fancy")
         with pytest.raises(ConfigError):
             DecodeConfig(mode="sample", temperature=0.0)
+        for mode in ("sample", "greedy"):
+            for temperature in (float("nan"), float("inf")):
+                with pytest.raises(ConfigError, match="temperature"):
+                    DecodeConfig(mode=mode, temperature=temperature)
         with pytest.raises(ConfigError):
             DecodeConfig(mode="beam", beam_size=MAX_ROWS + 1)
 

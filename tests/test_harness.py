@@ -4,6 +4,7 @@ import builtins
 import json
 import os
 from collections import Counter
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -343,14 +344,20 @@ class TestCheckpointResume:
 
     def test_run_file_with_retired_model_keys_resumes(self, small_world, tmp_path):
         # a run.ckpt as written before the model config lost its retired keys
+        # and attention its key bias
         _, parallel, mono, tokenizer = small_world
         config = _config(FinetuneSetting.BT_REC, epochs=2)
-        _, log_full = run_experiment(config, parallel, mono, tokenizer)
+        params_full, log_full = run_experiment(config, parallel, mono, tokenizer)
         run_experiment(
             config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "r", stop_after_epoch=1
         )
         path = tmp_path / "r" / "run.ckpt"
         arrays, meta = ckpt.load_arrays(path)
+        # the attention key biases, in every tensor section, of earlier versions
+        rng = np.random.default_rng(3)
+        for name in [k for k in arrays if k.endswith(".wk")]:
+            arrays[name[:-2] + "bk"] = rng.standard_normal(arrays[name].shape[1])
+        assert len([k for k in arrays if k.endswith(".bk")]) == 4 * 3
         meta["trainer"]["bt_rounds_done"] = 0  # the BT round count earlier versions kept
         retired = {"tie_embeddings": True, "activation": "gelu", "label_smoothing": 0.0,
                    "layer_norm_eps": 1e-05, "pad_id": 0, "eos_id": 1}
@@ -372,10 +379,12 @@ class TestCheckpointResume:
             with pytest.raises(CheckpointError, match=key):
                 run_experiment(config, parallel, mono, tokenizer, resume_from=tmp_path / "r")
         ckpt.save_arrays(path, arrays, json.loads(good))
-        _, log_resumed = run_experiment(
+        params_resumed, log_resumed = run_experiment(
             config, parallel, mono, tokenizer, resume_from=tmp_path / "r"
         )
         assert log_resumed.loss_trace == log_full.loss_trace
+        assert log_resumed.entries[-1]["type"] == "finish"
+        np.testing.assert_array_equal(params_resumed.flat, params_full.flat)
 
     def test_resume_config_mismatch_rejected(self, small_world, tmp_path):
         _, parallel, mono, tokenizer = small_world
@@ -600,6 +609,18 @@ class TestConfigFiles:
     def test_retired_recipe_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             build_experiment_config({"languages": "sy1,sy2", key: value})
+
+    def test_non_finite_floats_rejected(self):
+        keys = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+        for section in fields(ExperimentConfig):
+            if is_dataclass(section.default_factory):
+                keys += [f"{section.name}.{f.name}"
+                         for f in fields(section.default_factory) if f.type == "float"]
+        assert {"model.dropout", "optimizer.lr"} <= set(keys)
+        for key in keys:
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigError, match=key.rpartition(".")[2]):
+                    build_experiment_config({"languages": "sy1,sy2", key: value})
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_each_preset_builds(self, preset):

@@ -7,7 +7,7 @@ import pytest
 
 from mtlab import model as M
 from mtlab.errors import ConfigError, ShapeError
-from mtlab.numerics import rng_fork
+from mtlab.numerics import backward, rng_fork
 
 from conftest import finite_difference_check, float64_params
 
@@ -55,7 +55,7 @@ class TestInit:
             n_dec_layers=dec_layers, d_ff=ff, max_positions=p,
         )
         params = M.init(cfg, seed=0)
-        attn = 4 * (d * d + d)
+        attn = 4 * d * d + 3 * d  # q, k, v, o weights; q, v, o biases (no key bias)
         ln = 2 * d
         ffn = d * ff + ff + ff * d + d
         expected = (
@@ -270,6 +270,23 @@ class TestFullModelGradient:
             fn, tensors, rtol=1e-3, max_entries=25, rng=rng
         )
         assert checked > 400
+
+    def test_every_parameter_learns(self):
+        # a parameter the loss does not depend on (as attention's key bias
+        # was) gets a float64 gradient at rounding level, about 1e-17
+        cfg = M.ModelConfig(
+            vocab_size=13, d_model=8, n_heads=2, n_enc_layers=2, n_dec_layers=2,
+            d_ff=12, max_positions=10, dropout=0.0,
+        )
+        params = float64_params(M.init(cfg, seed=4))
+        batch = _random_batch(cfg, np.random.default_rng(5), b=3)
+        grads = backward(M.loss_teacher_forcing(params, batch), list(params.tensors.values()))
+        dead = {
+            name: float(np.linalg.norm(grads[t]))
+            for name, t in params.tensors.items()
+            if np.linalg.norm(grads[t]) <= 1e-8 * (np.linalg.norm(t.data) + 1.0)
+        }
+        assert dead == {}
 
     def test_dropout_gradient(self):
         cfg = M.ModelConfig(

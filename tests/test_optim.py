@@ -6,8 +6,12 @@ import pytest
 from mtlab import kernels
 from mtlab import model as M
 from mtlab import optim
+from mtlab.config import build_experiment_config
 from mtlab.errors import ConfigError, OptimError
+from mtlab.harness import ExperimentConfig, run_experiment
 from mtlab.numerics import Tensor, backward
+from mtlab.synth import SyntheticLangSpec, gen_synthetic
+from mtlab.tokenizer import train_subword
 
 from conftest import float64_params
 
@@ -22,17 +26,17 @@ def _scalar_params(value=1.0):
 
 class TestSchedule:
     def test_boundaries(self):
-        sched = optim.ScheduleConfig(warmup_steps=100, total_steps=1000)
+        sched = (100, 1000)  # warmup, total steps
         lr0 = 0.3
-        assert optim.lr_at(sched, lr0, 0) == 0.0
-        assert optim.lr_at(sched, lr0, 100) == pytest.approx(lr0)
-        assert optim.lr_at(sched, lr0, 550) == pytest.approx(0.5 * lr0)
-        assert optim.lr_at(sched, lr0, 1000) == 0.0
-        assert optim.lr_at(sched, lr0, 5000) == 0.0
+        assert optim.lr_at(*sched, lr0, 0) == 0.0
+        assert optim.lr_at(*sched, lr0, 100) == pytest.approx(lr0)
+        assert optim.lr_at(*sched, lr0, 550) == pytest.approx(0.5 * lr0)
+        assert optim.lr_at(*sched, lr0, 1000) == 0.0
+        assert optim.lr_at(*sched, lr0, 5000) == 0.0
 
     def test_piecewise_linear_and_continuous(self):
-        sched = optim.ScheduleConfig(warmup_steps=10, total_steps=50)
-        values = [optim.lr_at(sched, 1.0, s) for s in range(60)]
+        sched = (10, 50)
+        values = [optim.lr_at(*sched, 1.0, s) for s in range(60)]
         assert max(values) == pytest.approx(1.0)
         assert values.index(max(values)) == 10
         diffs = np.diff(values)
@@ -41,12 +45,15 @@ class TestSchedule:
         assert np.allclose(diffs[10:49], -1.0 / 40)
 
     def test_zero_warmup(self):
-        sched = optim.ScheduleConfig(warmup_steps=0, total_steps=10)
-        assert optim.lr_at(sched, 1.0, 0) == pytest.approx(1.0)
+        sched = (0, 10)
+        assert optim.lr_at(*sched, 1.0, 0) == pytest.approx(1.0)
 
     def test_invalid(self):
-        with pytest.raises(ConfigError):
-            optim.ScheduleConfig(warmup_steps=11, total_steps=10).validate()
+        # run_experiment caps the warmup at the total, so a negative warmup
+        # is the one invalid schedule, and the config refuses it
+        with pytest.raises(ConfigError, match="warmup_steps"):
+            build_experiment_config({"languages": "sy1,sy2", "warmup_steps": "-1"})
+        assert build_experiment_config({"languages": "sy1,sy2", "warmup_steps": "0"})
 
 
 class TestAdamW:
@@ -55,7 +62,7 @@ class TestAdamW:
         # theta' = 0.999 - 0.1 * 1/(1 + 1e-8)
         params = _scalar_params(1.0)
         state = optim.AdamWState(params)
-        optim.adamw_step(params, np.array([1.0]), state, optim.AdamWConfig(lr=0.1))
+        optim.adamw_step(params, np.array([1.0]), state, 0.1)
         expected = 1.0 - 0.1 * 0.01 - 0.1 * (1.0 / (1.0 + 1e-8))
         assert params["w"].data[0, 0] == pytest.approx(expected, abs=1e-6)
         assert params["w"].data[0, 0] == pytest.approx(0.899, abs=1e-6)
@@ -69,7 +76,7 @@ class TestAdamW:
     def test_decoupled_decay_scales_exactly(self):
         params = _scalar_params(2.0)
         state = optim.AdamWState(params)
-        optim.adamw_step(params, np.zeros(1), state, optim.AdamWConfig(lr=0.1))
+        optim.adamw_step(params, np.zeros(1), state, 0.1)
         assert params["w"].data[0, 0] == pytest.approx(
             2.0 * (1 - 0.1 * optim.WEIGHT_DECAY), rel=1e-12
         )
@@ -79,7 +86,7 @@ class TestAdamW:
                             n_dec_layers=1, d_ff=2, max_positions=4)
         params = M.Params(cfg, {"b": Tensor(np.array([3.0], dtype=np.float64))})
         state = optim.AdamWState(params)
-        optim.adamw_step(params, np.zeros(1), state, optim.AdamWConfig(lr=0.1))
+        optim.adamw_step(params, np.zeros(1), state, 0.1)
         assert params["b"].data[0] == 3.0
 
     def test_wd_zero_equals_adam(self):
@@ -110,7 +117,7 @@ class TestAdamW:
         params = _scalar_params()
         state = optim.AdamWState(params)
         with pytest.raises(OptimError, match="'w'"):
-            optim.adamw_step(params, np.array([np.nan]), state, optim.AdamWConfig())
+            optim.adamw_step(params, np.array([np.nan]), state, 3e-4)
 
     @pytest.mark.parametrize("name", ["b", "w2", "g"])
     def test_non_finite_gradient_found_from_offsets(self, name):
@@ -123,7 +130,7 @@ class TestAdamW:
         params.views(grad)[name].reshape(-1)[-1] = np.inf
         state = optim.AdamWState(params)
         with pytest.raises(OptimError, match=f"'{name}'"):
-            optim.adamw_step(params, grad, state, optim.AdamWConfig())
+            optim.adamw_step(params, grad, state, 3e-4)
         np.testing.assert_array_equal(params.flat, before)
         assert state.t == 0
 
@@ -138,7 +145,7 @@ class TestAdamW:
             lr = 0.01 * t
             grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
             flat = np.concatenate([grads[k].reshape(-1) for k in ("w1", "w2", "w3", "b1", "g")])
-            optim.adamw_step(params, flat, state, optim.AdamWConfig(), lr=lr)
+            optim.adamw_step(params, flat, state, lr)
             for k, (p, m, v) in ref.items():
                 g = grads[k].astype(np.float32)
                 if p.ndim > 1:
@@ -157,8 +164,7 @@ class TestAdamW:
     def test_scheduled_lr_override(self):
         params = _scalar_params(1.0)
         state = optim.AdamWState(params)
-        optim.adamw_step(params, np.array([1.0]), state,
-                         optim.AdamWConfig(lr=99.0), lr=0.1)
+        optim.adamw_step(params, np.array([1.0]), state, optim.lr_at(10, 100, 0.2, 5))
         assert params["w"].data[0, 0] == pytest.approx(0.899, abs=1e-6)
 
 
@@ -167,21 +173,12 @@ class TestAccumulation:
         loss = M.loss_teacher_forcing(params, batch)
         return params.flat_grad(backward(loss, list(params.tensors.values())))
 
-    def test_flush_before_add_rejected(self):
-        with pytest.raises(OptimError):
-            optim.GradAccumulator().flush()
-
-    def test_factor_one_is_identity(self):
-        acc = optim.GradAccumulator(1)
-        acc.add(np.array([1.0, 2.0]), weight=7.0)
-        assert acc.ready
-        np.testing.assert_allclose(acc.flush(), [1.0, 2.0])
-
     def test_micro_batches_equal_full_batch(self):
+        # run_experiment's accumulation: each micro-batch's flat gradient,
+        # weighted by its target tokens, summed and divided by the token total
         cfg = M.ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_enc_layers=1,
                             n_dec_layers=1, d_ff=12, max_positions=12, dropout=0.0)
         params = float64_params(M.init(cfg, seed=3))
-        rng = np.random.default_rng(4)
         # unequal lengths: per-token weighting must still reproduce the
         # full-batch mean gradient
         seqs = [
@@ -193,44 +190,44 @@ class TestAccumulation:
         full = M.make_batch([s for s, _ in seqs], [t for _, t in seqs], cfg.pad_id)
         want = self._loss_and_grads(params, full)
 
-        acc = optim.GradAccumulator(4)
+        total = np.zeros_like(want)
+        tokens = 0
         for s, t in seqs:
             micro = M.make_batch([s], [t], cfg.pad_id)
-            grads = self._loss_and_grads(params, micro)
-            acc.add(grads, weight=float(micro.tgt_mask.sum()))
-        got = acc.flush()
+            n_tok = int(micro.tgt_mask.sum())
+            total += self._loss_and_grads(params, micro) * n_tok
+            tokens += n_tok
+        got = total / tokens
         assert got.dtype == np.float64 and got.shape == params.flat.shape
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_training_equivalence_accumulated_vs_full(self):
-        # k micro-batches of size b, stepped through AdamW, match full
-        # batches of size k*b step for step
-        cfg = M.ModelConfig(vocab_size=17, d_model=8, n_heads=2, n_enc_layers=1,
-                            n_dec_layers=1, d_ff=12, max_positions=12, dropout=0.0)
-        rng = np.random.default_rng(5)
-        data = [
-            ([int(x) for x in rng.integers(3, 17, rng.integers(2, 6))] + [1],
-             [int(x) for x in rng.integers(3, 17, rng.integers(2, 6))] + [1])
-            for _ in range(8)
-        ]
+        # two micro-batches of 2 per step match one batch of 4, step for step
+        specs = [SyntheticLangSpec("sy1", 1, "ka", concept_vocab_size=12),
+                 SyntheticLangSpec("sy2", 2, "bu", concept_vocab_size=12)]
+        parallel, mono, _ = gen_synthetic(specs, 8, 4, (2, 4), seed=2)
+        tok = train_subword([[p.src_text for p in parallel.pairs]
+                             + [p.tgt_text for p in parallel.pairs]],
+                            3 + 2 + 256 + 20, ["sy1", "sy2"])
+        assert len(parallel.pairs) % 4 == 0
+        cfg = M.ModelConfig(vocab_size=tok.vocab_size, d_model=8, n_heads=2, n_enc_layers=1,
+                            n_dec_layers=1, d_ff=12, max_positions=16, dropout=0.0)
+        init = float64_params(M.init(cfg, seed=9))
 
-        def train(batch_groups):
-            params = float64_params(M.init(cfg, seed=9))
-            state = optim.AdamWState(params)
-            ocfg = optim.AdamWConfig(lr=1e-3)
-            for group in batch_groups:
-                acc = optim.GradAccumulator(len(group))
-                for chunk in group:
-                    batch = M.make_batch([s for s, _ in chunk], [t for _, t in chunk], cfg.pad_id)
-                    grads = self._loss_and_grads(params, batch)
-                    acc.add(grads, weight=float(batch.tgt_mask.sum()))
-                optim.adamw_step(params, acc.flush(), state, ocfg)
-            return params
-
-        # two optimizer steps each way
-        full = train([[data[:4]], [data[4:]]])
-        micro = train([[data[0:2], data[2:4]], [data[4:6], data[6:8]]])
-        for name in full.tensors:
-            np.testing.assert_allclose(
-                micro[name].data, full[name].data, rtol=1e-5, atol=1e-9
+        def train(batch, factor):
+            config = ExperimentConfig(
+                languages=("sy1", "sy2"), epochs=2, model=cfg,
+                optimizer=optim.AdamWConfig(lr=1e-2), warmup_steps=2,
+                batch_size_sentences=batch, accumulation_factor=factor, seed=5,
             )
+            return run_experiment(config, parallel, mono, tok, init_params=init)
+
+        full, full_log = train(4, 1)
+        micro, micro_log = train(2, 2)
+        steps = [(e["tokens"], e["lr"]) for e in full_log.entries_of("step")]
+        assert len(steps) == 2 * len(parallel.pairs) // 4
+        assert [(e["tokens"], e["lr"]) for e in micro_log.entries_of("step")] == steps
+        np.testing.assert_allclose(micro_log.loss_trace, full_log.loss_trace, rtol=1e-9)
+        assert full.flat.dtype == np.float64
+        assert not np.array_equal(full.flat, init.flat)
+        np.testing.assert_allclose(micro.flat, full.flat, rtol=0, atol=1e-9)
