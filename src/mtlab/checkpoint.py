@@ -81,7 +81,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; returns (arrays as float64, metadata dict)."""
+    """Read a checkpoint once; returns (read-only float64 views of it, metadata dict)."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -91,7 +91,7 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     if sep < 0:
         raise CheckpointError(f"{path}: missing header separator")
     header = raw[:sep].decode("utf-8").splitlines()
-    data = raw[sep + 2 :]
+    data = memoryview(raw)[sep + 2 :]
     if not header or header[0] != _MAGIC:
         raise CheckpointError(f"{path}: bad magic line {header[:1]!r}")
     checksum = None
@@ -115,11 +115,9 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     for name, shape, offset in entries:
         count = int(np.prod(shape)) if shape else 1
         end = offset + count * 8
-        if end > len(data):
+        if offset < 0 or end > len(data):
             raise CheckpointError(f"{path}: tensor {name} runs past end of data")
-        arrays[name] = (
-            np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
-        )
+        arrays[name] = np.frombuffer(data, "<f8", count, offset).reshape(shape)
     return arrays, meta
 
 

@@ -4,7 +4,9 @@ Commands: data prepare|stats|split, tokenizer train, train, translate,
 evaluate, synth generate, compare, report. The commands that draw random
 numbers (data split, translate, synth generate, train, compare) seed them
 all from --seed (default 13); every command writes a manifest next to its
-outputs. Exit codes: 0 success, 2 usage/config error, 1 runtime failure
+outputs. train and compare take their experiment config from --preset,
+--config and repeated --set KEY=VALUE (see ``config``) and check it before
+any store loads. Exit codes: 0 success, 2 usage/config error, 1 runtime failure
 (with a one-line ``error <ErrorClass>: <message>`` on stderr).
 """
 
@@ -160,12 +162,8 @@ def _resolve_config(args):
         if not sep:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         overrides[key.strip()] = value.strip()
-    if getattr(args, "setting", None):
-        overrides["setting"] = args.setting
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    if getattr(args, "epochs", None) is not None:
-        overrides["epochs"] = str(args.epochs)
     return C.build_experiment_config(values, preset=args.preset, overrides=overrides)
 
 
@@ -180,7 +178,7 @@ def cmd_train(args):
         mono,
         tokenizer,
         checkpoint_dir=args.out,
-        resume_from=args.out if args.resume else None,
+        resume=args.resume,
     )
     finish = run_log.entries_of("finish")[-1]
     print(
@@ -417,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run one finetuning setting")
     p.add_argument("--config")
     p.add_argument("--preset", choices=sorted(C.PRESETS))
-    p.add_argument("--setting", help="base | bt | btrec")
-    p.add_argument("--epochs", type=int)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key")
     p.add_argument("--store", required=True)

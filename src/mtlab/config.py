@@ -3,8 +3,9 @@
 Config files are plain text: one ``key = value`` per line, ``#`` comments,
 dotted keys for nested sections (``model.d_model``, ``bt.num_bt``,
 ``optimizer.lr``, ``rec.num_rec``). Lists are comma-separated; excluded
-pairs look like ``eng-fra``. Flag overrides always win over file values,
-which win over the preset.
+pairs look like ``eng-fra``. Overrides (the CLI's ``--set KEY=VALUE``)
+win over file values, which win over the preset. Every config is checked
+when it is built, so a bad value is a ConfigError before any data loads.
 
 Presets:
   desk            from-scratch defaults for desk-scale runs
@@ -156,6 +157,4 @@ def build_experiment_config(
     for section, cls in _SECTION_TYPES.items():
         if sections[section]:
             kwargs[section] = cls(**sections[section])
-    config = ExperimentConfig(**kwargs)
-    config.validate()
-    return config
+    return ExperimentConfig(**kwargs)

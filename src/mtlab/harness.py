@@ -46,7 +46,7 @@ from . import checkpoint as ckpt
 from . import model as M
 from . import optim
 from .corpus import LangTag, MonoStore, ParallelStore
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, FormatError
 from .metrics import EvalReport, evaluate_direction
 from .numerics import backward, no_grad, rng_fork
 from .objectives import (
@@ -95,25 +95,27 @@ class ExperimentConfig:
             return (("eng", "fra"),)
         return ()
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # checked when built, so a bad value fails before any data loads
         if len(self.languages) < 2:
             raise ConfigError("need at least 2 languages")
         if len(set(self.languages)) != len(self.languages):
             raise ConfigError("duplicate language codes")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.patience_evals < 1:
-            raise ConfigError("patience_evals must be >= 1")
-        if self.batch_size_sentences < 1 or self.accumulation_factor < 1:
-            raise ConfigError("batch size and accumulation factor must be >= 1")
+        for name in ("epochs", "patience_evals", "batch_size_sentences", "accumulation_factor",
+                     "eval_every_steps"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.warmup_steps < 0:
             raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        if self.eval_every_steps < 1:
-            raise ConfigError("eval_every_steps must be >= 1")
         if self.bt_workers != 1:
             raise ConfigError("bt_workers must be 1; backtranslation runs on the calling thread")
-        for code in self.languages:
-            LangTag(code)
+        codes = [("languages", c) for c in self.languages]
+        codes += [("exclusions", c) for pair in self.exclusions or () for c in pair]
+        for key, code in codes:
+            try:
+                LangTag(code)
+            except FormatError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
     def config_hash(self) -> str:
         blob = json.dumps(_config_dict(self), sort_keys=True)
@@ -241,19 +243,17 @@ def run_experiment(
     mono: MonoStore,
     tokenizer,
     checkpoint_dir=None,
-    resume_from=None,
+    resume=False,
     init_params=None,
-    stop_after_epoch=None,
 ):
     """Train one setting end to end; returns (best Params, RunLog).
 
     ``checkpoint_dir`` enables epoch-boundary checkpoints plus a jsonl
-    audit of emitted BT/REC examples; ``resume_from`` continues a
-    checkpointed run in its own directory (``checkpoint_dir`` must then be
-    unset or the same) and reproduces its uninterrupted loss trace.
-    ``stop_after_epoch`` interrupts the run at an epoch boundary (the
-    config, and with it the lr schedule, is unchanged, so a later resume
-    matches the uninterrupted run).
+    audit of emitted BT/REC examples; ``resume=True`` continues the run
+    checkpointed in ``checkpoint_dir`` and reproduces its uninterrupted loss
+    trace. ``init_params`` starts a new run from a copy of these parameters
+    instead of ``model.init``. A nonzero ``model.vocab_size`` other than the
+    tokenizer's is a ConfigError, raised before any work.
 
     Translation and dev examples are encoded once, before the first epoch;
     BT and REC examples when their round makes them. Batches are cut from
@@ -263,12 +263,15 @@ def run_experiment(
     entry with the mean loss, lr, target tokens and ``grad_norm``, the L2
     norm of that mean gradient in float64.
     """
-    config.validate()
+    if resume and checkpoint_dir is None:
+        raise ConfigError("resume needs the checkpoint_dir of the run to resume")
     tokenizer.require_tags(config.languages)
     model_cfg = config.model
     if model_cfg.vocab_size == 0:
         model_cfg = replace(model_cfg, vocab_size=tokenizer.vocab_size)
-    model_cfg.validate()
+    elif model_cfg.vocab_size != tokenizer.vocab_size:
+        raise ConfigError(f"model.vocab_size {model_cfg.vocab_size} is not the "
+                          f"tokenizer's {tokenizer.vocab_size}; 0 takes the tokenizer's")
     exclusions = config.resolved_exclusions()
     directions = build_directions(config.languages, exclusions)
     by_direction = parallel.by_direction()
@@ -296,11 +299,8 @@ def run_experiment(
 
     state = _TrainerState()
     run_log = RunLog(config.seed, config.config_hash())
-    if resume_from is not None:
-        if os.path.abspath(checkpoint_dir or resume_from) != os.path.abspath(resume_from):
-            raise ConfigError("a resumed run checkpoints into the directory it resumes from")
-        checkpoint_dir = resume_from
-        params, best_params, opt_state, state, run_log = _load_run(resume_from, config, tokenizer)
+    if resume:
+        params, best_params, opt_state, state, run_log = _load_run(checkpoint_dir, config, tokenizer)
     else:
         params = init_params.copy() if init_params is not None else M.init(model_cfg, config.seed)
         opt_state = optim.AdamWState(params)
@@ -317,7 +317,7 @@ def run_experiment(
     audit_path = None
     if checkpoint_dir is not None:
         audit_path = os.path.join(checkpoint_dir, "augmentation_audit.jsonl")
-        if resume_from is None:
+        if not resume:
             os.makedirs(checkpoint_dir, exist_ok=True)
             tokenizer.save(os.path.join(checkpoint_dir, "tokenizer.txt"))
             open(audit_path, "w", encoding="utf-8").close()
@@ -441,8 +441,6 @@ def run_experiment(
         state.epoch_done = epoch
         if checkpoint_dir is not None:
             _save_run(checkpoint_dir, config, params, best_params, opt_state, state, run_log, tokenizer)
-        if stop_after_epoch is not None and epoch >= stop_after_epoch:
-            return params, run_log
 
     if dev_examples and np.isfinite(state.best_dev):
         final = best_params

@@ -30,7 +30,10 @@ NEG_INF = -np.inf
 
 @dataclass(frozen=True)
 class ModelConfig:
-    vocab_size: int = 0  # 0 means "take it from the tokenizer at run start"
+    """Model shape and dropout, checked when built. ``vocab_size`` 0 means the
+    tokenizer's size: ``run_experiment`` fills it in, and ``init`` refuses 0."""
+
+    vocab_size: int = 0
     d_model: int = 128
     n_heads: int = 4
     n_enc_layers: int = 2
@@ -43,13 +46,7 @@ class ModelConfig:
     eos_id = EOS_ID
 
     def __post_init__(self):
-        # checked when built, so a config file's value fails before any data
-        # loads; the sizes are checked by validate, once the vocabulary is known
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    def validate(self) -> None:
-        if self.vocab_size < 4:
+        if self.vocab_size != 0 and self.vocab_size < 4:
             raise ConfigError(f"vocab_size {self.vocab_size} is too small")
         for name in ("d_model", "n_heads", "d_ff", "n_enc_layers", "n_dec_layers"):
             if getattr(self, name) < 1:
@@ -59,7 +56,9 @@ class ModelConfig:
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
         if self.max_positions < 2:
-            raise ConfigError("max_positions must be at least 2")
+            raise ConfigError(f"max_positions must be at least 2, got {self.max_positions}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 # Keys that configs saved by earlier versions carry, with the one value each
@@ -78,7 +77,7 @@ def config_from_saved(saved: dict) -> ModelConfig:
     """The ModelConfig of a saved config dict; see ``checkpoint.drop_retired``."""
     try:
         return ModelConfig(**drop_retired(saved, RETIRED_KEYS, "model config"))
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"saved model config does not fit ModelConfig: {exc}") from None
 
 
@@ -174,7 +173,8 @@ def _layer_names(config: ModelConfig):
 
 def init(config: ModelConfig, seed: int) -> Params:
     """Initialize float32 parameters: N(0, 0.02) weights, unit gains, zero biases."""
-    config.validate()
+    if config.vocab_size == 0:
+        raise ConfigError("vocab_size 0 (the tokenizer's size) must be resolved before init")
     rng = rng_fork(seed, "model-init")
     tensors: dict[str, T.Tensor] = {}
     for name, shape in _layer_names(config):

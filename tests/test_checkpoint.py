@@ -24,6 +24,19 @@ def test_arrays_round_trip(tmp_path):
     assert meta == {"note": "hello", "n": 3}
 
 
+def test_loaded_arrays_are_read_only_float64_views(tmp_path):
+    path = tmp_path / "x.ckpt"
+    arrays = {"w": np.arange(12, dtype=np.float32).reshape(3, 4), "s": np.array([2.5])}
+    ckpt.save_arrays(path, arrays)
+    loaded, _ = ckpt.load_arrays(path)
+    for name, value in arrays.items():
+        assert loaded[name].dtype == np.float64 and loaded[name].shape == value.shape
+        np.testing.assert_array_equal(loaded[name], value)
+        assert not loaded[name].flags.writeable
+        with pytest.raises(ValueError):
+            loaded[name][...] = 0.0
+
+
 def test_data_is_little_endian_f64_with_text_manifest(tmp_path):
     path = tmp_path / "x.ckpt"
     ckpt.save_arrays(path, {"w": np.array([1.0, 2.0])})

@@ -174,9 +174,24 @@ def test_compare_resolves_config_like_train(tmp_path, capsys):
     assert "epochs must be >= 1" in capsys.readouterr().err
 
 
-def test_train_then_translate_from_run_dir(tmp_path):
-    store, run_dir, out_dir = tmp_path / "store", tmp_path / "run", tmp_path / "out"
-    tok = tmp_path / "tok" / "tokenizer.txt"
+@pytest.mark.parametrize(
+    "key, value",
+    [("model.n_heads", "0"), ("model.d_model", "30"), ("model.max_positions", "1"),
+     ("languages", "eng,fr"), ("exclusions", "sy1-zz")],
+)
+def test_bad_config_value_is_config_error_before_the_store_loads(tmp_path, capsys, key, value):
+    code = cli.main([
+        "train", "--set", "languages=sy1,sy2", "--set", f"{key}={value}",
+        "--store", str(tmp_path / "nostore"), "--tokenizer", "t", "--out", str(tmp_path / "r"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error ConfigError: ") and err.count("\n") == 1
+    assert key.rpartition(".")[2] in err
+
+
+def _store_and_tokenizer(tmp_path):
+    store, tok = tmp_path / "store", tmp_path / "tok" / "tokenizer.txt"
     tok.parent.mkdir()
     assert cli.main([
         "synth", "generate", "--langs", "sy1,sy2", "--n-parallel", "12", "--n-mono", "6",
@@ -186,13 +201,34 @@ def test_train_then_translate_from_run_dir(tmp_path):
     assert cli.main([
         "tokenizer", "train", "--store", str(store), "--vocab-size", "300", "--out", str(tok),
     ]) == 0
-    model = ["model.d_model=16", "model.n_heads=2", "model.n_enc_layers=1",
-             "model.n_dec_layers=1", "model.d_ff=24", "model.max_positions=24"]
-    sets = ["languages=sy1,sy2", "bt.num_bt=2", "bt.start_epoch=1", "rec.num_rec=2",
-            "batch_size_sentences=8", "eval_every_steps=2", *model]
+    return store, tok
+
+
+_TINY_RUN = ["languages=sy1,sy2", "bt.num_bt=2", "bt.start_epoch=1", "rec.num_rec=2",
+             "batch_size_sentences=8", "eval_every_steps=2", "model.d_model=16",
+             "model.n_heads=2", "model.n_enc_layers=1", "model.n_dec_layers=1",
+             "model.d_ff=24", "model.max_positions=24"]
+
+
+def test_vocab_size_other_than_the_tokenizers_is_config_error(tmp_path, capsys):
+    store, tok = _store_and_tokenizer(tmp_path)
+    run_dir = tmp_path / "run"
+    sets = [*_TINY_RUN, "model.vocab_size=100"]
     assert cli.main([
-        "train", "--setting", "btrec", "--epochs", "2", "--store", str(store),
-        "--tokenizer", str(tok), "--out", str(run_dir),
+        "train", "--store", str(store), "--tokenizer", str(tok), "--out", str(run_dir),
+        *[arg for kv in sets for arg in ("--set", kv)],
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error ConfigError: ") and "vocab_size 100" in err
+    assert not (run_dir / "runlog.jsonl").exists() and not (run_dir / "run.ckpt").exists()
+
+
+def test_train_then_translate_from_run_dir(tmp_path):
+    store, tok = _store_and_tokenizer(tmp_path)
+    run_dir, out_dir = tmp_path / "run", tmp_path / "out"
+    sets = ["setting=btrec", "epochs=2", *_TINY_RUN]
+    assert cli.main([
+        "train", "--store", str(store), "--tokenizer", str(tok), "--out", str(run_dir),
         *[arg for kv in sets for arg in ("--set", kv)],
     ]) == 0
     assert sorted(os.listdir(run_dir)) == sorted([*harness.RUN_FILES, "manifest.json"])

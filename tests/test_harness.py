@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mtlab import checkpoint as ckpt
+from mtlab import harness
 from mtlab import model as M
 from mtlab.config import PRESETS, build_experiment_config, parse_config_file
 from mtlab.corpus import LangTag, MonoSentence, MonoStore
@@ -227,18 +228,28 @@ class TestRunExperiment:
         assert all(e["target"] in {s.text for s in sy1_only.sentences} for e in audit)
         assert {e["pivot"] for e in audit} <= {"sy2", "sy3"}
 
-    def test_config_validation_precedes_training(self, small_world):
-        _, parallel, mono, tokenizer = small_world
-        with pytest.raises(ConfigError):
-            run_experiment(_config(epochs=0), parallel, mono, tokenizer)
-        with pytest.raises(ConfigError):
-            run_experiment(_config(bt_workers=2), parallel, mono, tokenizer)
-        bad_model = _config(model=M.ModelConfig(d_model=30, n_heads=4))
-        with pytest.raises(ConfigError):
-            run_experiment(bad_model, parallel, mono, tokenizer)
-        no_heads = build_experiment_config({"languages": "sy1,sy2,sy3", "model.n_heads": "0"})
+    def test_config_validation_precedes_training(self, small_world, monkeypatch):
+        # a config is checked when built, so no bad one reaches run_experiment
+        for key, value, message in [
+            ("epochs", 0, "epochs"), ("bt_workers", 2, "bt_workers"),
+            ("warmup_steps", -1, "warmup_steps"), ("accumulation_factor", 0, "accumulation"),
+            ("languages", ("sy1",), "2 languages"), ("languages", ("sy1", "sy2", "sy1"), "duplicate"),
+            ("languages", ("sy1", "fr"), "languages: .*'fr'"),
+            ("exclusions", (("sy1", "zz"),), "exclusions: .*'zz'"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                _config(**{key: value})
+        with pytest.raises(ConfigError, match="d_model"):
+            _config(model=M.ModelConfig(d_model=30, n_heads=4))
         with pytest.raises(ConfigError, match="n_heads"):
-            run_experiment(no_heads, parallel, mono, tokenizer)
+            build_experiment_config({"languages": "sy1,sy2,sy3", "model.n_heads": "0"})
+        # a vocabulary other than the tokenizer's is refused before any text is encoded
+        _, parallel, mono, tokenizer = small_world
+        monkeypatch.setattr(harness, "_encode_examples", None)
+        for vocab_size in (tokenizer.vocab_size - 1, tokenizer.vocab_size + 1):
+            config = _config(model=M.ModelConfig(vocab_size=vocab_size))
+            with pytest.raises(ConfigError, match="vocab_size"):
+                run_experiment(config, parallel, mono, tokenizer)
 
     def test_run_language_without_tokenizer_tag_rejected(self, small_world):
         # "<zzz>" is not a tag of this tokenizer; it would be encoded as bytes
@@ -309,6 +320,25 @@ class _WriteInjector:
         return self._replace(src, dst, *args, **kwargs)
 
 
+class _Stop(Exception):
+    """The end of a run stopped after an epoch's checkpoint."""
+
+
+def _stop_after_epoch(k, *args, **kwargs):
+    """Run ``run_experiment`` until epoch ``k``'s checkpoint is written, then stop it there."""
+    save_run = harness._save_run
+
+    def save_then_stop(directory, config, params, best, opt_state, state, *rest):
+        save_run(directory, config, params, best, opt_state, state, *rest)
+        if state.epoch_done >= k:
+            raise _Stop
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "_save_run", save_then_stop)
+        with pytest.raises(_Stop):
+            run_experiment(*args, **kwargs)
+
+
 class TestCheckpointResume:
     def test_resume_reproduces_trace(self, small_world, tmp_path):
         # The decay schedule makes each BT round's budget depend on its index.
@@ -323,12 +353,9 @@ class TestCheckpointResume:
         )
 
         resume_dir = tmp_path / "run"
-        run_experiment(
-            config, parallel, mono, tokenizer,
-            checkpoint_dir=resume_dir, stop_after_epoch=2,
-        )
+        _stop_after_epoch(2, config, parallel, mono, tokenizer, checkpoint_dir=resume_dir)
         params_resumed, log_resumed = run_experiment(
-            config, parallel, mono, tokenizer, resume_from=resume_dir
+            config, parallel, mono, tokenizer, checkpoint_dir=resume_dir, resume=True
         )
         assert log_resumed.loss_trace == log_full.loss_trace
         for name in params_full.tensors:
@@ -348,9 +375,7 @@ class TestCheckpointResume:
         _, parallel, mono, tokenizer = small_world
         config = _config(FinetuneSetting.BT_REC, epochs=2)
         params_full, log_full = run_experiment(config, parallel, mono, tokenizer)
-        run_experiment(
-            config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "r", stop_after_epoch=1
-        )
+        _stop_after_epoch(1, config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "r")
         path = tmp_path / "r" / "run.ckpt"
         arrays, meta = ckpt.load_arrays(path)
         # the attention key biases, in every tensor section, of earlier versions
@@ -377,10 +402,11 @@ class TestCheckpointResume:
             (bad["experiment"][section] if section else bad["experiment"])[key] = value
             ckpt.save_arrays(path, arrays, bad)
             with pytest.raises(CheckpointError, match=key):
-                run_experiment(config, parallel, mono, tokenizer, resume_from=tmp_path / "r")
+                run_experiment(config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "r",
+                               resume=True)
         ckpt.save_arrays(path, arrays, json.loads(good))
         params_resumed, log_resumed = run_experiment(
-            config, parallel, mono, tokenizer, resume_from=tmp_path / "r"
+            config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "r", resume=True
         )
         assert log_resumed.loss_trace == log_full.loss_trace
         assert log_resumed.entries[-1]["type"] == "finish"
@@ -392,12 +418,10 @@ class TestCheckpointResume:
         run_experiment(config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "r")
         other = _config(epochs=1, seed=999)
         with pytest.raises(CheckpointError):
-            run_experiment(other, parallel, mono, tokenizer, resume_from=tmp_path / "r")
-        with pytest.raises(ConfigError):
-            run_experiment(
-                config, parallel, mono, tokenizer,
-                checkpoint_dir=tmp_path / "elsewhere", resume_from=tmp_path / "r",
-            )
+            run_experiment(other, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "r",
+                           resume=True)
+        with pytest.raises(ConfigError, match="checkpoint_dir"):
+            run_experiment(config, parallel, mono, tokenizer, resume=True)
 
     def test_crash_at_any_write_resumes_exactly_or_is_refused(
         self, small_world, tmp_path, monkeypatch
@@ -426,7 +450,7 @@ class TestCheckpointResume:
                     run_experiment(config, parallel, mono, tokenizer, checkpoint_dir=run_dir)
             try:
                 params, log = run_experiment(
-                    config, parallel, mono, tokenizer, resume_from=run_dir
+                    config, parallel, mono, tokenizer, checkpoint_dir=run_dir, resume=True
                 )
             except CheckpointError:
                 assert k < first_export, f"crash at {event} left a run that cannot resume"
@@ -449,11 +473,10 @@ class TestCheckpointResume:
         )
         assert other.vocab_size == tokenizer.vocab_size and other.hash() != tokenizer.hash()
         config = _config(epochs=2)
-        run_experiment(
-            config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "r", stop_after_epoch=1
-        )
+        _stop_after_epoch(1, config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "r")
         with pytest.raises(CheckpointError, match="tokenizer"):
-            run_experiment(config, parallel, mono, other, resume_from=tmp_path / "r")
+            run_experiment(config, parallel, mono, other, checkpoint_dir=tmp_path / "r",
+                           resume=True)
 
     # 1000: no dev evaluation runs, so the run returns its last parameters
     @pytest.mark.parametrize("eval_every_steps", [5, 1000])
@@ -484,7 +507,8 @@ class TestCheckpointResume:
         # an audit shorter than the checkpoint records cannot be resumed
         (tmp_path / "a" / "augmentation_audit.jsonl").write_text("\n".join(audit[:3]) + "\n")
         with pytest.raises(CheckpointError, match="audit"):
-            run_experiment(config, parallel, mono, tokenizer, resume_from=tmp_path / "a")
+            run_experiment(config, parallel, mono, tokenizer, checkpoint_dir=tmp_path / "a",
+                           resume=True)
 
 
 class TestRunLog:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mtlab import model as M
-from mtlab.errors import ConfigError, ShapeError
+from mtlab.errors import CheckpointError, ConfigError, ShapeError
 from mtlab.numerics import backward, rng_fork
 
 from conftest import finite_difference_check, float64_params
@@ -21,17 +21,23 @@ def _random_batch(cfg, rng, b=2, ts=5, tt=7):
 class TestConfig:
     def test_heads_must_divide_d_model(self):
         with pytest.raises(ConfigError):
-            M.ModelConfig(vocab_size=100, d_model=10, n_heads=4).validate()
+            M.ModelConfig(vocab_size=100, d_model=10, n_heads=4)
 
     def test_defaults_valid(self):
-        M.ModelConfig(vocab_size=100).validate()
+        M.ModelConfig(vocab_size=100)
+        with pytest.raises(ConfigError, match="vocab_size 0"):
+            M.init(M.ModelConfig(), seed=0)  # 0, the tokenizer's size, is resolved before init
 
     @pytest.mark.parametrize(
         "field", ["d_model", "n_heads", "d_ff", "n_enc_layers", "n_dec_layers"]
     )
     def test_non_positive_sizes_are_config_errors(self, field):
         with pytest.raises(ConfigError, match=field):
-            M.ModelConfig(vocab_size=100, **{field: 0}).validate()
+            M.ModelConfig(vocab_size=100, **{field: 0})
+
+    def test_saved_config_that_fails_its_checks_is_checkpoint_error(self):
+        with pytest.raises(CheckpointError, match="n_heads"):
+            M.config_from_saved({"vocab_size": 100, "n_heads": 0})
 
 
 class TestInit:
