@@ -24,7 +24,7 @@ one that holds the value the program now always uses and refuses any other
 value with CheckpointError naming the key (``drop_retired``). Model
 configs: ``tie_embeddings`` true, ``activation`` "gelu",
 ``label_smoothing`` 0, ``layer_norm_eps`` 1e-5, ``pad_id`` 0, ``eos_id`` 1.
-Experiment configs: ``total_steps`` 0 (estimate the schedule from the
+Experiment configs: ``total_steps`` 0 (count the schedule from the
 data), ``mono_langs`` null (every run language with data),
 ``bt.temperature`` 1, ``rec.n_swaps`` 2, ``rec.p_del`` 0.2,
 ``optimizer.beta1`` 0.9, ``beta2`` 0.999, ``eps`` 1e-8, ``weight_decay`` 0.01.

@@ -5,10 +5,12 @@ epoch, BT settings run one backtranslation round per epoch (num_bt follows
 the decay list across rounds) and BT&REC additionally one reconstruction
 round, each over every run language with monolingual training data; the
 synthetic examples are shuffled uniformly into that epoch's training
-stream. The lr schedule's length is estimated from the data. Dev loss is
-evaluated every ``eval_every_steps`` optimizer steps; training stops early
-after ``patience_evals`` non-improving evals and the best-dev checkpoint
-is returned.
+stream. The lr schedule's length is the number of optimizer steps the
+epochs take, counted before the first epoch from the data and each round's
+budget; only a failed BT decode or an early stop ends a run sooner. Dev
+loss is evaluated every ``eval_every_steps`` optimizer steps; training
+stops early after ``patience_evals`` non-improving evals and the best-dev
+checkpoint is returned.
 
 All randomness is derived from ``(seed, epoch or counter)`` streams, so a
 run resumed from an epoch checkpoint reproduces the uninterrupted run's
@@ -223,18 +225,20 @@ def _bt_round(config, epoch: int) -> int | None:
     return epoch - config.bt.start_epoch
 
 
-def _estimate_total_steps(config, n_translation, n_mono_langs) -> int:
-    total_examples = 0
+def _total_steps(config, n_translation, n_mono_langs) -> int:
+    """Optimizer steps of the run if every BT decode succeeds: per epoch, one
+    per ``accumulation_factor`` micro-batches and one for the rest."""
+    steps = 0
     for epoch in range(1, config.epochs + 1):
-        total_examples += n_translation
+        n = n_translation
         bt_round = _bt_round(config, epoch)
         if bt_round is not None:
-            total_examples += config.bt.num_bt_for_round(bt_round) * n_mono_langs
+            n += config.bt.num_bt_for_round(bt_round) * n_mono_langs
             if config.setting is FinetuneSetting.BT_REC:
-                total_examples += config.rec.num_rec * n_mono_langs
-    micro_per_epoch = -(-total_examples // (config.epochs * config.batch_size_sentences))
-    steps = config.epochs * (micro_per_epoch // config.accumulation_factor + 1)
-    return max(steps, 1)
+                n += config.rec.num_rec * n_mono_langs
+        micro = -(-n // config.batch_size_sentences)
+        steps += -(-micro // config.accumulation_factor)
+    return steps
 
 
 def run_experiment(
@@ -294,7 +298,7 @@ def run_experiment(
     )
     n_mono_langs = len(active_mono.languages())
 
-    total_steps = _estimate_total_steps(config, len(train_examples), n_mono_langs)
+    total_steps = _total_steps(config, len(train_examples), n_mono_langs)
     warmup_steps = min(config.warmup_steps, total_steps)
 
     state = _TrainerState()

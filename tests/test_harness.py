@@ -13,7 +13,7 @@ from mtlab import checkpoint as ckpt
 from mtlab import harness
 from mtlab import model as M
 from mtlab.config import PRESETS, build_experiment_config, parse_config_file
-from mtlab.corpus import LangTag, MonoSentence, MonoStore
+from mtlab.corpus import LangTag, MonoSentence, MonoStore, ParallelStore
 from mtlab.errors import CheckpointError, ConfigError
 from mtlab.harness import (
     RUN_FILES,
@@ -174,6 +174,22 @@ class TestRunExperiment:
             texts -= {rec["input"], rec["target"]}
         assert len(texts) > 200
         assert {t: calls[t] for t in texts if calls[t] != 1} == {}
+
+    def test_schedule_counts_every_step(self, small_world):
+        # 16 pairs, 2 languages with monolingual data, num_bt 10, batch 2 accumulated 8:
+        # one step per epoch's 8 micro-batches and one for the rest, 1 + 3 + 3
+        _, parallel, mono, tokenizer = small_world
+        pairs = [p for p in parallel.pairs if p.split == "train"
+                 and {p.direction.src.code, p.direction.tgt.code} == {"sy1", "sy2"}]
+        config = _config(
+            FinetuneSetting.BT, languages=("sy1", "sy2"), epochs=3, batch_size_sentences=2,
+            accumulation_factor=8, eval_every_steps=1000,
+            bt=BTConfig(num_bt=10, num_sample=1, start_epoch=2),
+        )
+        _, log = run_experiment(config, ParallelStore(tuple(pairs[:16])), mono, tokenizer)
+        steps = log.entries_of("step")
+        assert len(steps) == log.entries_of("start")[0]["total_steps"] == 7
+        assert steps[-1]["lr"] > 0
 
     def test_step_logs_gradient_norm(self, small_world):
         _, parallel, mono, tokenizer = small_world
