@@ -16,8 +16,10 @@ one such file, so one checksum and one rename cover it:
   moments);
 - meta ``config`` (model config), ``experiment`` (experiment config),
   ``trainer`` (epoch, step and early-stopping counters, and the lines of
-  the augmentation audit written so far), ``adam_t`` (AdamW step count),
-  ``tokenizer_sha256`` and ``run_log`` (the run-log entries so far).
+  the augmentation audit written so far; the optimizer step is also
+  AdamW's bias-correction step), ``tokenizer_sha256`` and ``run_log`` (the
+  run-log entries so far). Earlier versions also wrote ``adam_t``, which
+  always equalled the optimizer step; a reader ignores it.
 
 Configs saved by earlier versions carry retired keys. A reader drops each
 one that holds the value the program now always uses and refuses any other

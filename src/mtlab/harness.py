@@ -5,12 +5,14 @@ epoch, BT settings run one backtranslation round per epoch (num_bt follows
 the decay list across rounds) and BT&REC additionally one reconstruction
 round, each over every run language with monolingual training data; the
 synthetic examples are shuffled uniformly into that epoch's training
-stream. The lr schedule's length is the number of optimizer steps the
-epochs take, counted before the first epoch from the data and each round's
+stream. The optimizer step is the unit of training: each step takes the
+next slice of ``batch_size_sentences * accumulation_factor`` examples of
+the stream. The lr schedule's length is the number of such slices the
+epochs hold, counted before the first epoch from the data and each round's
 budget; only a failed BT decode or an early stop ends a run sooner. Dev
 loss is evaluated every ``eval_every_steps`` optimizer steps; training
-stops early after ``patience_evals`` non-improving evals and the best-dev
-checkpoint is returned.
+stops early after ``patience_evals`` non-improving evals, and the run
+returns the best-dev parameters once an evaluation has run.
 
 All randomness is derived from ``(seed, epoch or counter)`` streams, so a
 run resumed from an epoch checkpoint reproduces the uninterrupted run's
@@ -226,8 +228,9 @@ def _bt_round(config, epoch: int) -> int | None:
 
 
 def _total_steps(config, n_translation, n_mono_langs) -> int:
-    """Optimizer steps of the run if every BT decode succeeds: per epoch, one
-    per ``accumulation_factor`` micro-batches and one for the rest."""
+    """Optimizer steps of the run if every BT decode succeeds: the number of
+    step slices each epoch's examples are cut into."""
+    step_size = config.batch_size_sentences * config.accumulation_factor
     steps = 0
     for epoch in range(1, config.epochs + 1):
         n = n_translation
@@ -236,8 +239,7 @@ def _total_steps(config, n_translation, n_mono_langs) -> int:
             n += config.bt.num_bt_for_round(bt_round) * n_mono_langs
             if config.setting is FinetuneSetting.BT_REC:
                 n += config.rec.num_rec * n_mono_langs
-        micro = -(-n // config.batch_size_sentences)
-        steps += -(-micro // config.accumulation_factor)
+        steps += -(-n // step_size)
     return steps
 
 
@@ -260,10 +262,12 @@ def run_experiment(
     tokenizer's is a ConfigError, raised before any work.
 
     Translation and dev examples are encoded once, before the first epoch;
-    BT and REC examples when their round makes them. Batches are cut from
-    the stored ids. Each optimizer step takes the token-weighted mean of its
-    ``accumulation_factor`` micro-batches' flat gradients
-    (``Params.flat_grad``), summed in float64, and logs a ``step``
+    BT and REC examples when their round makes them. Each shuffled epoch is
+    cut into slices of ``batch_size_sentences * accumulation_factor``
+    examples, the last one possibly shorter, and each slice is one optimizer
+    step. A step cuts its slice into micro-batches of
+    ``batch_size_sentences``, takes the token-weighted mean of their flat
+    gradients (``Params.flat_grad``), summed in float64, and logs a ``step``
     entry with the mean loss, lr, target tokens and ``grad_norm``, the L2
     norm of that mean gradient in float64.
     """
@@ -299,6 +303,7 @@ def run_experiment(
     n_mono_langs = len(active_mono.languages())
 
     total_steps = _total_steps(config, len(train_examples), n_mono_langs)
+    step_size = config.batch_size_sentences * config.accumulation_factor
     warmup_steps = min(config.warmup_steps, total_steps)
 
     state = _TrainerState()
@@ -370,71 +375,56 @@ def run_experiment(
 
         epoch_loss_sum = 0.0
         epoch_token_sum = 0
-        # token-weighted sums over the micro-batches of the next optimizer step
-        pending_loss = 0.0
-        pending_tokens = 0
-        pending_micro = 0
-        for start in range(0, len(epoch_pairs), config.batch_size_sentences):
-            if state.stopped_early:
-                break
-            batch = _make_batch(epoch_pairs[start : start + config.batch_size_sentences])
-            state.micro_step += 1
-            drop_rng = (
-                rng_fork(config.seed, f"dropout:{state.micro_step}")
-                if model_cfg.dropout > 0
-                else None
+        for step_start in range(0, len(epoch_pairs), step_size):
+            step_pairs = epoch_pairs[step_start : step_start + step_size]
+            loss_sum = 0.0
+            tokens = 0
+            for start in range(0, len(step_pairs), config.batch_size_sentences):
+                batch = _make_batch(step_pairs[start : start + config.batch_size_sentences])
+                state.micro_step += 1
+                drop_rng = rng_fork(config.seed, f"dropout:{state.micro_step}")
+                loss = M.loss_teacher_forcing(params, batch, dropout_rng=drop_rng)
+                n_tok = int(batch.tgt_mask.sum())
+                grad = params.flat_grad(backward(loss, list(params.tensors.values()))) * n_tok
+                grad_sum = grad_sum + grad if start else grad
+                loss_sum += loss.item() * n_tok
+                tokens += n_tok
+            mean_grad = grad_sum / tokens
+            lr = optim.lr_at(warmup_steps, total_steps, config.optimizer.lr, state.opt_step)
+            optim.adamw_step(params, mean_grad, opt_state, state.opt_step + 1, lr)
+            state.opt_step += 1
+            run_log.log(
+                "step",
+                step=state.opt_step,
+                epoch=epoch,
+                loss=loss_sum / tokens,
+                lr=lr,
+                tokens=tokens,
+                grad_norm=float(np.sqrt(np.dot(mean_grad, mean_grad))),
             )
-            loss = M.loss_teacher_forcing(params, batch, dropout_rng=drop_rng)
-            grads = backward(loss, list(params.tensors.values()))
-            n_tok = int(batch.tgt_mask.sum())
-            weighted = params.flat_grad(grads) * n_tok
-            if pending_micro:
-                pending_grad += weighted
-            else:
-                pending_grad = weighted
-            pending_loss += loss.item() * n_tok
-            pending_tokens += n_tok
-            pending_micro += 1
-            if (pending_micro == config.accumulation_factor
-                    or start + config.batch_size_sentences >= len(epoch_pairs)):
-                mean_grad = pending_grad / pending_tokens
-                lr = optim.lr_at(warmup_steps, total_steps, config.optimizer.lr, state.opt_step)
-                optim.adamw_step(params, mean_grad, opt_state, lr)
-                state.opt_step += 1
+            epoch_loss_sum += loss_sum
+            epoch_token_sum += tokens
+            if dev_examples and state.opt_step % config.eval_every_steps == 0:
+                dev = _dev_loss(params, dev_pairs, config.batch_size_sentences)
+                improved = dev < state.best_dev
+                if improved:
+                    state.best_dev = dev
+                    state.evals_since_best = 0
+                    best_params = params.copy()
+                else:
+                    state.evals_since_best += 1
                 run_log.log(
-                    "step",
+                    "eval",
                     step=state.opt_step,
                     epoch=epoch,
-                    loss=pending_loss / pending_tokens,
-                    lr=lr,
-                    tokens=pending_tokens,
-                    grad_norm=float(np.sqrt(np.dot(mean_grad, mean_grad))),
+                    dev_loss=dev,
+                    best=state.best_dev,
+                    improved=improved,
                 )
-                epoch_loss_sum += pending_loss
-                epoch_token_sum += pending_tokens
-                pending_loss = 0.0
-                pending_tokens = 0
-                pending_micro = 0
-                if dev_examples and state.opt_step % config.eval_every_steps == 0:
-                    dev = _dev_loss(params, dev_pairs, config.batch_size_sentences)
-                    improved = dev < state.best_dev
-                    if improved:
-                        state.best_dev = dev
-                        state.evals_since_best = 0
-                        best_params = params.copy()
-                    else:
-                        state.evals_since_best += 1
-                    run_log.log(
-                        "eval",
-                        step=state.opt_step,
-                        epoch=epoch,
-                        dev_loss=dev,
-                        best=state.best_dev,
-                        improved=improved,
-                    )
-                    if state.evals_since_best >= config.patience_evals:
-                        state.stopped_early = True
-                        run_log.log("early_stop", step=state.opt_step, epoch=epoch)
+                if state.evals_since_best >= config.patience_evals:
+                    state.stopped_early = True
+                    run_log.log("early_stop", step=state.opt_step, epoch=epoch)
+                    break
 
         run_log.log(
             "epoch",
@@ -446,10 +436,7 @@ def run_experiment(
         if checkpoint_dir is not None:
             _save_run(checkpoint_dir, config, params, best_params, opt_state, state, run_log, tokenizer)
 
-    if dev_examples and np.isfinite(state.best_dev):
-        final = best_params
-    else:
-        final = params
+    final = best_params if np.isfinite(state.best_dev) else params
     run_log.log(
         "finish",
         epochs=state.epoch_done,
@@ -467,15 +454,14 @@ def _save_run(directory, config, params, best_params, opt_state, state, run_log,
     sections = {
         "params": {k: t.data for k, t in params.tensors.items()},
         "best": {k: t.data for k, t in best_params.tensors.items()},
-        "adam_m": opt_state.m,
-        "adam_v": opt_state.v,
+        "adam_m": params.views(opt_state.m_flat),
+        "adam_v": params.views(opt_state.v_flat),
     }
     arrays = {f"{s}/{k}": v for s, tensors in sections.items() for k, v in tensors.items()}
     meta = {
         "config": asdict(params.config),
         "experiment": _config_dict(config),
         "trainer": asdict(state),
-        "adam_t": opt_state.t,
         "tokenizer_sha256": tokenizer.hash(),
         "run_log": run_log.entries,
     }
@@ -494,11 +480,10 @@ def _load_run(directory, config, tokenizer):
         raise CheckpointError("resume tokenizer does not match the checkpointed tokenizer")
     params = _section(path, arrays, meta, "params")
     best_params = _section(path, arrays, meta, "best")
+    # the moment sections are stored in the params section's order, so their flat layouts match
     opt_state = optim.AdamWState(params)
-    opt_state.t = meta["adam_t"]
-    for moments, name in ((opt_state.m, "adam_m"), (opt_state.v, "adam_v")):
-        for k, t in _section(path, arrays, meta, name).tensors.items():
-            moments[k][...] = t.data
+    opt_state.m_flat[...] = _section(path, arrays, meta, "adam_m").flat
+    opt_state.v_flat[...] = _section(path, arrays, meta, "adam_v").flat
     run_log = RunLog(config.seed, config.config_hash())
     run_log.entries = meta["run_log"]
     trainer = dict(meta["trainer"])

@@ -6,7 +6,9 @@ term; 1-D parameters (layer-norm gains and all biases) are exempt.
 
 Gradients and moments are flat vectors laid out like ``Params.flat``
 (weight matrices first, then vectors), so a step is two fused updates, one
-per part. ``harness.run_experiment`` sums micro-batch gradients itself.
+per part. The caller owns the step count: ``harness.run_experiment`` passes
+its optimizer step, which also sets the lr schedule, and sums micro-batch
+gradients itself.
 """
 
 from __future__ import annotations
@@ -49,36 +51,30 @@ def lr_at(warmup: int, total: int, base_lr: float, step: int) -> float:
 
 
 class AdamWState:
-    """First/second moment buffers and the shared step counter.
-
-    ``m_flat`` and ``v_flat`` are laid out like ``Params.flat``; ``m`` and
-    ``v`` map each parameter name to its view of them, which is how
-    checkpoints save and restore the moments.
-    """
+    """First and second moment buffers, laid out like ``Params.flat``."""
 
     def __init__(self, params: Params):
-        self.t = 0
         self.m_flat = np.zeros_like(params.flat)
         self.v_flat = np.zeros_like(params.flat)
-        self.m = params.views(self.m_flat)
-        self.v = params.views(self.v_flat)
 
 
-def adamw_step(params: Params, flat_grad: np.ndarray, state: AdamWState, lr: float) -> None:
+def adamw_step(params: Params, flat_grad: np.ndarray, state: AdamWState, step: int,
+               lr: float) -> None:
     """One in-place AdamW update of every parameter.
 
     ``flat_grad`` is laid out like ``params.flat`` (``Params.flat_grad``).
-    The update runs over two slices of the buffers: the decayed weight
-    matrices, then the exempt vectors, at learning rate ``lr``.
+    ``step`` is this update's 1-based number, which sets the bias
+    correction. The update runs over two slices of the buffers: the decayed
+    weight matrices, then the exempt vectors, at learning rate ``lr``. A
+    non-finite gradient raises OptimError before anything changes.
     """
     if not np.isfinite(flat_grad).all():
         bad = next(k for k, g in params.views(flat_grad).items() if not np.isfinite(g).all())
         raise OptimError(f"non-finite gradient for parameter {bad!r}")
-    state.t += 1
     grad = np.asarray(flat_grad, dtype=params.flat.dtype)
     for part, wd in ((slice(0, params.n_decayed), WEIGHT_DECAY),
                      (slice(params.n_decayed, None), 0.0)):
         kernels.adamw_update(
             params.flat[part], grad[part], state.m_flat[part], state.v_flat[part],
-            state.t, float(lr), BETA1, BETA2, EPS, wd,
+            step, float(lr), BETA1, BETA2, EPS, wd,
         )

@@ -24,7 +24,7 @@ from mtlab.harness import (
     load_model,
     run_experiment,
 )
-from mtlab.numerics import backward
+from mtlab.numerics import backward, rng_fork
 from mtlab.objectives import (
     BTConfig,
     FinetuneSetting,
@@ -190,6 +190,27 @@ class TestRunExperiment:
         steps = log.entries_of("step")
         assert len(steps) == log.entries_of("start")[0]["total_steps"] == 7
         assert steps[-1]["lr"] > 0
+
+    def test_ragged_last_step_takes_the_rest_of_the_epoch(self, small_world):
+        # 16 pairs, batch 5 accumulated 2: a step of 10 sentences, then one of 6
+        _, parallel, mono, tokenizer = small_world
+        pairs = [p for p in parallel.pairs if p.split == "train"
+                 and {p.direction.src.code, p.direction.tgt.code} == {"sy1", "sy2"}][:16]
+        config = _config(languages=("sy1", "sy2"), epochs=1, batch_size_sentences=5,
+                         accumulation_factor=2, eval_every_steps=1000)
+        store = ParallelStore(tuple(pairs))
+        _, log = run_experiment(config, store, mono, tokenizer)
+        steps = log.entries_of("step")
+        assert len(steps) == log.entries_of("start")[0]["total_steps"] == 2
+        # the epoch stream: translation examples in direction order, then shuffled
+        by_direction = store.by_direction()
+        examples = [format_translation(p) for d in build_directions(config.languages, ())
+                    for p in by_direction.get(d, ())]
+        order = rng_fork(config.seed, "shuffle:1").permutation(16)
+        targets = [tokenizer.encode(examples[i].target_text) for i in order]
+        assert [e["tokens"] for e in steps] == [
+            sum(map(len, targets[:10])), sum(map(len, targets[10:]))
+        ]
 
     def test_step_logs_gradient_norm(self, small_world):
         _, parallel, mono, tokenizer = small_world
@@ -400,6 +421,7 @@ class TestCheckpointResume:
             arrays[name[:-2] + "bk"] = rng.standard_normal(arrays[name].shape[1])
         assert len([k for k in arrays if k.endswith(".bk")]) == 4 * 3
         meta["trainer"]["bt_rounds_done"] = 0  # the BT round count earlier versions kept
+        meta["adam_t"] = meta["trainer"]["opt_step"]  # and their AdamW step count
         retired = {"tie_embeddings": True, "activation": "gelu", "label_smoothing": 0.0,
                    "layer_norm_eps": 1e-05, "pad_id": 0, "eos_id": 1}
         meta["config"].update(retired)

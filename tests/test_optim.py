@@ -62,7 +62,7 @@ class TestAdamW:
         # theta' = 0.999 - 0.1 * 1/(1 + 1e-8)
         params = _scalar_params(1.0)
         state = optim.AdamWState(params)
-        optim.adamw_step(params, np.array([1.0]), state, 0.1)
+        optim.adamw_step(params, np.array([1.0]), state, 1, 0.1)
         expected = 1.0 - 0.1 * 0.01 - 0.1 * (1.0 / (1.0 + 1e-8))
         assert params["w"].data[0, 0] == pytest.approx(expected, abs=1e-6)
         assert params["w"].data[0, 0] == pytest.approx(0.899, abs=1e-6)
@@ -76,7 +76,7 @@ class TestAdamW:
     def test_decoupled_decay_scales_exactly(self):
         params = _scalar_params(2.0)
         state = optim.AdamWState(params)
-        optim.adamw_step(params, np.zeros(1), state, 0.1)
+        optim.adamw_step(params, np.zeros(1), state, 1, 0.1)
         assert params["w"].data[0, 0] == pytest.approx(
             2.0 * (1 - 0.1 * optim.WEIGHT_DECAY), rel=1e-12
         )
@@ -86,7 +86,7 @@ class TestAdamW:
                             n_dec_layers=1, d_ff=2, max_positions=4)
         params = M.Params(cfg, {"b": Tensor(np.array([3.0], dtype=np.float64))})
         state = optim.AdamWState(params)
-        optim.adamw_step(params, np.zeros(1), state, 0.1)
+        optim.adamw_step(params, np.zeros(1), state, 1, 0.1)
         assert params["b"].data[0] == 3.0
 
     def test_wd_zero_equals_adam(self):
@@ -117,7 +117,7 @@ class TestAdamW:
         params = _scalar_params()
         state = optim.AdamWState(params)
         with pytest.raises(OptimError, match="'w'"):
-            optim.adamw_step(params, np.array([np.nan]), state, 3e-4)
+            optim.adamw_step(params, np.array([np.nan]), state, 1, 3e-4)
 
     @pytest.mark.parametrize("name", ["b", "w2", "g"])
     def test_non_finite_gradient_found_from_offsets(self, name):
@@ -130,9 +130,9 @@ class TestAdamW:
         params.views(grad)[name].reshape(-1)[-1] = np.inf
         state = optim.AdamWState(params)
         with pytest.raises(OptimError, match=f"'{name}'"):
-            optim.adamw_step(params, grad, state, 3e-4)
+            optim.adamw_step(params, grad, state, 1, 3e-4)
         np.testing.assert_array_equal(params.flat, before)
-        assert state.t == 0
+        assert not state.m_flat.any() and not state.v_flat.any()
 
     def test_flat_step_bit_equals_per_tensor_reference(self):
         rng = np.random.default_rng(12)
@@ -145,7 +145,7 @@ class TestAdamW:
             lr = 0.01 * t
             grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
             flat = np.concatenate([grads[k].reshape(-1) for k in ("w1", "w2", "w3", "b1", "g")])
-            optim.adamw_step(params, flat, state, lr)
+            optim.adamw_step(params, flat, state, t, lr)
             for k, (p, m, v) in ref.items():
                 g = grads[k].astype(np.float32)
                 if p.ndim > 1:
@@ -156,15 +156,16 @@ class TestAdamW:
                 v += (1.0 - optim.BETA2) * g * g
                 p -= lr * (m / (1.0 - optim.BETA1 ** t)) / (
                     np.sqrt(v / (1.0 - optim.BETA2 ** t)) + optim.EPS)
+            moments_m, moments_v = params.views(state.m_flat), params.views(state.v_flat)
             for k, (p, m, v) in ref.items():
                 assert params[k].data.tobytes() == p.tobytes(), k
-                assert state.m[k].tobytes() == m.tobytes(), k
-                assert state.v[k].tobytes() == v.tobytes(), k
+                assert moments_m[k].tobytes() == m.tobytes(), k
+                assert moments_v[k].tobytes() == v.tobytes(), k
 
     def test_scheduled_lr_override(self):
         params = _scalar_params(1.0)
         state = optim.AdamWState(params)
-        optim.adamw_step(params, np.array([1.0]), state, optim.lr_at(10, 100, 0.2, 5))
+        optim.adamw_step(params, np.array([1.0]), state, 1, optim.lr_at(10, 100, 0.2, 5))
         assert params["w"].data[0, 0] == pytest.approx(0.899, abs=1e-6)
 
 
