@@ -3,8 +3,9 @@
 Layout: UTF-8 header lines (format tag, data checksum, extra key=value
 metadata, then one ``tensor <name> <shape-json> <offset>`` line per array,
 offsets in bytes from the start of the data segment), a blank line, then
-the concatenated float64 little-endian arrays. Writes are atomic
-(write-then-rename).
+the concatenated float64 little-endian arrays, in header order with no gap
+(a reader checks this; the checksum covers only the data). Writes are
+atomic (write-then-rename).
 
 A model file (``save_params``) holds the parameters under their own names
 and the model config as ``meta config``. A training run's file
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -63,9 +65,10 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
     for name in arrays:
         if " " in name:
             raise CheckpointError(f"tensor name {name!r} must not contain spaces")
-        # hashed and written as buffers, so no bytes copy of the data is made
+        # hashed and written as buffers, so no bytes copy of the data is made;
+        # the shape is taken before ``ascontiguousarray``, which makes a 0-d array 1-d
         blob = np.ascontiguousarray(arrays[name], dtype="<f8")
-        shape_json = json.dumps(list(blob.shape), separators=(",", ":"))
+        shape_json = json.dumps(list(np.shape(arrays[name])), separators=(",", ":"))
         tensor_lines.append(f"tensor {name} {shape_json} {offset}")
         digest.update(blob)
         blobs.append(blob)
@@ -101,25 +104,31 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     entries = []
     for line in header[1:]:
         kind, _, rest = line.partition(" ")
-        if kind == "checksum":
-            checksum = rest
-        elif kind == "meta":
-            key, _, value = rest.partition("=")
-            meta[key] = json.loads(value)
-        elif kind == "tensor":
-            name, shape_json, offset = rest.rsplit(" ", 2)
-            entries.append((name, tuple(json.loads(shape_json)), int(offset)))
-        else:
-            raise CheckpointError(f"{path}: unknown header line {line!r}")
+        try:
+            if kind == "checksum":
+                checksum = rest
+            elif kind == "meta":
+                key, _, value = rest.partition("=")
+                meta[key] = json.loads(value)
+            elif kind == "tensor":
+                name, shape_json, offset = rest.rsplit(" ", 2)
+                entries.append((name, tuple(json.loads(shape_json)), int(offset)))
+            else:
+                raise CheckpointError(f"{path}: unknown header line {line!r}")
+        except (ValueError, TypeError):
+            raise CheckpointError(f"{path}: malformed header line {line!r}") from None
     if checksum != f"sha256:{hashlib.sha256(data).hexdigest()}":
         raise CheckpointError(f"{path}: data checksum mismatch")
-    arrays = {}
+    end = 0
     for name, shape, offset in entries:
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + count * 8
-        if offset < 0 or end > len(data):
-            raise CheckpointError(f"{path}: tensor {name} runs past end of data")
-        arrays[name] = np.frombuffer(data, "<f8", count, offset).reshape(shape)
+        if offset != end or not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise CheckpointError(f"{path}: tensor {name} with shape {list(shape)} at offset "
+                                  f"{offset} does not follow the previous tensor's end {end}")
+        end += 8 * math.prod(shape)
+    if end != len(data):
+        raise CheckpointError(f"{path}: tensors cover {end} of {len(data)} data bytes")
+    arrays = {name: np.frombuffer(data, "<f8", math.prod(shape), offset).reshape(shape)
+              for name, shape, offset in entries}
     return arrays, meta
 
 
@@ -162,20 +171,25 @@ def params_from_arrays(path, arrays: dict[str, np.ndarray], config: dict):
 
     The names must be exactly the config's parameter names, apart from the
     retired ``<block>.bk`` of each of the config's attention blocks, which
-    is dropped; arrays are cast to float32, the model's parameter dtype.
+    is dropped, and each array must have its parameter's shape; arrays are
+    cast to float32, the model's parameter dtype.
     """
     from .model import Params, _layer_names, config_from_saved
     from .numerics import autodiff as T
 
     config = config_from_saved(config)
-    expected = {name for name, _ in _layer_names(config)}
+    expected = dict(_layer_names(config))
     retired = {name[: -len("wk")] + "bk" for name in expected if name.endswith(".wk")}
     tensors = {k: T.Tensor(v.astype(np.float32)) for k, v in arrays.items() if k not in retired}
-    if set(tensors) != expected:
-        missing = expected - set(tensors)
-        surplus = set(tensors) - expected
+    if tensors.keys() != expected.keys():
+        missing = expected.keys() - tensors.keys()
+        surplus = tensors.keys() - expected.keys()
         raise CheckpointError(
             f"{path}: parameter names do not match config "
             f"(missing {sorted(missing)[:3]}, surplus {sorted(surplus)[:3]})"
         )
+    for name, t in tensors.items():
+        if t.shape != expected[name]:
+            raise CheckpointError(f"{path}: tensor {name} has shape {t.shape}; "
+                                  f"the config gives {expected[name]}")
     return Params(config, tensors)

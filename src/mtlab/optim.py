@@ -6,9 +6,8 @@ term; 1-D parameters (layer-norm gains and all biases) are exempt.
 
 Gradients and moments are flat vectors laid out like ``Params.flat``
 (weight matrices first, then vectors), so a step is two fused updates, one
-per part. The caller owns the step count: ``harness.run_experiment`` passes
-its optimizer step, which also sets the lr schedule, and sums micro-batch
-gradients itself.
+per part. The caller counts the steps and sums micro-batch gradients
+(``harness.run_experiment``).
 """
 
 from __future__ import annotations

@@ -59,6 +59,51 @@ def test_corruption_detected(tmp_path):
         ckpt.load_arrays(path)
 
 
+def test_zero_dim_array_round_trips_its_shape(tmp_path):
+    path = tmp_path / "x.ckpt"
+    ckpt.save_arrays(path, {"s": np.array(2.5), "v": np.array([1.0])})
+    assert "tensor s [] 0" in path.read_text(encoding="utf-8", errors="replace")
+    loaded, _ = ckpt.load_arrays(path)
+    assert loaded["s"].shape == () and loaded["s"] == 2.5
+    assert loaded["v"].shape == (1,)
+
+
+# a: shape [2,3] at offset 0, b: shape [4] at offset 48, 80 data bytes
+@pytest.mark.parametrize("line, corrupt", [
+    ("tensor a [2,3] 0", "tensor a [-1] 0"),  # a negative dimension
+    ("tensor b [4] 48", "tensor b [4] 44"),  # an offset inside the previous tensor
+    ("tensor a [2,3] 0", "tensor a [2,2] 0"),  # a gap before the next tensor
+    ("tensor b [4] 48", "tensor b [3] 48"),  # data left over after the last tensor
+    ("tensor b [4] 48", "tensor b [2.0,2] 48"),  # a dimension that is not an integer
+])
+def test_header_whose_tensors_do_not_tile_the_data_refused(tmp_path, line, corrupt):
+    # the checksum covers the data only, so a bad header must fail the layout check
+    path = tmp_path / "x.ckpt"
+    ckpt.save_arrays(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.arange(4.0)})
+    raw = path.read_bytes()
+    assert raw.count(line.encode()) == 1
+    path.write_bytes(raw.replace(line.encode(), corrupt.encode()))
+    with pytest.raises(CheckpointError):
+        ckpt.load_arrays(path)
+
+
+@pytest.mark.parametrize("line, corrupt", [
+    ("tensor b [4] 48", "tensor b [4]"),  # no offset
+    ("tensor b [4] 48", "tensor b [4 48"),  # a shape that is not JSON
+    ("tensor b [4] 48", "tensor b 4 48"),  # a shape that is not a list
+    ("tensor b [4] 48", "tensor b [4] 4x8"),  # an offset that is not an integer
+    ("meta n=3", "meta n=3x"),  # a meta value that is not JSON
+])
+def test_malformed_header_line_refused(tmp_path, line, corrupt):
+    path = tmp_path / "x.ckpt"
+    ckpt.save_arrays(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.arange(4.0)}, {"n": 3})
+    raw = path.read_bytes()
+    assert raw.count(line.encode()) == 1
+    path.write_bytes(raw.replace(line.encode(), corrupt.encode()))
+    with pytest.raises(CheckpointError, match="header line"):
+        ckpt.load_arrays(path)
+
+
 def test_params_round_trip(tmp_path, tiny_model_config):
     params = M.init(tiny_model_config, seed=3)
     path = tmp_path / "params.ckpt"
@@ -84,6 +129,16 @@ def test_mismatched_names_rejected(tmp_path, tiny_model_config):
     del arrays["embed"]
     ckpt.save_arrays(path, arrays, {"config": asdict(tiny_model_config)})
     with pytest.raises(CheckpointError):
+        ckpt.load_params(path)
+
+
+def test_tensor_of_another_shape_than_the_config_rejected(tmp_path, tiny_model_config):
+    params = M.init(tiny_model_config, seed=0)
+    path = tmp_path / "bad.ckpt"
+    arrays = {k: v.data for k, v in params.tensors.items()}
+    arrays["embed"] = np.zeros((tiny_model_config.vocab_size + 20, tiny_model_config.d_model))
+    ckpt.save_arrays(path, arrays, {"config": asdict(tiny_model_config)})
+    with pytest.raises(CheckpointError, match="embed"):
         ckpt.load_params(path)
 
 

@@ -4,6 +4,7 @@ commands that take --seed, config resolution for compare."""
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,9 @@ from mtlab import cli, decoding, harness, reports
 from mtlab import model as M
 from mtlab.corpus import LangTag
 from mtlab.tokenizer import SubwordModel
+
+
+BASE_MODEL_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "base_model"
 
 
 @pytest.fixture
@@ -40,6 +44,25 @@ def test_translate_writes_one_line_per_input_and_manifest(tmp_path, model_dir):
     assert all(lines[i] for i in (0, 2, 3))
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "translate"
+
+
+def test_translate_normalizes_whitespace_like_the_corpus_loaders(tmp_path):
+    # Tabs and runs of spaces would otherwise reach the model as ids it never trained
+    # on; the benchmark's trained model (read only) translates such sources differently.
+    outputs = {}
+    for name, text in [("raw", "ka1\tka2  ka3\n \t\n  ka6 \t ka11\nka4  ka10\tka2 \n"),
+                       ("normalized", "ka1 ka2 ka3\n\nka6 ka11\nka4 ka10 ka2\n")]:
+        src = tmp_path / f"{name}.txt"
+        src.write_text(text, encoding="utf-8")
+        out = tmp_path / f"{name}.out"
+        code = cli.main([
+            "translate", "--model", str(BASE_MODEL_DIR), "--input", str(src),
+            "--output", str(out), "--target-lang", "sy2",
+        ])
+        assert code == 0
+        outputs[name] = out.read_text(encoding="utf-8").split("\n")
+    assert outputs["raw"] == outputs["normalized"]
+    assert len(outputs["raw"]) == 5 and outputs["raw"][1] == ""
 
 
 def test_translate_reports_truncations(tmp_path, model_dir, capsys):
@@ -254,6 +277,31 @@ def test_train_then_translate_from_run_dir(tmp_path):
 
 def _manifest(directory):
     return json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+
+
+def test_data_jsonl_without_dedup_and_unstratified_split(tmp_path, capsys):
+    # 9 well-formed pairs in two domains, one an exact duplicate, and one malformed line
+    records = [{"src": f"a{i} b{i} c", "tgt": f"c b{i} a{i}", "domain": d}
+               for i, d in enumerate(["news"] * 5 + ["bible"] * 3)]
+    lines = [json.dumps(r) for r in records + records[:1]] + ["{not json"]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    prepared, split = tmp_path / "prepared", tmp_path / "split"
+    assert cli.main(["data", "prepare", "--parallel", f"sy1-sy2={pairs}", "--format", "jsonl",
+                     "--no-dedup", "--out", str(prepared)]) == 0
+    assert "parallel: kept 9 of 9 (malformed lines: 1)" in capsys.readouterr().out
+    report = (prepared / "clean_report.csv").read_text(encoding="utf-8").splitlines()
+    assert {"parallel,kept,9", "parallel,duplicate,0"} <= set(report)
+    with (prepared / "parallel.jsonl").open(encoding="utf-8") as f:
+        stored = [json.loads(line) for line in f]
+    assert sorted(r["domain"] for r in stored) == ["bible"] * 3 + ["news"] * 6
+    assert cli.main(["data", "split", "--store", str(prepared), "--dev", "3", "--test", "2",
+                     "--no-stratify", "--out", str(split)]) == 0
+    assert capsys.readouterr().out.split() == ["train=4", "dev=3", "test=2"]
+    with (split / "parallel.jsonl").open(encoding="utf-8") as f:
+        labels = [json.loads(line)["split"] for line in f]
+    assert (labels.count("dev"), labels.count("test")) == (3, 2)
+    assert _manifest(split)["config"]["spec"]["stratify_by_domain"] is False
 
 
 def test_data_pipeline_commands_write_files_and_manifests(tmp_path, capsys):
