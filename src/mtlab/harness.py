@@ -1,18 +1,29 @@
 """Experiment orchestration: curricula, early stopping, checkpoints.
 
-One coordinating thread runs the epoch loop. From the configured start
-epoch, BT settings run one backtranslation round per epoch (num_bt follows
-the decay list across rounds) and BT&REC additionally one reconstruction
-round, each over every run language with monolingual training data; the
-synthetic examples are shuffled uniformly into that epoch's training
-stream. The optimizer step is the unit of training: each step takes the
-next slice of ``batch_size_sentences * accumulation_factor`` examples of
-the stream. The lr schedule's length is the number of such slices the
-epochs hold, counted before the first epoch from the data and each round's
-budget; only a failed BT decode or an early stop ends a run sooner. Dev
-loss is evaluated every ``eval_every_steps`` optimizer steps; training
-stops early after ``patience_evals`` non-improving evals, and the run
-returns the best-dev parameters once an evaluation has run.
+One coordinating thread runs the epoch loop. Each epoch runs these phases
+in order, and the run log records what each returns:
+
+- ``_augment``: from the configured start epoch, BT settings run one
+  backtranslation round (a ``bt_round`` entry; num_bt follows the decay
+  list across rounds) and BT&REC also one reconstruction round (a
+  ``rec_round`` entry), each over every run language with monolingual
+  training data. ``_epoch_budget`` fixes each epoch's round and budgets,
+  for the rounds and for the lr schedule alike.
+- ``_epoch_order``: the translation and synthetic examples shuffled
+  uniformly into the epoch's training stream.
+- ``_train_step``: one optimizer step on the next slice of
+  ``batch_size_sentences * accumulation_factor`` examples of the stream
+  (a ``step`` entry).
+- ``_evaluate``: dev loss every ``eval_every_steps`` optimizer steps (an
+  ``eval`` entry); after ``patience_evals`` non-improving evals training
+  stops early (an ``early_stop`` entry).
+
+The epoch then logs an ``epoch`` entry and writes its checkpoint; the run
+begins with a ``start`` entry and ends with a ``finish`` entry. The lr
+schedule's length is the number of step slices the epochs hold, counted
+before the first epoch; only a failed BT decode or an early stop ends a
+run sooner. The run returns the best-dev parameters once an evaluation has
+run.
 
 All randomness is derived from ``(seed, epoch or counter)`` streams, so a
 run resumed from an epoch checkpoint reproduces the uninterrupted run's
@@ -70,7 +81,8 @@ from .tokenizer import SubwordModel
 
 
 # The files of a run directory, as listed in the module docstring.
-RUN_FILES = ("run.ckpt", "runlog.jsonl", "augmentation_audit.jsonl", "tokenizer.txt")
+_AUDIT = "augmentation_audit.jsonl"
+RUN_FILES = ("run.ckpt", "runlog.jsonl", _AUDIT, "tokenizer.txt")
 
 
 @dataclass(frozen=True)
@@ -220,11 +232,25 @@ class _TrainerState:
     audit_lines: int = 0  # lines of augmentation_audit.jsonl written so far
 
 
-def _bt_round(config, epoch: int) -> int | None:
-    """0-based BT round that ``epoch`` runs, or None if it runs none."""
+@dataclass
+class _Run:
+    """What ``run.ckpt`` saves: everything a resume needs."""
+
+    params: M.Params
+    best_params: M.Params
+    opt_state: optim.AdamWState
+    trainer: _TrainerState
+    log: RunLog
+
+
+def _epoch_budget(config, epoch: int) -> tuple[int | None, int, int]:
+    """(0-based BT round, BT sentences per language, REC sentences per
+    language) of ``epoch``: (None, 0, 0) if it runs no round."""
     if config.setting is FinetuneSetting.BASE or epoch < config.bt.start_epoch:
-        return None
-    return epoch - config.bt.start_epoch
+        return None, 0, 0
+    bt_round = epoch - config.bt.start_epoch
+    num_rec = config.rec.num_rec if config.setting is FinetuneSetting.BT_REC else 0
+    return bt_round, config.bt.num_bt_for_round(bt_round), num_rec
 
 
 def _total_steps(config, n_translation, n_mono_langs) -> int:
@@ -233,25 +259,138 @@ def _total_steps(config, n_translation, n_mono_langs) -> int:
     step_size = config.batch_size_sentences * config.accumulation_factor
     steps = 0
     for epoch in range(1, config.epochs + 1):
-        n = n_translation
-        bt_round = _bt_round(config, epoch)
-        if bt_round is not None:
-            n += config.bt.num_bt_for_round(bt_round) * n_mono_langs
-            if config.setting is FinetuneSetting.BT_REC:
-                n += config.rec.num_rec * n_mono_langs
-        steps += -(-n // step_size)
+        _, num_bt, num_rec = _epoch_budget(config, epoch)
+        steps += -(-(n_translation + (num_bt + num_rec) * n_mono_langs) // step_size)
     return steps
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    parallel: ParallelStore,
-    mono: MonoStore,
-    tokenizer,
-    checkpoint_dir=None,
-    resume=False,
-    init_params=None,
-):
+def _model_config(config, tokenizer) -> M.ModelConfig:
+    """``config.model`` with the tokenizer's vocabulary; a ConfigError for a
+    run language the tokenizer has no tag for or another nonzero vocab_size."""
+    tokenizer.require_tags(config.languages)
+    if config.model.vocab_size not in (0, tokenizer.vocab_size):
+        raise ConfigError(f"model.vocab_size {config.model.vocab_size} is not the "
+                          f"tokenizer's {tokenizer.vocab_size}; 0 takes the tokenizer's")
+    return replace(config.model, vocab_size=tokenizer.vocab_size)
+
+
+def _run_data(config, parallel: ParallelStore, mono: MonoStore, tokenizer, max_positions: int):
+    """(directions, encoded train and dev translation examples in direction
+    order, the run languages' monolingual train sentences) of a run."""
+    directions = build_directions(config.languages, config.resolved_exclusions())
+    by_direction = parallel.by_direction()
+    examples = {"train": [], "dev": []}
+    for direction in directions:
+        for pair in by_direction.get(direction, ()):
+            if pair.split in examples:
+                examples[pair.split].append(format_translation(pair))
+    train = examples["train"]
+    if not train:
+        raise ConfigError("no training pairs for the configured directions")
+    encoded = _encode_examples(tokenizer, train + examples["dev"], max_positions)
+    run_langs = set(config.languages)
+    mono = MonoStore(
+        tuple(s for s in mono.sentences if s.lang.code in run_langs and s.split == "train")
+    )
+    return directions, encoded[: len(train)], encoded[len(train) :], mono
+
+
+def _new_run(config, model_cfg, init_params, tokenizer, checkpoint_dir, **start) -> _Run:
+    """A run before its first epoch, with its ``start`` entry; makes its run
+    directory if ``checkpoint_dir`` is set."""
+    params = init_params.copy() if init_params is not None else M.init(model_cfg, config.seed)
+    run = _Run(params, params.copy(), optim.AdamWState(params), _TrainerState(),
+               RunLog(config.seed, config.config_hash()))
+    run.log.log("start", **start, tokenizer_sha256=tokenizer.hash())
+    if checkpoint_dir is not None:
+        os.makedirs(checkpoint_dir, exist_ok=True)
+        tokenizer.save(os.path.join(checkpoint_dir, "tokenizer.txt"))
+        open(os.path.join(checkpoint_dir, _AUDIT), "w", encoding="utf-8").close()
+    return run
+
+
+def _augment(config, params, tokenizer, mono: MonoStore, epoch: int):
+    """(BT and REC examples of ``epoch``, their ``bt_round`` and ``rec_round``
+    entries); none if the epoch runs no round or no language has data."""
+    bt_round, num_bt, num_rec = _epoch_budget(config, epoch)
+    n_langs = len(mono.languages())
+    if bt_round is None or n_langs == 0:
+        return [], []
+    examples = make_bt_examples(
+        params, tokenizer, mono, config.languages, config.bt,
+        rng_fork(config.seed, f"bt-round:{epoch}"),
+        exclusions=config.resolved_exclusions(), num_bt=num_bt,
+    )
+    # skipped: budgeted sentences of languages with data whose decode failed
+    entries = [dict(type="bt_round", epoch=epoch, round=bt_round, num_bt=num_bt,
+                    emitted=len(examples), skipped=num_bt * n_langs - len(examples))]
+    if num_rec:
+        rec = make_rec_examples(mono, config.rec, rng_fork(config.seed, f"rec-round:{epoch}"))
+        entries.append(dict(type="rec_round", epoch=epoch, round=bt_round, emitted=len(rec)))
+        examples += rec
+    return examples, entries
+
+
+def _epoch_order(config, epoch: int, pairs: list) -> list:
+    """The epoch's training stream: ``pairs`` shuffled from the epoch's rng stream."""
+    order = rng_fork(config.seed, f"shuffle:{epoch}").permutation(len(pairs))
+    return [pairs[i] for i in order]
+
+
+def _train_step(config, run: _Run, epoch: int, pairs: list, lr: float):
+    """One optimizer step on ``pairs``; returns its ``step`` entry and the
+    summed token loss.
+
+    The step cuts ``pairs`` into micro-batches of ``batch_size_sentences``,
+    takes the token-weighted mean of their flat gradients
+    (``Params.flat_grad``), summed in float64, and logs the mean loss, lr,
+    target tokens and ``grad_norm``, the L2 norm of that mean gradient in
+    float64.
+    """
+    loss_sum = 0.0
+    tokens = 0
+    for start in range(0, len(pairs), config.batch_size_sentences):
+        batch = _make_batch(pairs[start : start + config.batch_size_sentences])
+        run.trainer.micro_step += 1
+        drop_rng = rng_fork(config.seed, f"dropout:{run.trainer.micro_step}")
+        loss = M.loss_teacher_forcing(run.params, batch, dropout_rng=drop_rng)
+        n_tok = int(batch.tgt_mask.sum())
+        grad = run.params.flat_grad(backward(loss, list(run.params.tensors.values()))) * n_tok
+        grad_sum = grad_sum + grad if start else grad
+        loss_sum += loss.item() * n_tok
+        tokens += n_tok
+    mean_grad = grad_sum / tokens
+    optim.adamw_step(run.params, mean_grad, run.opt_state, run.trainer.opt_step + 1, lr)
+    run.trainer.opt_step += 1
+    entry = dict(type="step", step=run.trainer.opt_step, epoch=epoch, loss=loss_sum / tokens,
+                 lr=lr, tokens=tokens, grad_norm=float(np.sqrt(np.dot(mean_grad, mean_grad))))
+    return entry, loss_sum
+
+
+def _evaluate(config, run: _Run, epoch: int, dev_pairs: list) -> list[dict]:
+    """The dev evaluation due after the current step: its ``eval`` entry, then
+    ``early_stop`` if patience ran out; none if no evaluation is due."""
+    t = run.trainer
+    if not dev_pairs or t.opt_step % config.eval_every_steps:
+        return []
+    dev = _dev_loss(run.params, dev_pairs, config.batch_size_sentences)
+    improved = dev < t.best_dev
+    if improved:
+        t.best_dev = dev
+        t.evals_since_best = 0
+        run.best_params = run.params.copy()
+    else:
+        t.evals_since_best += 1
+    entries = [dict(type="eval", step=t.opt_step, epoch=epoch, dev_loss=dev, best=t.best_dev,
+                    improved=improved)]
+    if t.evals_since_best >= config.patience_evals:
+        t.stopped_early = True
+        entries.append(dict(type="early_stop", step=t.opt_step, epoch=epoch))
+    return entries
+
+
+def run_experiment(config: ExperimentConfig, parallel: ParallelStore, mono: MonoStore, tokenizer,
+                   checkpoint_dir=None, resume=False, init_params=None):
     """Train one setting end to end; returns (best Params, RunLog).
 
     ``checkpoint_dir`` enables epoch-boundary checkpoints plus a jsonl
@@ -262,214 +401,83 @@ def run_experiment(
     tokenizer's is a ConfigError, raised before any work.
 
     Translation and dev examples are encoded once, before the first epoch;
-    BT and REC examples when their round makes them. Each shuffled epoch is
-    cut into slices of ``batch_size_sentences * accumulation_factor``
-    examples, the last one possibly shorter, and each slice is one optimizer
-    step. A step cuts its slice into micro-batches of
-    ``batch_size_sentences``, takes the token-weighted mean of their flat
-    gradients (``Params.flat_grad``), summed in float64, and logs a ``step``
-    entry with the mean loss, lr, target tokens and ``grad_norm``, the L2
-    norm of that mean gradient in float64.
+    BT and REC examples when their round makes them.
     """
     if resume and checkpoint_dir is None:
         raise ConfigError("resume needs the checkpoint_dir of the run to resume")
-    tokenizer.require_tags(config.languages)
-    model_cfg = config.model
-    if model_cfg.vocab_size == 0:
-        model_cfg = replace(model_cfg, vocab_size=tokenizer.vocab_size)
-    elif model_cfg.vocab_size != tokenizer.vocab_size:
-        raise ConfigError(f"model.vocab_size {model_cfg.vocab_size} is not the "
-                          f"tokenizer's {tokenizer.vocab_size}; 0 takes the tokenizer's")
-    exclusions = config.resolved_exclusions()
-    directions = build_directions(config.languages, exclusions)
-    by_direction = parallel.by_direction()
-    train_examples = []
-    dev_examples = []
-    for direction in directions:
-        for pair in by_direction.get(direction, ()):
-            if pair.split == "train":
-                train_examples.append(format_translation(pair))
-            elif pair.split == "dev":
-                dev_examples.append(format_translation(pair))
-    if not train_examples:
-        raise ConfigError("no training pairs for the configured directions")
-    encoded = _encode_examples(tokenizer, train_examples + dev_examples, model_cfg.max_positions)
-    train_pairs, dev_pairs = encoded[: len(train_examples)], encoded[len(train_examples) :]
-
-    run_langs = set(config.languages)
-    active_mono = MonoStore(
-        tuple(s for s in mono.sentences if s.lang.code in run_langs and s.split == "train")
+    model_cfg = _model_config(config, tokenizer)
+    directions, train_pairs, dev_pairs, active_mono = _run_data(
+        config, parallel, mono, tokenizer, model_cfg.max_positions
     )
-    n_mono_langs = len(active_mono.languages())
-
-    total_steps = _total_steps(config, len(train_examples), n_mono_langs)
-    step_size = config.batch_size_sentences * config.accumulation_factor
+    total_steps = _total_steps(config, len(train_pairs), len(active_mono.languages()))
     warmup_steps = min(config.warmup_steps, total_steps)
+    step_size = config.batch_size_sentences * config.accumulation_factor
 
-    state = _TrainerState()
-    run_log = RunLog(config.seed, config.config_hash())
     if resume:
-        params, best_params, opt_state, state, run_log = _load_run(checkpoint_dir, config, tokenizer)
+        run = _load_run(checkpoint_dir, config, tokenizer)
     else:
-        params = init_params.copy() if init_params is not None else M.init(model_cfg, config.seed)
-        opt_state = optim.AdamWState(params)
-        best_params = params.copy()
-        run_log.log(
-            "start",
-            directions=[d.key for d in directions],
-            train_examples=len(train_examples),
-            dev_examples=len(dev_examples),
-            total_steps=total_steps,
-            tokenizer_sha256=tokenizer.hash(),
-        )
-
-    audit_path = None
-    if checkpoint_dir is not None:
-        audit_path = os.path.join(checkpoint_dir, "augmentation_audit.jsonl")
-        if not resume:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            tokenizer.save(os.path.join(checkpoint_dir, "tokenizer.txt"))
-            open(audit_path, "w", encoding="utf-8").close()
+        run = _new_run(config, model_cfg, init_params, tokenizer, checkpoint_dir,
+                       directions=[d.key for d in directions], train_examples=len(train_pairs),
+                       dev_examples=len(dev_pairs), total_steps=total_steps)
 
     wall_start = time.time()
-
-    for epoch in range(state.epoch_done + 1, config.epochs + 1):
-        if state.stopped_early:
+    for epoch in range(run.trainer.epoch_done + 1, config.epochs + 1):
+        if run.trainer.stopped_early:
             break
-        epoch_pairs = list(train_pairs)
-        bt_round = _bt_round(config, epoch)
-        if bt_round is not None and n_mono_langs > 0:
-            n_bt = config.bt.num_bt_for_round(bt_round)
-            synthetic = make_bt_examples(
-                params,
-                tokenizer,
-                active_mono,
-                config.languages,
-                config.bt,
-                rng_fork(config.seed, f"bt-round:{epoch}"),
-                exclusions=exclusions,
-                num_bt=n_bt,
-            )
-            run_log.log(
-                "bt_round",
-                epoch=epoch,
-                round=bt_round,
-                num_bt=n_bt,
-                emitted=len(synthetic),
-                # budgeted sentences of languages with data whose decode failed
-                skipped=n_bt * n_mono_langs - len(synthetic),
-            )
-            if config.setting is FinetuneSetting.BT_REC:
-                rec_examples = make_rec_examples(
-                    active_mono, config.rec, rng_fork(config.seed, f"rec-round:{epoch}")
-                )
-                run_log.log("rec_round", epoch=epoch, round=bt_round, emitted=len(rec_examples))
-                synthetic = synthetic + rec_examples
-            epoch_pairs += _encode_examples(tokenizer, synthetic, model_cfg.max_positions)
-            if audit_path:
-                write_audit(audit_path, synthetic, bt_round)
-                state.audit_lines += len(synthetic)
-
-        order = rng_fork(config.seed, f"shuffle:{epoch}").permutation(len(epoch_pairs))
-        epoch_pairs = [epoch_pairs[i] for i in order]
-
-        epoch_loss_sum = 0.0
-        epoch_token_sum = 0
-        for step_start in range(0, len(epoch_pairs), step_size):
-            step_pairs = epoch_pairs[step_start : step_start + step_size]
-            loss_sum = 0.0
-            tokens = 0
-            for start in range(0, len(step_pairs), config.batch_size_sentences):
-                batch = _make_batch(step_pairs[start : start + config.batch_size_sentences])
-                state.micro_step += 1
-                drop_rng = rng_fork(config.seed, f"dropout:{state.micro_step}")
-                loss = M.loss_teacher_forcing(params, batch, dropout_rng=drop_rng)
-                n_tok = int(batch.tgt_mask.sum())
-                grad = params.flat_grad(backward(loss, list(params.tensors.values()))) * n_tok
-                grad_sum = grad_sum + grad if start else grad
-                loss_sum += loss.item() * n_tok
-                tokens += n_tok
-            mean_grad = grad_sum / tokens
-            lr = optim.lr_at(warmup_steps, total_steps, config.optimizer.lr, state.opt_step)
-            optim.adamw_step(params, mean_grad, opt_state, state.opt_step + 1, lr)
-            state.opt_step += 1
-            run_log.log(
-                "step",
-                step=state.opt_step,
-                epoch=epoch,
-                loss=loss_sum / tokens,
-                lr=lr,
-                tokens=tokens,
-                grad_norm=float(np.sqrt(np.dot(mean_grad, mean_grad))),
-            )
-            epoch_loss_sum += loss_sum
-            epoch_token_sum += tokens
-            if dev_examples and state.opt_step % config.eval_every_steps == 0:
-                dev = _dev_loss(params, dev_pairs, config.batch_size_sentences)
-                improved = dev < state.best_dev
-                if improved:
-                    state.best_dev = dev
-                    state.evals_since_best = 0
-                    best_params = params.copy()
-                else:
-                    state.evals_since_best += 1
-                run_log.log(
-                    "eval",
-                    step=state.opt_step,
-                    epoch=epoch,
-                    dev_loss=dev,
-                    best=state.best_dev,
-                    improved=improved,
-                )
-                if state.evals_since_best >= config.patience_evals:
-                    state.stopped_early = True
-                    run_log.log("early_stop", step=state.opt_step, epoch=epoch)
-                    break
-
-        run_log.log(
-            "epoch",
-            epoch=epoch,
-            mean_loss=epoch_loss_sum / max(epoch_token_sum, 1),
-            examples=len(epoch_pairs),
-        )
-        state.epoch_done = epoch
+        synthetic, rounds = _augment(config, run.params, tokenizer, active_mono, epoch)
+        run.log.entries += rounds
+        if checkpoint_dir is not None and rounds:
+            write_audit(os.path.join(checkpoint_dir, _AUDIT), synthetic, rounds[0]["round"])
+            run.trainer.audit_lines += len(synthetic)
+        synthetic_pairs = _encode_examples(tokenizer, synthetic, model_cfg.max_positions)
+        epoch_pairs = _epoch_order(config, epoch, train_pairs + synthetic_pairs)
+        loss_sum, tokens = 0.0, 0
+        for start in range(0, len(epoch_pairs), step_size):
+            lr = optim.lr_at(warmup_steps, total_steps, config.optimizer.lr, run.trainer.opt_step)
+            step_pairs = epoch_pairs[start : start + step_size]
+            step, step_loss = _train_step(config, run, epoch, step_pairs, lr)
+            run.log.entries.append(step)
+            loss_sum += step_loss
+            tokens += step["tokens"]
+            run.log.entries += _evaluate(config, run, epoch, dev_pairs)
+            if run.trainer.stopped_early:
+                break
+        run.log.log("epoch", epoch=epoch, mean_loss=loss_sum / max(tokens, 1),
+                    examples=len(epoch_pairs))
+        run.trainer.epoch_done = epoch
         if checkpoint_dir is not None:
-            _save_run(checkpoint_dir, config, params, best_params, opt_state, state, run_log, tokenizer)
+            _save_run(checkpoint_dir, config, run, tokenizer)
 
-    final = best_params if np.isfinite(state.best_dev) else params
-    run_log.log(
-        "finish",
-        epochs=state.epoch_done,
-        steps=state.opt_step,
-        best_dev=None if not np.isfinite(state.best_dev) else state.best_dev,
-        stopped_early=state.stopped_early,
-        wall_seconds=round(time.time() - wall_start, 3),
-    )
+    evaluated = np.isfinite(run.trainer.best_dev)
+    run.log.log("finish", epochs=run.trainer.epoch_done, steps=run.trainer.opt_step,
+                best_dev=run.trainer.best_dev if evaluated else None,
+                stopped_early=run.trainer.stopped_early,
+                wall_seconds=round(time.time() - wall_start, 3))
     if checkpoint_dir is not None:
-        run_log.save(os.path.join(checkpoint_dir, "runlog.jsonl"))
-    return final, run_log
+        run.log.save(os.path.join(checkpoint_dir, "runlog.jsonl"))
+    return (run.best_params if evaluated else run.params), run.log
 
 
-def _save_run(directory, config, params, best_params, opt_state, state, run_log, tokenizer):
+def _save_run(directory, config, run: _Run, tokenizer):
     sections = {
-        "params": {k: t.data for k, t in params.tensors.items()},
-        "best": {k: t.data for k, t in best_params.tensors.items()},
-        "adam_m": params.views(opt_state.m_flat),
-        "adam_v": params.views(opt_state.v_flat),
+        "params": {k: t.data for k, t in run.params.tensors.items()},
+        "best": {k: t.data for k, t in run.best_params.tensors.items()},
+        "adam_m": run.params.views(run.opt_state.m_flat),
+        "adam_v": run.params.views(run.opt_state.v_flat),
     }
     arrays = {f"{s}/{k}": v for s, tensors in sections.items() for k, v in tensors.items()}
     meta = {
-        "config": asdict(params.config),
+        "config": asdict(run.params.config),
         "experiment": _config_dict(config),
-        "trainer": asdict(state),
+        "trainer": asdict(run.trainer),
         "tokenizer_sha256": tokenizer.hash(),
-        "run_log": run_log.entries,
+        "run_log": run.log.entries,
     }
     ckpt.save_arrays(os.path.join(directory, "run.ckpt"), arrays, meta)
-    run_log.save(os.path.join(directory, "runlog.jsonl"))
+    run.log.save(os.path.join(directory, "runlog.jsonl"))
 
 
-def _load_run(directory, config, tokenizer):
+def _load_run(directory, config, tokenizer) -> _Run:
     path = os.path.join(directory, "run.ckpt")
     arrays, meta = ckpt.load_arrays(path)
     live = json.loads(json.dumps(_config_dict(config)))  # tuples -> lists
@@ -479,7 +487,6 @@ def _load_run(directory, config, tokenizer):
     if meta.get("tokenizer_sha256") != tokenizer.hash():
         raise CheckpointError("resume tokenizer does not match the checkpointed tokenizer")
     params = _section(path, arrays, meta, "params")
-    best_params = _section(path, arrays, meta, "best")
     # the moment sections are stored in the params section's order, so their flat layouts match
     opt_state = optim.AdamWState(params)
     opt_state.m_flat[...] = _section(path, arrays, meta, "adam_m").flat
@@ -488,9 +495,10 @@ def _load_run(directory, config, tokenizer):
     run_log.entries = meta["run_log"]
     trainer = dict(meta["trainer"])
     trainer.pop("bt_rounds_done", None)  # kept by earlier versions; the epoch fixes the round
-    state = _TrainerState(**trainer)
-    _trim_audit(os.path.join(directory, "augmentation_audit.jsonl"), state.audit_lines)
-    return params, best_params, opt_state, state, run_log
+    run = _Run(params, _section(path, arrays, meta, "best"), opt_state, _TrainerState(**trainer),
+               run_log)
+    _trim_audit(os.path.join(directory, _AUDIT), run.trainer.audit_lines)
+    return run
 
 
 def _section(path, arrays, meta, name):

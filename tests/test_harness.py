@@ -365,9 +365,9 @@ def _stop_after_epoch(k, *args, **kwargs):
     """Run ``run_experiment`` until epoch ``k``'s checkpoint is written, then stop it there."""
     save_run = harness._save_run
 
-    def save_then_stop(directory, config, params, best, opt_state, state, *rest):
-        save_run(directory, config, params, best, opt_state, state, *rest)
-        if state.epoch_done >= k:
+    def save_then_stop(directory, config, run, tokenizer):
+        save_run(directory, config, run, tokenizer)
+        if run.trainer.epoch_done >= k:
             raise _Stop
 
     with pytest.MonkeyPatch.context() as m:
