@@ -95,7 +95,10 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise CheckpointError(f"{path}: missing header separator")
-    header = raw[:sep].decode("utf-8").splitlines()
+    try:
+        header = raw[:sep].decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: header is not UTF-8") from None
     data = memoryview(raw)[sep + 2 :]
     if not header or header[0] != _MAGIC:
         raise CheckpointError(f"{path}: bad magic line {header[:1]!r}")

@@ -204,10 +204,10 @@ def cmd_translate(args):
     if lines[-1] == "":
         lines.pop()  # a final newline ends the last line; it starts no new one
     # Blank lines are not decoded; they stay blank so output line N matches input line N.
-    # The others are normalized as the corpus loaders normalize training text.
+    # ``tokenizer.encode`` normalizes the others as the corpus loaders normalize training text.
     nonblank = [i for i, line in enumerate(lines) if line.strip()]
     tag = corpus.LangTag(args.target_lang).surface
-    inputs = [f"{tag} {corpus.normalize_text(lines[i])}" for i in nonblank]
+    inputs = [f"{tag} {lines[i]}" for i in nonblank]
     results = decoding.generate_batch(params, tokenizer, inputs, config, seed=args.seed)
     outputs = [""] * len(lines)
     for i, r in zip(nonblank, results):

@@ -1,8 +1,9 @@
 """Parallel and monolingual corpus handling: load, clean, split, report.
 
 All operations are pure: they return new stores and leave their inputs
-untouched. Text is normalized on the way in (NFC, trimmed, internal
-whitespace collapsed) and files must be valid UTF-8.
+untouched. Text is normalized on the way in by ``tokenizer.normalize``, the
+one normalizer (NFC, trimmed, internal whitespace collapsed), and files
+must be valid UTF-8.
 """
 
 from __future__ import annotations
@@ -10,22 +11,16 @@ from __future__ import annotations
 import json
 import os
 import re
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import EmptyCorpusError, FormatError, SplitError
 from .numerics import rng_fork
+from .tokenizer import normalize
 
-_WS_RE = re.compile(r"\s+")
 _CODE_RE = re.compile(r"^[a-z][a-z0-9]{2}$")
 
 SPLITS = ("train", "dev", "test")
-
-
-def normalize_text(text: str) -> str:
-    """NFC, trim, collapse internal whitespace runs to single spaces."""
-    return _WS_RE.sub(" ", unicodedata.normalize("NFC", text).strip())
 
 
 @dataclass(frozen=True, order=True)
@@ -220,7 +215,7 @@ def load_parallel(path, direction: Direction, fmt: str = "tsv2") -> ParallelStor
                 malformed += 1
                 continue
             src, tgt, domain = obj["src"], obj["tgt"], str(obj.get("domain", ""))
-        src, tgt = normalize_text(src), normalize_text(tgt)
+        src, tgt = normalize(src), normalize(tgt)
         if not src or not tgt:
             malformed += 1
             continue
@@ -234,7 +229,7 @@ def load_mono(path, lang: LangTag) -> MonoStore:
     """Load monolingual text, one sentence per line."""
     sentences = []
     for line in _read_lines(path):
-        text = normalize_text(line)
+        text = normalize(line)
         if text:
             sentences.append(MonoSentence(lang, text))
     if not sentences:
@@ -258,59 +253,33 @@ def clean(store, config: CleaningConfig = CleaningConfig()):
     direction (or language, for monolingual stores).
     """
     if isinstance(store, ParallelStore):
-        return _clean_parallel(store, config)
-    if isinstance(store, MonoStore):
-        return _clean_mono(store, config)
-    raise FormatError(f"clean expects a store, got {type(store).__name__}")
-
-
-def _clean_parallel(store: ParallelStore, config: CleaningConfig):
-    report = CleanReport(input_count=len(store.pairs))
-    seen: set[tuple[str, str, str]] = set()
-    kept: list[ParallelPair] = []
-    for pair in store.pairs:
-        src = normalize_text(pair.src_text)
-        tgt = normalize_text(pair.tgt_text)
-        ns, nt = _token_count(src), _token_count(tgt)
-        if ns > config.max_len or nt > config.max_len:
+        name, fields, group = "pairs", ("src_text", "tgt_text"), lambda p: p.direction.key
+    elif isinstance(store, MonoStore):
+        name, fields, group = "sentences", ("text",), lambda s: s.lang.code
+    else:
+        raise FormatError(f"clean expects a store, got {type(store).__name__}")
+    records = getattr(store, name)
+    report = CleanReport(input_count=len(records))
+    seen: set[tuple[str, ...]] = set()
+    kept = []
+    for record in records:
+        texts = {f: normalize(getattr(record, f)) for f in fields}
+        lengths = [_token_count(t) for t in texts.values()]
+        if max(lengths) > config.max_len:
             report.dropped_too_long += 1
             continue
-        if ns < config.min_len or nt < config.min_len:
+        if min(lengths) < config.min_len:
             report.dropped_too_short += 1
             continue
         if config.dedup:
-            key = (pair.direction.key, src, tgt)
+            key = (group(record), *texts.values())
             if key in seen:
                 report.dropped_duplicate += 1
                 continue
             seen.add(key)
-        kept.append(replace(pair, src_text=src, tgt_text=tgt))
+        kept.append(replace(record, **texts))
     report.kept = len(kept)
-    return ParallelStore(tuple(kept), store.malformed), report
-
-
-def _clean_mono(store: MonoStore, config: CleaningConfig):
-    report = CleanReport(input_count=len(store.sentences))
-    seen: set[tuple[str, str]] = set()
-    kept: list[MonoSentence] = []
-    for sent in store.sentences:
-        text = normalize_text(sent.text)
-        n = _token_count(text)
-        if n > config.max_len:
-            report.dropped_too_long += 1
-            continue
-        if n < config.min_len:
-            report.dropped_too_short += 1
-            continue
-        if config.dedup:
-            key = (sent.lang.code, text)
-            if key in seen:
-                report.dropped_duplicate += 1
-                continue
-            seen.add(key)
-        kept.append(replace(sent, text=text))
-    report.kept = len(kept)
-    return MonoStore(tuple(kept)), report
+    return replace(store, **{name: tuple(kept)}), report
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +433,13 @@ def save_stores(directory, parallel: ParallelStore, mono: MonoStore) -> None:
             )
 
 
-def _load_records(path, make) -> tuple:
+def _load_records(path, keys, make) -> tuple:
     """``make(record)`` for each record of a jsonl file; () if it is absent.
 
-    A line that is not JSON, or a record that lacks a key, is a
-    FormatError naming the file and line.
+    A line that is not JSON, or a record that is not an object, lacks a
+    key, holds a non-string value under one of ``keys``, has a split outside
+    ``SPLITS`` or a malformed direction or language code, is a FormatError
+    naming the file and line.
     """
     if not os.path.exists(path):
         return ()
@@ -476,18 +447,31 @@ def _load_records(path, make) -> tuple:
     for lineno, line in enumerate(_read_lines(path), 1):
         if not line.strip():
             continue
+        where = f"{path} line {lineno}"
         try:
-            out.append(make(json.loads(line)))
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"{path} line {lineno}: invalid JSON: {exc}") from None
+            raise FormatError(f"{where}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise FormatError(f"{where}: record is not a JSON object")
+        for key in keys:
+            if key in obj and not isinstance(obj[key], str):
+                raise FormatError(f"{where}: {key} is {obj[key]!r}, not a string")
+        if obj.get("split", "train") not in SPLITS:
+            raise FormatError(f"{where}: split {obj['split']!r} is not one of {SPLITS}")
+        try:
+            out.append(make(obj))
         except KeyError as exc:
-            raise FormatError(f"{path} line {lineno}: record has no {exc} key") from None
+            raise FormatError(f"{where}: record has no {exc} key") from None
+        except FormatError as exc:
+            raise FormatError(f"{where}: {exc}") from None
     return tuple(out)
 
 
 def load_stores(directory) -> tuple[ParallelStore, MonoStore]:
     pairs = _load_records(
         os.path.join(directory, "parallel.jsonl"),
+        ("direction", "src", "tgt", "domain", "split"),
         lambda obj: ParallelPair(
             Direction.parse(obj["direction"]),
             obj["src"],
@@ -498,6 +482,7 @@ def load_stores(directory) -> tuple[ParallelStore, MonoStore]:
     )
     sentences = _load_records(
         os.path.join(directory, "mono.jsonl"),
+        ("lang", "text", "domain", "split"),
         lambda obj: MonoSentence(
             LangTag(obj["lang"]), obj["text"], obj.get("domain", ""), obj.get("split", "train")
         ),

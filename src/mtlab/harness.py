@@ -1,29 +1,27 @@
 """Experiment orchestration: curricula, early stopping, checkpoints.
 
-One coordinating thread runs the epoch loop. Each epoch runs these phases
-in order, and the run log records what each returns:
+One coordinating thread runs the epoch loop. Each epoch runs four phases,
+and the run log records what each returns:
 
 - ``_augment``: from the configured start epoch, BT settings run one
-  backtranslation round (a ``bt_round`` entry; num_bt follows the decay
-  list across rounds) and BT&REC also one reconstruction round (a
-  ``rec_round`` entry), each over every run language with monolingual
-  training data. ``_epoch_budget`` fixes each epoch's round and budgets,
-  for the rounds and for the lr schedule alike.
+  backtranslation round (``bt_round``) and BT&REC also one reconstruction
+  round (``rec_round``), each over every run language with monolingual
+  training data. ``_epoch_budget`` fixes each epoch's round and budgets
+  (num_bt follows the decay list across rounds), for the rounds and the lr
+  schedule alike.
 - ``_epoch_order``: the translation and synthetic examples shuffled
   uniformly into the epoch's training stream.
-- ``_train_step``: one optimizer step on the next slice of
-  ``batch_size_sentences * accumulation_factor`` examples of the stream
-  (a ``step`` entry).
-- ``_evaluate``: dev loss every ``eval_every_steps`` optimizer steps (an
-  ``eval`` entry); after ``patience_evals`` non-improving evals training
-  stops early (an ``early_stop`` entry).
+- ``_train_step``: one optimizer step (``step``) on the next slice of
+  ``batch_size_sentences * accumulation_factor`` examples of the stream.
+- ``_evaluate``: dev loss every ``eval_every_steps`` optimizer steps
+  (``eval``); after ``patience_evals`` non-improving evals training stops
+  early (``early_stop``).
 
-The epoch then logs an ``epoch`` entry and writes its checkpoint; the run
-begins with a ``start`` entry and ends with a ``finish`` entry. The lr
-schedule's length is the number of step slices the epochs hold, counted
-before the first epoch; only a failed BT decode or an early stop ends a
-run sooner. The run returns the best-dev parameters once an evaluation has
-run.
+Each epoch ends with an ``epoch`` entry and its checkpoint; a run begins
+with ``start`` and ends with ``finish``. The lr schedule's length is the
+number of step slices the epochs hold, counted before the first epoch;
+only a failed BT decode or an early stop ends a run sooner. The run
+returns the best-dev parameters once an evaluation has run.
 
 All randomness is derived from ``(seed, epoch or counter)`` streams, so a
 run resumed from an epoch checkpoint reproduces the uninterrupted run's
@@ -316,11 +314,9 @@ def _augment(config, params, tokenizer, mono: MonoStore, epoch: int):
     n_langs = len(mono.languages())
     if bt_round is None or n_langs == 0:
         return [], []
-    examples = make_bt_examples(
-        params, tokenizer, mono, config.languages, config.bt,
-        rng_fork(config.seed, f"bt-round:{epoch}"),
-        exclusions=config.resolved_exclusions(), num_bt=num_bt,
-    )
+    examples = make_bt_examples(params, tokenizer, mono, config.languages, config.bt,
+                                rng_fork(config.seed, f"bt-round:{epoch}"),
+                                exclusions=config.resolved_exclusions(), num_bt=num_bt)
     # skipped: budgeted sentences of languages with data whose decode failed
     entries = [dict(type="bt_round", epoch=epoch, round=bt_round, num_bt=num_bt,
                     emitted=len(examples), skipped=num_bt * n_langs - len(examples))]

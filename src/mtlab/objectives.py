@@ -195,20 +195,21 @@ def make_bt_examples(
 
     ``langs`` are the run's languages. For each language m among them
     with monolingual data, ``num_bt`` sentences are sampled with
-    replacement; each picks a uniform pivot s among m's non-excluded
-    partners in ``langs`` (with or without monolingual data), gets
-    ``num_sample`` translations of '<s> y' sampled at temperature 1, and
-    one candidate chosen uniformly becomes the synthetic source. The whole
-    round is one decoding call; each sample draws from its own rng stream,
-    and each sentence's pivot and candidate pick from another. A sentence
-    with a failed decode (e.g. longer than max_positions) is skipped with a
-    warning, so a round may emit fewer than its budget.
+    replacement; each picks a uniform pivot s among the targets of m's
+    directions in ``build_directions(langs, exclusions)`` (with or without
+    monolingual data), gets ``num_sample`` translations of '<s> y' sampled
+    at temperature 1, and one candidate chosen uniformly becomes the
+    synthetic source. The whole round is one decoding call; each sample
+    draws from its own rng stream, and each sentence's pivot and candidate
+    pick from another. A sentence with a failed decode (e.g. longer than
+    max_positions) is skipped with a warning, so a round may emit fewer
+    than its budget.
 
     ``generate_fn(input_texts, rngs) -> list[str | None]`` overrides model
     decoding; None marks a failed decode.
     """
     langs = sorted(l if isinstance(l, LangTag) else LangTag(l) for l in langs)
-    excluded = {frozenset((LangTag(str(a)), LangTag(str(b)))) for a, b in exclusions}
+    directions = build_directions(langs, exclusions)
     budget = bt_config.num_bt if num_bt is None else num_bt
     by_lang = mono_store.by_lang()
 
@@ -228,7 +229,7 @@ def make_bt_examples(
         sentences = by_lang.get(lang, ())
         if not sentences:
             continue
-        pivots = [s for s in langs if s != lang and frozenset((s, lang)) not in excluded]
+        pivots = [d.tgt for d in directions if d.src == lang]
         if not pivots:
             raise ConfigError(f"no eligible pivot language for {lang}")
         pick_rng = rng_fork(base_seed, f"bt-pick:{lang.code}")

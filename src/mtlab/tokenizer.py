@@ -58,8 +58,10 @@ _CHAR_TO_BYTE = {c: b for b, c in _BYTE_TO_CHAR.items()}
 
 
 def normalize(text: str) -> str:
-    """NFC-normalize and trim; the tokenizer sees only normalized text."""
-    return unicodedata.normalize("NFC", text).strip()
+    """NFC-normalize, trim and collapse internal whitespace runs to single
+    spaces; the tokenizer sees only normalized text, and the corpus loaders
+    store it."""
+    return " ".join(unicodedata.normalize("NFC", text).split())
 
 
 def _to_visible(chunk: str) -> str:

@@ -59,6 +59,14 @@ def test_corruption_detected(tmp_path):
         ckpt.load_arrays(path)
 
 
+def test_undecodable_header_refused(tmp_path):
+    path = tmp_path / "x.ckpt"
+    ckpt.save_arrays(path, {"w": np.arange(4.0)})
+    path.write_bytes(b"\xff" + path.read_bytes()[1:])
+    with pytest.raises(CheckpointError, match="not UTF-8"):
+        ckpt.load_arrays(path)
+
+
 def test_zero_dim_array_round_trips_its_shape(tmp_path):
     path = tmp_path / "x.ckpt"
     ckpt.save_arrays(path, {"s": np.array(2.5), "v": np.array([1.0])})

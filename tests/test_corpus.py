@@ -17,7 +17,6 @@ from mtlab.corpus import (
     load_mono,
     load_parallel,
     load_stores,
-    normalize_text,
     save_stores,
     split,
     stats,
@@ -272,8 +271,12 @@ class TestStoreRoundTrip:
 
     @pytest.mark.parametrize(
         "bad_line",
-        ['{"direction": "fra-eng", "src": "a', '{"direction": "fra-eng", "src": "a"}'],
-        ids=["truncated_json", "missing_key"],
+        ['{"direction": "fra-eng", "src": "a', '{"direction": "fra-eng", "src": "a"}', "[1, 2]",
+         '{"direction": "fra-eng", "src": "a", "tgt": null}',
+         '{"direction": "fra-eng", "src": "a", "tgt": "b", "split": "Train"}',
+         '{"direction": "fraeng", "src": "a", "tgt": "b"}'],
+        ids=["truncated_json", "missing_key", "not_an_object", "null_text", "unknown_split",
+             "bad_direction"],
     )
     def test_bad_record_names_file_and_line(self, tmp_path, bad_line):
         save_stores(tmp_path, _bulk_store(3), MonoStore(()))
@@ -282,7 +285,3 @@ class TestStoreRoundTrip:
         path.write_text("\n".join(lines[:2] + [bad_line]) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match="parallel.jsonl line 3"):
             load_stores(tmp_path)
-
-
-def test_normalize_text():
-    assert normalize_text("  a\t b  c ") == "a b c"

@@ -191,6 +191,30 @@ class TestRunExperiment:
         assert len(steps) == log.entries_of("start")[0]["total_steps"] == 7
         assert steps[-1]["lr"] > 0
 
+    def test_schedule_counts_bt_rec_rounds_with_decay(self, small_world):
+        # BT&REC from epoch 2 with a decay list; sy3 has no monolingual data, so each
+        # round covers sy1 and sy2 only, and the lr schedule must count just those
+        _, parallel, mono, tokenizer = small_world
+        no_sy3 = MonoStore(tuple(s for s in mono.sentences if s.lang.code != "sy3"))
+        config = _config(
+            FinetuneSetting.BT_REC, epochs=4, batch_size_sentences=8, accumulation_factor=2,
+            eval_every_steps=1000, rec=RECConfig(num_rec=5),
+            bt=BTConfig(num_bt=99, num_bt_decay=(6, 3), num_sample=1, start_epoch=2),
+        )
+        _, log = run_experiment(config, parallel, no_sy3, tokenizer)
+        rounds = log.entries_of("bt_round")
+        assert [(r["epoch"], r["round"], r["num_bt"]) for r in rounds] == [
+            (2, 0, 6), (3, 1, 3), (4, 2, 3)
+        ]
+        assert [(r["emitted"], r["skipped"]) for r in rounds] == [(12, 0), (6, 0), (6, 0)]
+        assert [r["emitted"] for r in log.entries_of("rec_round")] == [10, 10, 10]
+        n = log.entries_of("start")[0]["train_examples"]
+        sizes = [n, n + 2 * (6 + 5), n + 2 * (3 + 5), n + 2 * (3 + 5)]
+        assert [e["examples"] for e in log.entries_of("epoch")] == sizes
+        steps = log.entries_of("step")
+        assert len(steps) == log.entries_of("start")[0]["total_steps"]
+        assert len(steps) == sum(-(-k // 16) for k in sizes)
+
     def test_ragged_last_step_takes_the_rest_of_the_epoch(self, small_world):
         # 16 pairs, batch 5 accumulated 2: a step of 10 sentences, then one of 6
         _, parallel, mono, tokenizer = small_world

@@ -124,6 +124,11 @@ class TestEncodeDecode:
         assert tiny_tokenizer.encode_pieces("") == []
 
 
+def test_normalize_text():
+    assert normalize("  a\t b\xa0 c ") == "a b c"
+    assert normalize("e\u0301  x") == "\u00e9 x"
+
+
 class TestPersistence:
     def test_save_load_byte_exact(self, tiny_tokenizer, tmp_path):
         path = tmp_path / "tok.txt"
