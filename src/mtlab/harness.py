@@ -339,9 +339,9 @@ def _train_step(config, run: _Run, epoch: int, pairs: list, lr: float):
 
     The step cuts ``pairs`` into micro-batches of ``batch_size_sentences``,
     takes the token-weighted mean of their flat gradients
-    (``Params.flat_grad``), summed in float64, and logs the mean loss, lr,
-    target tokens and ``grad_norm``, the L2 norm of that mean gradient in
-    float64.
+    (``Params.flat_grad``), summed in float64. Its entry holds the mean
+    loss, lr, target tokens and ``grad_norm``, the L2 norm of that mean
+    gradient in float64.
     """
     loss_sum = 0.0
     tokens = 0
