@@ -138,8 +138,11 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
 def drop_retired(saved: dict, retired: dict, what: str) -> dict:
     """``saved`` without its ``retired`` keys, each at the one value it may hold.
 
-    A dict value in ``retired`` lists a nested section's retired keys.
+    A dict value in ``retired`` lists a nested section's retired keys. A
+    ``saved`` or nested section that is not a dict is a CheckpointError.
     """
+    if not isinstance(saved, dict):
+        raise CheckpointError(f"saved {what} is {type(saved).__name__}, not an object")
     out = dict(saved)
     for key, value in retired.items():
         if key not in out:

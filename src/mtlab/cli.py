@@ -4,10 +4,12 @@ Commands: data prepare|stats|split, tokenizer train, train, translate,
 evaluate, synth generate, compare, report. The commands that draw random
 numbers (data split, translate, synth generate, train, compare) seed them
 all from --seed (default 13); every command writes a manifest next to its
-outputs. train and compare take their experiment config from --preset,
---config and repeated --set KEY=VALUE (see ``config``) and check it before
-any store loads. Exit codes: 0 success, 2 usage/config error, 1 runtime failure
-(with a one-line ``error <ErrorClass>: <message>`` on stderr).
+outputs: ``manifest.json`` in an output directory, ``<file>.manifest.json``
+beside a single output file (tokenizer train, translate). train and compare
+take their experiment config from --preset, --config and repeated --set
+KEY=VALUE (see ``config``) and check it before any store loads. Exit
+codes: 0 success, 2 usage/config error, 1 runtime failure (with a one-line
+``error <ErrorClass>: <message>`` on stderr).
 """
 
 from __future__ import annotations
@@ -74,13 +76,12 @@ def cmd_data_prepare(args):
         raise ConfigError("nothing to prepare: pass --parallel and/or --mono")
     parallel, p_report = corpus.clean(parallel, cleaning)
     mono, m_report = corpus.clean(mono, cleaning)
-    os.makedirs(args.out, exist_ok=True)
     corpus.save_stores(args.out, parallel, mono)
     with open(os.path.join(args.out, "clean_report.csv"), "w", encoding="utf-8") as f:
         f.write("store,reason,count\n")
         for name, rep in (("parallel", p_report), ("mono", m_report)):
-            for line in rep.to_csv().splitlines()[1:]:
-                f.write(f"{name},{line}\n")
+            for reason, count in rep.rows():
+                f.write(f"{name},{reason},{count}\n")
     print(f"parallel: kept {p_report.kept} of {p_report.input_count} "
           f"(malformed lines: {parallel.malformed})")
     print(f"mono:     kept {m_report.kept} of {m_report.input_count}")
@@ -115,7 +116,6 @@ def cmd_data_split(args):
         stratify_by_domain=not args.no_stratify,
     )
     parallel = corpus.split(parallel, spec)
-    os.makedirs(args.out, exist_ok=True)
     corpus.save_stores(args.out, parallel, mono)
     counts = {s: sum(1 for p in parallel.pairs if p.split == s) for s in corpus.SPLITS}
     print(" ".join(f"{k}={v}" for k, v in counts.items()))
@@ -146,8 +146,7 @@ def cmd_tokenizer_train(args):
     model.save(args.out)
     print(f"vocab {model.vocab_size} ({len(model.merges)} merges), sha256 {model.hash()[:16]}")
     reports.write_manifest(
-        os.path.dirname(os.path.abspath(args.out)) or ".",
-        "tokenizer train", None,
+        args.out, "tokenizer train", None,
         {"vocab_size": args.vocab_size, "langs": langs},
         outputs=[args.out],
     )
@@ -222,8 +221,7 @@ def cmd_translate(args):
         f"{truncated} truncated -> {args.output}"
     )
     reports.write_manifest(
-        os.path.dirname(os.path.abspath(args.output)) or ".",
-        "translate", args.seed,
+        args.output, "translate", args.seed,
         {"mode": args.mode, "target_lang": args.target_lang},
         inputs=[args.input, params_path], outputs=[args.output],
     )
@@ -238,7 +236,7 @@ def cmd_evaluate(args):
     report = metrics.evaluate_direction(params, tokenizer, list(store.pairs))
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as f:
-        f.write(report.to_json() + "\n")
+        f.write(json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
     with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as f:
         f.write(metrics.report_csv([report]))
     print(
@@ -303,7 +301,6 @@ def cmd_synth_generate(args):
         n_dev_per_direction=args.dev,
         n_test_per_direction=args.test,
     )
-    os.makedirs(args.out, exist_ok=True)
     corpus.save_stores(args.out, parallel, mono)
     synth.save_specs(os.path.join(args.out, "synth_specs.json"), specs)
     print(
@@ -346,19 +343,16 @@ def cmd_report(args):
     os.makedirs(args.out, exist_ok=True)
     text = table.to_text()
     print(text)
-    with open(os.path.join(args.out, "comparison.txt"), "w", encoding="utf-8") as f:
-        f.write(text + "\n")
-    svg = reports.bar_chart_svg(table.directions, table.settings, table.score)
-    with open(os.path.join(args.out, "comparison.svg"), "w", encoding="utf-8") as f:
-        f.write(svg)
-    with open(os.path.join(args.out, "comparison.csv"), "w", encoding="utf-8") as f:
-        f.write(table.to_csv())
-    reports.write_manifest(
-        args.out, "report", None, {},
-        inputs=[args.comparison],
-        outputs=[os.path.join(args.out, n)
-                 for n in ("comparison.txt", "comparison.svg", "comparison.csv")],
-    )
+    files = {
+        "comparison.txt": text + "\n",
+        "comparison.svg": reports.bar_chart_svg(table.directions, table.settings, table.score),
+        "comparison.csv": table.to_csv(),
+    }
+    for name, content in files.items():
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as f:
+            f.write(content)
+    reports.write_manifest(args.out, "report", None, {}, inputs=[args.comparison],
+                           outputs=[os.path.join(args.out, n) for n in files])
     return 0
 
 

@@ -161,15 +161,11 @@ class CleanReport:
     dropped_too_short: int = 0
     dropped_duplicate: int = 0
 
-    def to_csv(self) -> str:
-        return (
-            "reason,count\n"
-            f"input,{self.input_count}\n"
-            f"kept,{self.kept}\n"
-            f"too_long,{self.dropped_too_long}\n"
-            f"too_short,{self.dropped_too_short}\n"
-            f"duplicate,{self.dropped_duplicate}\n"
-        )
+    def rows(self) -> list[tuple[str, int]]:
+        """(reason, count) rows: the input count, the kept count, then each drop reason."""
+        return [("input", self.input_count), ("kept", self.kept),
+                ("too_long", self.dropped_too_long), ("too_short", self.dropped_too_short),
+                ("duplicate", self.dropped_duplicate)]
 
 
 # ---------------------------------------------------------------------------
@@ -405,41 +401,25 @@ STORE_FILES = ("parallel.jsonl", "mono.jsonl")
 
 def save_stores(directory, parallel: ParallelStore, mono: MonoStore) -> None:
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "parallel.jsonl"), "w", encoding="utf-8") as f:
-        for p in parallel.pairs:
-            f.write(
-                json.dumps(
-                    {
-                        "direction": p.direction.key,
-                        "src": p.src_text,
-                        "tgt": p.tgt_text,
-                        "domain": p.domain,
-                        "split": p.split,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    with open(os.path.join(directory, "mono.jsonl"), "w", encoding="utf-8") as f:
-        for s in mono.sentences:
-            f.write(
-                json.dumps(
-                    {"lang": s.lang.code, "text": s.text, "domain": s.domain, "split": s.split},
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    records = (
+        [{"direction": p.direction.key, "src": p.src_text, "tgt": p.tgt_text,
+          "domain": p.domain, "split": p.split} for p in parallel.pairs],
+        [{"lang": s.lang.code, "text": s.text, "domain": s.domain, "split": s.split}
+         for s in mono.sentences],
+    )
+    for name, objs in zip(STORE_FILES, records):
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as f:
+            for obj in objs:
+                f.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def _load_records(path, keys, make) -> tuple:
     """``make(record)`` for each record of a jsonl file; () if it is absent.
 
     A line that is not JSON, or a record that is not an object, lacks a
-    key, holds a non-string value under one of ``keys``, has a split outside
-    ``SPLITS`` or a malformed direction or language code, is a FormatError
-    naming the file and line.
+    key, holds a non-string value under one of ``keys`` or an empty or
+    all-whitespace text, has a split outside ``SPLITS`` or a malformed
+    direction or language code, is a FormatError naming the file and line.
     """
     if not os.path.exists(path):
         return ()
@@ -457,6 +437,8 @@ def _load_records(path, keys, make) -> tuple:
         for key in keys:
             if key in obj and not isinstance(obj[key], str):
                 raise FormatError(f"{where}: {key} is {obj[key]!r}, not a string")
+            if key in ("src", "tgt", "text") and key in obj and not obj[key].strip():
+                raise FormatError(f"{where}: {key} is empty")
         if obj.get("split", "train") not in SPLITS:
             raise FormatError(f"{where}: split {obj['split']!r} is not one of {SPLITS}")
         try:

@@ -173,15 +173,13 @@ class RunLog:
     def entries_of(self, kind: str) -> list[dict]:
         return [e for e in self.entries if e["type"] == kind]
 
-    def to_jsonl(self) -> str:
-        head = {"type": "meta", "seed": self.seed, "config_hash": self.config_hash}
-        lines = [json.dumps(head, sort_keys=True)]
-        lines += [json.dumps(e, sort_keys=True, ensure_ascii=False) for e in self.entries]
-        return "\n".join(lines) + "\n"
-
     def save(self, path) -> None:
+        """Write a ``meta`` line, then one line per entry."""
+        head = {"type": "meta", "seed": self.seed, "config_hash": self.config_hash}
         with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_jsonl())
+            f.write(json.dumps(head, sort_keys=True) + "\n")
+            for e in self.entries:
+                f.write(json.dumps(e, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _encode_examples(tokenizer, examples: list[TaggedExample], max_positions: int):
@@ -315,13 +313,13 @@ def _augment(config, params, tokenizer, mono: MonoStore, epoch: int):
     if bt_round is None or n_langs == 0:
         return [], []
     examples = make_bt_examples(params, tokenizer, mono, config.languages, config.bt,
-                                rng_fork(config.seed, f"bt-round:{epoch}"),
-                                exclusions=config.resolved_exclusions(), num_bt=num_bt)
+                                rng_fork(config.seed, f"bt-round:{epoch}"), num_bt,
+                                exclusions=config.resolved_exclusions())
     # skipped: budgeted sentences of languages with data whose decode failed
     entries = [dict(type="bt_round", epoch=epoch, round=bt_round, num_bt=num_bt,
                     emitted=len(examples), skipped=num_bt * n_langs - len(examples))]
     if num_rec:
-        rec = make_rec_examples(mono, config.rec, rng_fork(config.seed, f"rec-round:{epoch}"))
+        rec = make_rec_examples(mono, num_rec, rng_fork(config.seed, f"rec-round:{epoch}"))
         entries.append(dict(type="rec_round", epoch=epoch, round=bt_round, emitted=len(rec)))
         examples += rec
     return examples, entries
@@ -487,11 +485,12 @@ def _load_run(directory, config, tokenizer) -> _Run:
     opt_state = optim.AdamWState(params)
     opt_state.m_flat[...] = _section(path, arrays, meta, "adam_m").flat
     opt_state.v_flat[...] = _section(path, arrays, meta, "adam_v").flat
+    entries = meta.get("run_log")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise CheckpointError(f"{path}: meta run_log is not a list of run-log entries")
     run_log = RunLog(config.seed, config.config_hash())
-    run_log.entries = meta["run_log"]
-    trainer = dict(meta["trainer"])
-    trainer.pop("bt_rounds_done", None)  # kept by earlier versions; the epoch fixes the round
-    run = _Run(params, _section(path, arrays, meta, "best"), opt_state, _TrainerState(**trainer),
+    run_log.entries = entries
+    run = _Run(params, _section(path, arrays, meta, "best"), opt_state, _trainer_state(path, meta),
                run_log)
     _trim_audit(os.path.join(directory, _AUDIT), run.trainer.audit_lines)
     return run
@@ -501,7 +500,20 @@ def _section(path, arrays, meta, name):
     """Params built from one ``<name>/`` tensor section of a run file."""
     prefix = f"{name}/"
     part = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
-    return ckpt.params_from_arrays(f"{path} [{name}]", part, meta["config"])
+    return ckpt.params_from_arrays(f"{path} [{name}]", part, meta.get("config"))
+
+
+def _trainer_state(path, meta) -> _TrainerState:
+    """The ``trainer`` meta of a run file; a CheckpointError unless it holds
+    every field of ``_TrainerState``, and no other, with the field's type."""
+    saved = meta.get("trainer")
+    if isinstance(saved, dict):
+        # earlier versions also kept bt_rounds_done; the epoch fixes the round
+        saved = {k: v for k, v in saved.items() if k != "bt_rounds_done"}
+        types = {k: type(v) for k, v in asdict(_TrainerState()).items()}
+        if {k: type(v) for k, v in saved.items()} == types:
+            return _TrainerState(**saved)
+    raise CheckpointError(f"{path}: meta trainer {saved!r} is not a trainer state")
 
 
 def _trim_audit(path, lines: int) -> None:
@@ -531,7 +543,7 @@ def load_model(directory):
     path = os.path.join(directory, "run.ckpt")
     if os.path.exists(path):
         arrays, meta = ckpt.load_arrays(path)
-        evaluated = np.isfinite(meta["trainer"]["best_dev"])
+        evaluated = np.isfinite(_trainer_state(path, meta).best_dev)
         params = _section(path, arrays, meta, "best" if evaluated else "params")
     else:
         path = os.path.join(directory, "params.ckpt")
@@ -578,21 +590,23 @@ class ComparisonTable:
         obj = {
             "directions": self.directions,
             "settings": self.settings,
-            "reports": {
-                f"{s}|{d}": json.loads(self.reports[(s, d)].to_json())
-                for (s, d) in self.reports
-            },
+            "reports": {f"{s}|{d}": rep.to_dict() for (s, d), rep in self.reports.items()},
         }
         return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ComparisonTable":
+        """The table ``to_json`` wrote; a ValueError, KeyError or TypeError
+        unless it holds a report with numeric scores for every setting and
+        direction."""
         obj = json.loads(text)
-        reports = {
-            tuple(key.split("|", 1)): EvalReport.from_json(json.dumps(rep))
-            for key, rep in obj["reports"].items()
-        }
-        return cls(obj["directions"], obj["settings"], reports)
+        reports = {tuple(key.split("|", 1)): EvalReport.from_dict(rep)
+                   for key, rep in obj["reports"].items()}
+        table = cls(obj["directions"], obj["settings"], reports)
+        missing = {(s, d) for s in table.settings for d in table.directions} - reports.keys()
+        if missing:
+            raise KeyError(f"no report for {sorted(missing)}")
+        return table
 
 
 # The settings ``compare_settings`` trains, in table order, with their labels.

@@ -3,7 +3,7 @@
 Kernels here are the loops that dominate CPU time at this project's scale:
 fused padded cross entropy (``ce_forward``, ``ce_backward``), the
 embedding-gradient scatter-add (``embedding_grad``), the fused AdamW
-parameter update (``adamw_update``), and the word-level edit distance
+parameter update (``adamw_update``), and the token-level edit distance
 (``levenshtein``) used by the shift search in TER. The first four are
 numpy; ``levenshtein`` is bit-parallel over Python ints, not numpy. There
 is one implementation of each, with no compiled fast path and no switch;
@@ -76,7 +76,7 @@ def adamw_update(param, grad, m, v, step, lr, beta1, beta2, eps, weight_decay):
 
 
 def levenshtein(a, b):
-    """Word-level (unit-cost Levenshtein) edit distance between two int sequences.
+    """Unit-cost Levenshtein edit distance between two token sequences.
 
     Myers/Hyyrö bit-parallel algorithm (Myers 1999, J. ACM 46(3); Hyyrö
     2001): bit i of each Python-int vector stands for row i of the dynamic
@@ -84,8 +84,10 @@ def levenshtein(a, b):
     a few word-level AND/OR/add operations. The positive and negative
     vertical deltas ``pv``/``mv`` run over ``a``; the horizontal delta shifts
     in a 1 because row 0 of a global distance grows by one per column. Ints
-    have arbitrary precision, so ``b`` may be any length. ``a`` and ``b``
-    may be lists or integer arrays.
+    have arbitrary precision, so ``b`` may be any length. Tokens may be any
+    hashable values that compare equal when they are the same token, such as
+    TER's subword pieces; ``a`` and ``b`` may be lists, tuples or integer
+    arrays.
     """
     m = len(b)
     if m == 0:

@@ -3,23 +3,23 @@
 BLEU uses modified n-gram precisions with exponential smoothing (a factor
 that doubles at each all-miss order) and skips orders with no candidate
 n-grams. chrF is the character n-gram F-score with corpus-aggregated
-statistics. TER counts word edits plus greedy block shifts against the
+statistics. TER counts token edits plus greedy block shifts against the
 reference length.
 
-The "sp" variants (spBLEU, spCHRF, spTER) run the same metrics over
-subword pieces from the shared evaluation tokenizer; chrF and TER on raw
-text stay available under their own names.
+BLEU and TER take token sequences, chrF text or piece sequences. The "sp"
+variants (spBLEU, spCHRF, spTER) hand them the shared evaluation
+tokenizer's ``encode_pieces`` output as it is.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 from . import kernels
 from .errors import MetricError
+from .objectives import format_translation
 
 BLEU_MAX_N = 4
 CHRF_ORDER = 6
@@ -35,6 +35,20 @@ def _ngrams(tokens, n: int) -> Counter:
     return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
 
 
+def _segments(hyps, refs):
+    """(hypothesis, reference) pairs; a MetricError unless there are as many
+    hypotheses as references, and at least one."""
+    if len(hyps) != len(refs):
+        raise MetricError(f"got {len(hyps)} hypotheses for {len(refs)} references")
+    if not hyps:
+        raise MetricError("need at least one segment")
+    return zip(hyps, refs)
+
+
+def _pieces(texts, subword_model) -> list[list[str]]:
+    return [subword_model.encode_pieces(t) for t in texts]
+
+
 def bleu(hyps, refs) -> float:
     """Corpus BLEU up to ``BLEU_MAX_N``-grams over pre-tokenized segments, 0-100.
 
@@ -43,15 +57,11 @@ def bleu(hyps, refs) -> float:
     1/(s * total_n). Orders with zero candidate n-grams drop out of the
     geometric mean. Brevity penalty exp(1 - r/c) applies when c < r.
     """
-    if len(hyps) != len(refs):
-        raise MetricError(f"got {len(hyps)} hypotheses for {len(refs)} references")
-    if not hyps:
-        raise MetricError("need at least one segment")
     matches = [0] * BLEU_MAX_N
     totals = [0] * BLEU_MAX_N
     hyp_len = 0
     ref_len = 0
-    for hyp, ref in zip(hyps, refs):
+    for hyp, ref in _segments(hyps, refs):
         hyp = tuple(hyp)
         ref = tuple(ref)
         hyp_len += len(hyp)
@@ -86,27 +96,21 @@ def bleu(hyps, refs) -> float:
 
 def spbleu(hyps_text, refs_text, subword_model) -> float:
     """BLEU over subword pieces of the shared evaluation tokenizer."""
-    return bleu(
-        [subword_model.encode_pieces(h) for h in hyps_text],
-        [subword_model.encode_pieces(r) for r in refs_text],
-    )
+    return bleu(_pieces(hyps_text, subword_model), _pieces(refs_text, subword_model))
 
 
-def chrf(hyps_text, refs_text) -> float:
+def chrf(hyps, refs) -> float:
     """Character n-gram F-score on whitespace-stripped text, 0-100.
 
-    Precision and recall are corpus totals per order up to ``CHRF_ORDER``,
-    averaged over orders where both sides have n-grams, then combined with
-    weight ``CHRF_BETA`` on recall.
+    Each segment is a string or a sequence of strings, joined before the
+    whitespace is stripped. Precision and recall are corpus totals per
+    order up to ``CHRF_ORDER``, averaged over orders where both sides have
+    n-grams, then combined with weight ``CHRF_BETA`` on recall.
     """
-    if len(hyps_text) != len(refs_text):
-        raise MetricError(f"got {len(hyps_text)} hypotheses for {len(refs_text)} references")
-    if not hyps_text:
-        raise MetricError("need at least one segment")
     stats = [[0, 0, 0] for _ in range(CHRF_ORDER)]  # hyp total, ref total, matches
-    for hyp, ref in zip(hyps_text, refs_text):
-        h = "".join(hyp.split())
-        r = "".join(ref.split())
+    for hyp, ref in _segments(hyps, refs):
+        h = "".join("".join(hyp).split())
+        r = "".join("".join(ref).split())
         for order in range(1, CHRF_ORDER + 1):
             hn = _ngrams(h, order)
             rn = _ngrams(r, order)
@@ -132,26 +136,23 @@ def chrf(hyps_text, refs_text) -> float:
 
 
 def spchrf(hyps_text, refs_text, subword_model) -> float:
-    """chrF over the piece rendering of the evaluation tokenizer."""
-    return chrf(
-        [" ".join(subword_model.encode_pieces(h)) for h in hyps_text],
-        [" ".join(subword_model.encode_pieces(r)) for r in refs_text],
-    )
+    """chrF over the subword pieces of the evaluation tokenizer."""
+    return chrf(_pieces(hyps_text, subword_model), _pieces(refs_text, subword_model))
 
 
 # ---------------------------------------------------------------------------
 # TER
 # ---------------------------------------------------------------------------
 
-def _ref_spans(ref_ids) -> set[tuple]:
+def _ref_spans(ref) -> set[tuple]:
     spans = set()
-    for length in range(1, min(TER_MAX_SHIFT, len(ref_ids)) + 1):
-        for i in range(len(ref_ids) - length + 1):
-            spans.add(tuple(ref_ids[i : i + length]))
+    for length in range(1, min(TER_MAX_SHIFT, len(ref)) + 1):
+        for i in range(len(ref) - length + 1):
+            spans.add(tuple(ref[i : i + length]))
     return spans
 
 
-def _best_shift(current, ref_ids, allowed, floor):
+def _best_shift(current, ref, allowed, floor):
     """(edits, shifted hypothesis) of the first candidate shift with the
     fewest edits in scan order, or None when no block may move.
 
@@ -169,7 +170,7 @@ def _best_shift(current, ref_ids, allowed, floor):
                 if dest == start:
                     continue
                 candidate = rest[:dest] + block + rest[dest:]
-                d = kernels.levenshtein(candidate, ref_ids)
+                d = kernels.levenshtein(candidate, ref)
                 if best is None or d < best[0]:
                     best = (d, candidate)
                     if d == floor:
@@ -177,7 +178,7 @@ def _best_shift(current, ref_ids, allowed, floor):
     return best
 
 
-def _segment_edits(hyp_ids: list[int], ref_ids: list[int]) -> int:
+def _segment_edits(hyp, ref) -> int:
     """Edits for one segment: greedy best-improvement block shifts, then
     word-level edit distance. Each applied shift costs one edit.
 
@@ -188,13 +189,13 @@ def _segment_edits(hyp_ids: list[int], ref_ids: list[int]) -> int:
     reaches it, and a scan stops at the first candidate on it. Both exits
     leave the chosen shifts and the score as the exhaustive search has them.
     """
-    allowed = _ref_spans(ref_ids)
-    floor = abs(len(hyp_ids) - len(ref_ids))
+    allowed = _ref_spans(ref)
+    floor = abs(len(hyp) - len(ref))
     shifts = 0
-    current = list(hyp_ids)
-    dist = kernels.levenshtein(current, ref_ids)
+    current = list(hyp)
+    dist = kernels.levenshtein(current, ref)
     while dist > floor:
-        best = _best_shift(current, ref_ids, allowed, floor)
+        best = _best_shift(current, ref, allowed, floor)
         if best is None or best[0] >= dist:
             break
         shifts += 1
@@ -202,36 +203,21 @@ def _segment_edits(hyp_ids: list[int], ref_ids: list[int]) -> int:
     return shifts + dist
 
 
-def ter(hyps_text, refs_text) -> float:
-    """Corpus TER on whitespace tokens: 100 * edits / reference words."""
-    if len(hyps_text) != len(refs_text):
-        raise MetricError(f"got {len(hyps_text)} hypotheses for {len(refs_text)} references")
-    if not hyps_text:
-        raise MetricError("need at least one segment")
-    vocab: dict[str, int] = {}
-
-    def ids(tokens):
-        return [vocab.setdefault(t, len(vocab)) for t in tokens]
-
+def ter(hyps, refs) -> float:
+    """Corpus TER over pre-tokenized segments: 100 * edits / reference tokens."""
     total_edits = 0
     total_ref = 0
-    for hyp, ref in zip(hyps_text, refs_text):
-        ref_tokens = ref.split()
-        if not ref_tokens:
+    for hyp, ref in _segments(hyps, refs):
+        if not ref:
             raise MetricError("empty reference segment")
-        hyp_ids = ids(hyp.split())
-        ref_ids = ids(ref_tokens)
-        total_edits += _segment_edits(hyp_ids, ref_ids)
-        total_ref += len(ref_tokens)
+        total_edits += _segment_edits(hyp, ref)
+        total_ref += len(ref)
     return 100.0 * total_edits / total_ref
 
 
 def spter(hyps_text, refs_text, subword_model) -> float:
-    """TER where the words are subword pieces of the evaluation tokenizer."""
-    return ter(
-        [" ".join(subword_model.encode_pieces(h)) for h in hyps_text],
-        [" ".join(subword_model.encode_pieces(r)) for r in refs_text],
-    )
+    """TER where the tokens are subword pieces of the evaluation tokenizer."""
+    return ter(_pieces(hyps_text, subword_model), _pieces(refs_text, subword_model))
 
 
 # ---------------------------------------------------------------------------
@@ -247,31 +233,23 @@ class EvalReport:
     spter: float
     metadata: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "direction": self.direction,
-                "test_size": self.test_size,
-                "spBLEU": round(self.spbleu, 6),
-                "spCHRF": round(self.spchrf, 6),
-                "spTER": round(self.spter, 6),
-                "metadata": self.metadata,
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        """The report's JSON record; scores rounded to 6 decimals."""
+        return {
+            "direction": self.direction,
+            "test_size": self.test_size,
+            "spBLEU": round(self.spbleu, 6),
+            "spCHRF": round(self.spchrf, 6),
+            "spTER": round(self.spter, 6),
+            "metadata": self.metadata,
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        obj = json.loads(text)
-        return cls(
-            obj["direction"],
-            obj["test_size"],
-            obj["spBLEU"],
-            obj["spCHRF"],
-            obj["spTER"],
-            obj.get("metadata", {}),
-        )
+    def from_dict(cls, obj: dict) -> "EvalReport":
+        """The report of a ``to_dict`` record; a TypeError or ValueError for a
+        score that is not a number."""
+        scores = (float(obj[key]) for key in ("spBLEU", "spCHRF", "spTER"))
+        return cls(obj["direction"], obj["test_size"], *scores, obj.get("metadata", {}))
 
     def to_text(self) -> str:
         return (
@@ -314,7 +292,7 @@ def evaluate_direction(
     if len(directions) != 1:
         raise MetricError(f"test pairs span {len(directions)} directions, expected 1")
     direction = next(iter(directions))
-    inputs = [f"{p.direction.tgt.surface} {p.src_text}" for p in test_pairs]
+    inputs = [format_translation(p).input_text for p in test_pairs]
     refs = [p.tgt_text for p in test_pairs]
     decode_counts = {}
     if generate_fn is not None:

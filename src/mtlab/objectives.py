@@ -92,11 +92,12 @@ class TaggedExample:
         if not (head.startswith("<") and head.endswith(">") and len(head) > 2):
             raise FormatError(f"input must start with a language tag, got {self.input_text!r}")
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The example's audit record, without its round."""
         obj = {"input": self.input_text, "target": self.target_text, "kind": self.kind}
         if self.pivot is not None:
             obj["pivot"] = self.pivot
-        return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+        return obj
 
 
 def build_directions(langs, exclusions=()) -> list[Direction]:
@@ -155,10 +156,10 @@ def noise(sentence: str, n_swaps: int, p_del: float, rng: np.random.Generator) -
     return " ".join(tokens)
 
 
-def make_rec_examples(
-    mono_store: MonoStore, rec_config: RECConfig, rng: np.random.Generator
-) -> list[TaggedExample]:
-    """Reconstruction examples: '<m> noised(x)' -> x, per language with data.
+def make_rec_examples(mono_store: MonoStore, num_rec: int,
+                      rng: np.random.Generator) -> list[TaggedExample]:
+    """Reconstruction examples: '<m> noised(x)' -> x, ``num_rec`` per language
+    with data.
 
     Sentences are sampled with replacement and noised with ``REC_N_SWAPS``
     swaps and deletion rate ``REC_P_DEL``.
@@ -167,7 +168,7 @@ def make_rec_examples(
     out: list[TaggedExample] = []
     for lang in sorted(by_lang):
         sentences = by_lang[lang]
-        for _ in range(rec_config.num_rec):
+        for _ in range(num_rec):
             sent = sentences[int(rng.integers(len(sentences)))]
             noisy = noise(sent.text, REC_N_SWAPS, REC_P_DEL, rng)
             out.append(
@@ -187,17 +188,18 @@ def make_bt_examples(
     langs,
     bt_config: BTConfig,
     rng: np.random.Generator,
+    num_bt: int,
     exclusions=(),
-    num_bt: int | None = None,
     generate_fn=None,
 ) -> list[TaggedExample]:
     """Backtranslation examples: '<m> model(y -> pivot)' -> y.
 
     ``langs`` are the run's languages. For each language m among them
-    with monolingual data, ``num_bt`` sentences are sampled with
-    replacement; each picks a uniform pivot s among the targets of m's
-    directions in ``build_directions(langs, exclusions)`` (with or without
-    monolingual data), gets ``num_sample`` translations of '<s> y' sampled
+    with monolingual data, ``num_bt`` sentences (the round's budget, from
+    ``BTConfig.num_bt_for_round``) are sampled with replacement; each picks
+    a uniform pivot s among the targets of m's directions in
+    ``build_directions(langs, exclusions)`` (with or without monolingual
+    data), gets ``bt_config.num_sample`` translations of '<s> y' sampled
     at temperature 1, and one candidate chosen uniformly becomes the
     synthetic source. The whole round is one decoding call; each sample
     draws from its own rng stream, and each sentence's pivot and candidate
@@ -210,7 +212,6 @@ def make_bt_examples(
     """
     langs = sorted(l if isinstance(l, LangTag) else LangTag(l) for l in langs)
     directions = build_directions(langs, exclusions)
-    budget = bt_config.num_bt if num_bt is None else num_bt
     by_lang = mono_store.by_lang()
 
     if generate_fn is None:
@@ -233,7 +234,7 @@ def make_bt_examples(
         if not pivots:
             raise ConfigError(f"no eligible pivot language for {lang}")
         pick_rng = rng_fork(base_seed, f"bt-pick:{lang.code}")
-        for index in range(budget):
+        for index in range(num_bt):
             text = sentences[int(pick_rng.integers(len(sentences)))].text
             item_rng = rng_fork(base_seed, f"bt:{lang.code}:{index}")
             pivot = pivots[int(item_rng.integers(len(pivots)))]
@@ -263,6 +264,5 @@ def write_audit(path, examples, round_index: int) -> None:
     """Append emitted BT/REC examples to a jsonl audit file."""
     with open(path, "a", encoding="utf-8") as f:
         for ex in examples:
-            obj = json.loads(ex.to_json())
-            obj["round"] = round_index
+            obj = {**ex.to_dict(), "round": round_index}
             f.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")

@@ -23,9 +23,11 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir, command: str, seed: int | None, config_snapshot: dict,
+def write_manifest(out, command: str, seed: int | None, config_snapshot: dict,
                    inputs=(), outputs=(), config_path=None) -> str:
-    """Write run metadata next to a command's outputs; returns the path."""
+    """Write run metadata next to a command's outputs; returns the path: an
+    output directory ``out`` gets ``manifest.json``, a single output file
+    ``out`` gets ``<out>.manifest.json``, so it replaces no directory's manifest."""
     manifest = {
         "command": command,
         "config_file": str(config_path) if config_path else None,
@@ -35,7 +37,7 @@ def write_manifest(out_dir, command: str, seed: int | None, config_snapshot: dic
         "inputs": {str(p): file_sha256(p) for p in inputs if os.path.exists(str(p))},
         "outputs": {str(p): file_sha256(p) for p in outputs if os.path.exists(str(p))},
     }
-    path = os.path.join(out_dir, "manifest.json")
+    path = os.path.join(out, "manifest.json") if os.path.isdir(out) else f"{out}.manifest.json"
     with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     return path

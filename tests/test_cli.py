@@ -4,6 +4,7 @@ commands that take --seed, config resolution for compare."""
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from mtlab import checkpoint as ckpt
 from mtlab import cli, decoding, harness, reports
 from mtlab import model as M
 from mtlab.corpus import LangTag
+from mtlab.metrics import EvalReport
 from mtlab.tokenizer import SubwordModel
 
 
@@ -42,8 +44,8 @@ def test_translate_writes_one_line_per_input_and_manifest(tmp_path, model_dir):
     assert len(lines) == 5 and lines[-1] == ""  # 4 lines, each ended by a newline
     assert lines[1] == ""
     assert all(lines[i] for i in (0, 2, 3))
-    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["command"] == "translate"
+    assert _manifest(out)["command"] == "translate"
+    assert not (out_dir / "manifest.json").exists()
 
 
 def test_translate_normalizes_whitespace_like_the_corpus_loaders(tmp_path):
@@ -265,18 +267,42 @@ def test_train_then_translate_from_run_dir(tmp_path):
     ])
     assert code == 0
     assert len((out_dir / "out.txt").read_text(encoding="utf-8").splitlines()) == 3
-    for directory in (run_dir, out_dir):
-        manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    for out in (run_dir, out_dir / "out.txt"):
+        manifest = _manifest(out)
         listed = [*manifest["inputs"], *manifest["outputs"]]
         assert listed and all(os.path.exists(p) for p in listed)
-    train_manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    train_manifest = _manifest(run_dir)
     assert sorted(train_manifest["outputs"]) == sorted(
         str(run_dir / n) for n in harness.RUN_FILES
     )
 
 
-def _manifest(directory):
-    return json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+def _manifest(out):
+    """The manifest of an output directory or of a single output file."""
+    path = out / "manifest.json" if out.is_dir() else Path(f"{out}.manifest.json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_single_file_outputs_keep_the_directory_manifest(tmp_path, model_dir):
+    store = tmp_path / "store"
+    assert cli.main([
+        "synth", "generate", "--langs", "sy1,sy2", "--n-parallel", "12", "--n-mono", "6",
+        "--len-range", "2,4", "--concept-vocab", "20", "--out", str(store),
+    ]) == 0
+    tok = store / "tokenizer.txt"
+    assert cli.main([
+        "tokenizer", "train", "--store", str(store), "--vocab-size", "300", "--out", str(tok),
+    ]) == 0
+    src = tmp_path / "in.txt"
+    src.write_text("a b c\n", encoding="utf-8")
+    out = store / "out.txt"
+    assert cli.main([
+        "translate", "--model", str(model_dir), "--input", str(src), "--output", str(out),
+        "--target-lang", "sy2", "--max-new-tokens", "3",
+    ]) == 0
+    assert _manifest(store)["command"] == "synth generate"
+    assert _manifest(tok)["outputs"] == {str(tok): reports.file_sha256(tok)}
+    assert _manifest(out)["command"] == "translate"
 
 
 def test_data_jsonl_without_dedup_and_unstratified_split(tmp_path, capsys):
@@ -315,24 +341,25 @@ def test_data_pipeline_commands_write_files_and_manifests(tmp_path, capsys):
         (["synth", "generate", "--langs", "sy1,sy2", "--n-parallel", "12", "--n-mono", "6",
           "--len-range", "2,4", "--concept-vocab", "20", "--dev", "0", "--test", "0",
           "--out", str(store)],
-         store, ["parallel.jsonl", "mono.jsonl", "synth_specs.json"], 13),
+         store, [store / n for n in ("parallel.jsonl", "mono.jsonl", "synth_specs.json")], 13),
         (["data", "split", "--store", str(store), "--dev", "2", "--test", "2", "--out", str(split)],
-         split, ["parallel.jsonl", "mono.jsonl"], 13),
+         split, [split / "parallel.jsonl", split / "mono.jsonl"], 13),
         (["data", "stats", "--store", str(split), "--out", str(stats)],
-         stats, ["direction_counts.csv"], None),
+         stats, [stats / "direction_counts.csv"], None),
         (["tokenizer", "train", "--store", str(split), "--vocab-size", "300", "--out", str(tok)],
-         tok.parent, ["tokenizer.txt"], None),
+         tok, [tok], None),
         (["data", "prepare", "--parallel", f"sy1-sy2={pairs}", "--mono", f"sy1={mono}",
           "--out", str(prepared)],
-         prepared, ["parallel.jsonl", "mono.jsonl", "clean_report.csv"], None),
+         prepared, [prepared / n for n in ("parallel.jsonl", "mono.jsonl", "clean_report.csv")],
+         None),
     ]
-    for argv, out_dir, files, seed in steps:
+    for argv, out, outputs, seed in steps:
         assert cli.main(argv) == 0, argv
-        manifest = _manifest(out_dir)
+        manifest = _manifest(out)
         assert manifest["command"] == " ".join(argv[:2])
         assert manifest["seed"] == seed
-        assert all((out_dir / n).is_file() for n in files)
-        assert set(manifest["outputs"]) == {str(out_dir / n) for n in files}
+        assert all(p.is_file() for p in outputs)
+        assert set(manifest["outputs"]) == {str(p) for p in outputs}
     split_inputs = _manifest(split)["inputs"]
     assert split_inputs == {str(store / n): reports.file_sha256(store / n)
                             for n in ("parallel.jsonl", "mono.jsonl")}
@@ -354,3 +381,196 @@ def test_commands_without_randomness_take_no_seed(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, "--seed", "1"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# corrupt inputs: every file a command reads, each corruption that file's
+# format can hold, ends in exit 1 or 2 and one ``error <Class>:`` line
+# ---------------------------------------------------------------------------
+
+def _cut(data):
+    return data[: len(data) // 2]
+
+
+def _not_utf8(data):
+    return b"\xff" + data
+
+
+def _first_record(edit):
+    """Corrupt the first record of a jsonl file; ``edit`` maps it to a new line."""
+    def corrupt(data):
+        first, _, rest = data.partition(b"\n")
+        return edit(json.loads(first)).encode("utf-8") + b"\n" + rest
+    return corrupt
+
+
+def _meta(key, edit):
+    """Corrupt the ``meta <key>=`` header line of a checkpoint; ``edit`` maps its
+    value to the line's new text, or to None to drop the line."""
+    def corrupt(data):
+        head, sep, rest = data.partition(b"\n\n")
+        lines = []
+        for line in head.decode("utf-8").split("\n"):
+            if line.startswith(f"meta {key}="):
+                line = edit(json.loads(line.partition("=")[2]))
+                if line is None:
+                    continue
+                line = f"meta {key}={line}"
+            lines.append(line)
+        return "\n".join(lines).encode("utf-8") + sep + rest
+    return corrupt
+
+
+def _json_edit(edit):
+    return lambda data: json.dumps(edit(json.loads(data))).encode("utf-8")
+
+
+def _set(obj, path, value):
+    """A copy of nested dict ``obj`` with ``path``'s entry set to ``value``."""
+    head, *tail = path
+    return {**obj, head: _set(obj[head], tail, value) if tail else value}
+
+
+def _lines(edit):
+    return lambda data: edit(data.decode("utf-8").split("\n")).encode("utf-8")
+
+
+_STORE = {
+    "truncated": _cut,
+    "not_utf8": _not_utf8,
+    "not_object": _first_record(lambda rec: "[1, 2]"),
+    "null_field": _first_record(lambda rec: json.dumps({**rec, "split": None})),
+    "wrong_type": _first_record(lambda rec: json.dumps({**rec, "domain": 5})),
+}
+_CHECKPOINT = {
+    "truncated": _cut,
+    "not_utf8": _not_utf8,
+    "not_object": _meta("config", lambda c: "[1, 2]"),
+    "null_field": _meta("config", lambda c: json.dumps({**c, "d_model": None})),
+    "wrong_type": _meta("config", lambda c: '"config"'),
+}
+_RUN_CHECKPOINT = {
+    **_CHECKPOINT,
+    "not_object": _meta("trainer", lambda t: "[1, 2]"),
+    "null_field": _meta("trainer", lambda t: json.dumps({**t, "best_dev": None})),
+    "wrong_type": _meta("trainer", lambda t: json.dumps({**t, "opt_step": "3"})),
+    "no_trainer": _meta("trainer", lambda t: None),
+}
+_CORRUPTIONS = {
+    "parallel.jsonl": _STORE,
+    "mono.jsonl": _STORE,
+    "tokenizer.txt": {
+        "truncated": _cut,
+        "not_utf8": _not_utf8,
+        "wrong_type": _lines(lambda ls: "\n".join([ls[0], "vocab_size\tmany", *ls[2:]])),
+    },
+    "config.txt": {  # its second line is "epochs = 1"
+        "truncated": _lines(lambda ls: "\n".join(ls[:-2] + [ls[-2][:5]])),  # cut in a key
+        "not_utf8": _not_utf8,
+        "null_field": _lines(lambda ls: "\n".join([ls[0], "epochs =", *ls[2:]])),
+        "wrong_type": _lines(lambda ls: "\n".join([ls[0], "epochs = one", *ls[2:]])),
+    },
+    "run.ckpt": _RUN_CHECKPOINT,
+    # resume also reads the run log and the experiment config
+    "resumed run.ckpt": {
+        **_RUN_CHECKPOINT,
+        "run_log": _meta("run_log", lambda entries: '{"type": "start"}'),
+        "experiment": _meta("experiment", lambda e: json.dumps({**e, "bt": 5})),
+    },
+    "params.ckpt": _CHECKPOINT,
+    "comparison.json": {
+        "truncated": _cut,
+        "not_utf8": _not_utf8,
+        "not_object": lambda data: b"[1, 2]",
+        "null_field": _json_edit(lambda c: _set(c, ["reports", "BASE|sy1-sy2", "spBLEU"], None)),
+        "wrong_type": _json_edit(lambda c: _set(c, ["directions"], "sy1-sy2")),
+    },
+    # any text is input to translate; a test file's or a prepared file's
+    # malformed lines are counted, not fatal
+    "input.txt": {"not_utf8": _not_utf8},
+    "test.tsv": {"not_utf8": _not_utf8},
+    "pairs.tsv": {"not_utf8": _not_utf8},
+}
+
+
+@pytest.fixture(scope="module")
+def readable_inputs(tmp_path_factory):
+    """A directory holding one valid file of every kind a command reads."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert cli.main([
+        "synth", "generate", "--langs", "sy1,sy2", "--n-parallel", "12", "--n-mono", "6",
+        "--len-range", "2,4", "--concept-vocab", "20", "--dev", "2", "--test", "2",
+        "--out", str(root / "store"),
+    ]) == 0
+    assert cli.main(["tokenizer", "train", "--store", str(root / "store"), "--vocab-size", "300",
+                     "--out", str(root / "tokenizer.txt")]) == 0
+    (root / "config.txt").write_text(
+        "\n".join(["setting = btrec", "epochs = 1", *(kv.replace("=", " = ") for kv in _TINY_RUN)])
+        + "\n", encoding="utf-8")
+    assert cli.main(["train", "--store", str(root / "store"), "--tokenizer",
+                     str(root / "tokenizer.txt"), "--config", str(root / "config.txt"),
+                     "--out", str(root / "run")]) == 0
+    params, _ = ckpt.load_params(BASE_MODEL_DIR / "params.ckpt")
+    (root / "model").mkdir()
+    ckpt.save_params(root / "model" / "params.ckpt", params)
+    SubwordModel.load(BASE_MODEL_DIR / "tokenizer.txt").save(root / "model" / "tokenizer.txt")
+    table = harness.ComparisonTable(["sy1-sy2"], ["BASE"], {
+        ("BASE", "sy1-sy2"): EvalReport("sy1-sy2", 2, 10.0, 20.0, 30.0)})
+    (root / "comparison.json").write_text(table.to_json(), encoding="utf-8")
+    (root / "input.txt").write_text("ka1 ka2\n", encoding="utf-8")
+    (root / "test.tsv").write_text("ka1 ka2\tbu1 bu2\n", encoding="utf-8")
+    (root / "pairs.tsv").write_text("ka1 ka2\tbu1 bu2\n", encoding="utf-8")
+    return root
+
+
+def _commands(d):
+    """(command name, argv, {file name: its path in ``d``}) of each command."""
+    store = {n: d / "store" / n for n in ("parallel.jsonl", "mono.jsonl")}
+    run_inputs = {**store, "tokenizer.txt": d / "tokenizer.txt", "config.txt": d / "config.txt"}
+    run_args = ["--store", str(d / "store"), "--tokenizer", str(d / "tokenizer.txt"),
+                "--config", str(d / "config.txt")]
+    model = {"run.ckpt": d / "run" / "run.ckpt", "tokenizer.txt": d / "run" / "tokenizer.txt"}
+    return [
+        ("data-stats", ["data", "stats", "--store", str(d / "store")], store),
+        ("data-split", ["data", "split", "--store", str(d / "store"), "--dev", "1", "--test", "1",
+                        "--out", str(d / "split")], store),
+        ("tokenizer-train", ["tokenizer", "train", "--store", str(d / "store"),
+                             "--vocab-size", "300", "--out", str(d / "tok.txt")], store),
+        ("train", ["train", *run_args, "--out", str(d / "new")], run_inputs),
+        ("resume", ["train", *run_args, "--out", str(d / "run"), "--resume"],
+         {"resumed run.ckpt": d / "run" / "run.ckpt"}),
+        ("compare", ["compare", *run_args, "--out", str(d / "cmp")], run_inputs),
+        ("translate", ["translate", "--model", str(d / "run"), "--input", str(d / "input.txt"),
+                       "--output", str(d / "out.txt"), "--target-lang", "sy2"],
+         {**model, "input.txt": d / "input.txt"}),
+        ("translate-model", ["translate", "--model", str(d / "model"), "--input",
+                             str(d / "input.txt"), "--output", str(d / "out.txt"),
+                             "--target-lang", "sy2"],
+         {"params.ckpt": d / "model" / "params.ckpt",
+          "tokenizer.txt": d / "model" / "tokenizer.txt"}),
+        ("evaluate", ["evaluate", "--model", str(d / "run"), "--test", str(d / "test.tsv"),
+                      "--direction", "sy1-sy2", "--out", str(d / "eval")],
+         {**model, "test.tsv": d / "test.tsv"}),
+        ("report", ["report", "--comparison", str(d / "comparison.json"), "--out", str(d / "rep")],
+         {"comparison.json": d / "comparison.json"}),
+        ("data-prepare", ["data", "prepare", "--parallel", f"sy1-sy2={d / 'pairs.tsv'}",
+                          "--out", str(d / "prep")], {"pairs.tsv": d / "pairs.tsv"}),
+    ]
+
+
+_SWEEP = [(command, name, kind) for command, _, files in _commands(Path("."))
+          for name in files for kind in _CORRUPTIONS[name]]
+
+
+@pytest.mark.parametrize("command, name, kind", _SWEEP,
+                         ids=[f"{c}-{n}-{k}" for c, n, k in _SWEEP])
+def test_corrupt_input_is_one_line_error(tmp_path, readable_inputs, capsys, command, name, kind):
+    d = tmp_path / "inputs"
+    shutil.copytree(readable_inputs, d)
+    argv, files = next((argv, files) for c, argv, files in _commands(d) if c == command)
+    path = files[name]
+    path.write_bytes(_CORRUPTIONS[name][kind](path.read_bytes()))
+    capsys.readouterr()
+    assert cli.main(argv) in (1, 2)
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error [A-Za-z]+Error: [^\n]*\n", err), err

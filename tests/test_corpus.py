@@ -270,18 +270,24 @@ class TestStoreRoundTrip:
         assert m2.sentences == mono.sentences
 
     @pytest.mark.parametrize(
-        "bad_line",
-        ['{"direction": "fra-eng", "src": "a', '{"direction": "fra-eng", "src": "a"}', "[1, 2]",
-         '{"direction": "fra-eng", "src": "a", "tgt": null}',
-         '{"direction": "fra-eng", "src": "a", "tgt": "b", "split": "Train"}',
-         '{"direction": "fraeng", "src": "a", "tgt": "b"}'],
+        "name, bad_line",
+        [("parallel", '{"direction": "fra-eng", "src": "a'),
+         ("parallel", '{"direction": "fra-eng", "src": "a"}'), ("parallel", "[1, 2]"),
+         ("parallel", '{"direction": "fra-eng", "src": "a", "tgt": null}'),
+         ("parallel", '{"direction": "fra-eng", "src": "a", "tgt": "b", "split": "Train"}'),
+         ("parallel", '{"direction": "fraeng", "src": "a", "tgt": "b"}'),
+         # an empty sentence would fail a run at its first REC round, far from its file
+         ("parallel", '{"direction": "fra-eng", "src": "", "tgt": "b"}'),
+         ("parallel", '{"direction": "fra-eng", "src": "a", "tgt": " \\t "}'),
+         ("mono", '{"lang": "fon", "text": ""}')],
         ids=["truncated_json", "missing_key", "not_an_object", "null_text", "unknown_split",
-             "bad_direction"],
+             "bad_direction", "empty_src", "blank_tgt", "empty_mono_text"],
     )
-    def test_bad_record_names_file_and_line(self, tmp_path, bad_line):
-        save_stores(tmp_path, _bulk_store(3), MonoStore(()))
-        path = tmp_path / "parallel.jsonl"
+    def test_bad_record_names_file_and_line(self, tmp_path, name, bad_line):
+        mono = MonoStore(tuple(MonoSentence(LangTag("fon"), f"s {i}") for i in range(3)))
+        save_stores(tmp_path, _bulk_store(3), mono)
+        path = tmp_path / f"{name}.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(lines[:2] + [bad_line]) + "\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="parallel.jsonl line 3"):
+        with pytest.raises(FormatError, match=f"{name}.jsonl line 3"):
             load_stores(tmp_path)

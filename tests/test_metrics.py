@@ -1,5 +1,6 @@
 """Metric conformance against hand-derived oracles, plus invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -98,33 +99,38 @@ class TestChrf:
         assert chrf(hyps + hyps, refs + refs) == pytest.approx(chrf(hyps, refs))
 
 
+def _words(*texts):
+    """Whitespace-tokenized segments, the form ``ter`` takes."""
+    return [t.split() for t in texts]
+
+
 class TestTer:
     def test_identity(self):
-        assert ter(["a b c"], ["a b c"]) == 0.0
+        assert ter(_words("a b c"), _words("a b c")) == 0.0
 
     def test_substitution_oracle(self):
         # 1 substitution / 5 reference words; edit-distance DP confirms 1
-        assert ter(["a b x d e"], ["a b c d e"]) == pytest.approx(20.0)
+        assert ter(_words("a b x d e"), _words("a b c d e")) == pytest.approx(20.0)
 
     def test_shift_oracle(self):
         # moving "a b c" to the front is a single shift; exhaustive
         # enumeration of one-shift candidates confirms no cheaper path
-        assert ter(["d e a b c"], ["a b c d e"]) == pytest.approx(20.0)
+        assert ter(_words("d e a b c"), _words("a b c d e")) == pytest.approx(20.0)
 
     def test_empty_reference_rejected(self):
         with pytest.raises(MetricError):
-            ter(["a"], [""])
+            ter(_words("a"), _words(""))
 
     def test_can_exceed_100(self):
-        assert ter(["a b c d e f g h"], ["x"]) > 100.0
+        assert ter(_words("a b c d e f g h"), _words("x")) > 100.0
 
     def test_insertion_and_deletion(self):
-        assert ter(["a b"], ["a b c"]) == pytest.approx(100.0 / 3)
-        assert ter(["a b c d"], ["a b c"]) == pytest.approx(100.0 / 3)
+        assert ter(_words("a b"), _words("a b c")) == pytest.approx(100.0 / 3)
+        assert ter(_words("a b c d"), _words("a b c")) == pytest.approx(100.0 / 3)
 
     def test_shift_beats_resubstitution(self):
         # block move of 2 words = 1 edit, not 4
-        assert ter(["c d a b"], ["a b c d"]) == pytest.approx(25.0)
+        assert ter(_words("c d a b"), _words("a b c d")) == pytest.approx(25.0)
 
     def test_subsequence_hypothesis_needs_no_shift_search(self, monkeypatch):
         # Deletions only: the edit distance equals the length floor that no
@@ -134,7 +140,7 @@ class TestTer:
         monkeypatch.setattr(
             kernels, "levenshtein", lambda a, b: calls.append(1) or levenshtein(a, b)
         )
-        assert ter(["a c d f"], ["a b c d e f"]) == pytest.approx(200.0 / 6)
+        assert ter(_words("a c d f"), _words("a b c d e f")) == pytest.approx(200.0 / 6)
         assert len(calls) == 1
 
     def test_long_segment_block_move_and_substitution(self):
@@ -142,7 +148,7 @@ class TestTer:
         ref = [f"w{i}" for i in range(25)]
         hyp = ref[:3] + ref[6:16] + ref[3:6] + ref[16:]
         hyp[20] = "x"
-        assert ter([" ".join(hyp)], [" ".join(ref)]) == pytest.approx(100.0 * 2 / 25)
+        assert ter([hyp], [ref]) == pytest.approx(100.0 * 2 / 25)
 
 
 class TestSubwordVariants:
@@ -222,7 +228,7 @@ class TestEvaluateDirection:
 
     def test_report_json_round_trip(self):
         report = EvalReport("sy1-sy2", 30, 34.89, 47.38, 68.28, {"k": "v"})
-        again = EvalReport.from_json(report.to_json())
+        again = EvalReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert again == report
 
     def test_report_csv(self):

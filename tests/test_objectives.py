@@ -10,7 +10,6 @@ from mtlab.numerics import rng_fork
 from mtlab.objectives import (
     BTConfig,
     FinetuneSetting,
-    RECConfig,
     TaggedExample,
     build_directions,
     format_translation,
@@ -129,7 +128,7 @@ class TestRecExamples:
             "sy2": [f"v{i} w{i} x{i}" for i in range(20)],
             "sy3": [f"y{i} z{i} q{i}" for i in range(20)],
         })
-        out = make_rec_examples(mono, RECConfig(num_rec=50), rng_fork(0, "rec"))
+        out = make_rec_examples(mono, 50, rng_fork(0, "rec"))
         assert len(out) == 150
         assert all(ex.kind == "reconstruction" for ex in out)
 
@@ -137,26 +136,25 @@ class TestRecExamples:
         monkeypatch.setattr(objectives, "REC_N_SWAPS", 0)
         monkeypatch.setattr(objectives, "REC_P_DEL", 0.0)
         mono = _mono({"sy1": ["alpha beta gamma"]})
-        out = make_rec_examples(mono, RECConfig(num_rec=5), rng_fork(1, "rec"))
+        out = make_rec_examples(mono, 5, rng_fork(1, "rec"))
         for ex in out:
             assert ex.input_text == f"<sy1> {ex.target_text}"
 
     def test_deterministic(self):
         mono = _mono({"sy1": [f"a{i} b{i} c{i}" for i in range(30)]})
-        cfg = RECConfig(num_rec=20)
-        a = make_rec_examples(mono, cfg, rng_fork(7, "rec"))
-        b = make_rec_examples(mono, cfg, rng_fork(7, "rec"))
+        a = make_rec_examples(mono, 20, rng_fork(7, "rec"))
+        b = make_rec_examples(mono, 20, rng_fork(7, "rec"))
         assert a == b
 
     def test_language_without_data_skipped(self):
         mono = _mono({"sy1": ["a b c"], "sy2": []})
-        out = make_rec_examples(mono, RECConfig(num_rec=3), rng_fork(0, "rec"))
+        out = make_rec_examples(mono, 3, rng_fork(0, "rec"))
         assert len(out) == 3
         assert all(ex.input_text.startswith("<sy1>") for ex in out)
 
     def test_tag_prefix_wellformed(self):
         mono = _mono({"sy1": ["one two three four"]})
-        for ex in make_rec_examples(mono, RECConfig(num_rec=10), rng_fork(2, "rec")):
+        for ex in make_rec_examples(mono, 10, rng_fork(2, "rec")):
             head, payload = ex.input_text.split(" ", 1)
             assert head == "<sy1>" and payload
 
@@ -179,7 +177,7 @@ class TestBtExamples:
         mono = self._mono_store()
         out = make_bt_examples(
             None, None, mono, ["sy1", "sy2", "sy3"],
-            BTConfig(num_bt=10, num_sample=2), rng_fork(0, "bt"), generate_fn=stub,
+            BTConfig(num_sample=2), rng_fork(0, "bt"), num_bt=10, generate_fn=stub,
         )
         assert len(out) == 30  # 10 sentences x 3 languages
         assert len(calls) == 60  # 2 candidates per sentence
@@ -200,7 +198,7 @@ class TestBtExamples:
 
         out = make_bt_examples(
             None, None, self._mono_store(3), ["sy1", "sy2", "sy3"],
-            BTConfig(num_bt=3, num_sample=1), rng_fork(1, "bt"), generate_fn=stub,
+            BTConfig(num_sample=1), rng_fork(1, "bt"), num_bt=3, generate_fn=stub,
         )
         payloads = {ex.input_text.split(" ", 1)[1] for ex in out}
         assert payloads == set(returned)  # every single candidate was chosen
@@ -208,7 +206,7 @@ class TestBtExamples:
     def test_pivot_respects_exclusions(self):
         out = make_bt_examples(
             None, None, self._mono_store(5), ["sy1", "sy2", "sy3"],
-            BTConfig(num_bt=20, num_sample=1), rng_fork(2, "bt"),
+            BTConfig(num_sample=1), rng_fork(2, "bt"), num_bt=20,
             exclusions=[("sy1", "sy2")], generate_fn=lambda t, r: ["x"] * len(t),
         )
         for ex in out:
@@ -222,7 +220,7 @@ class TestBtExamples:
         with pytest.raises(ConfigError):
             make_bt_examples(
                 None, None, self._mono_store(2), ["sy1", "sy2"],
-                BTConfig(num_bt=1), rng_fork(3, "bt"),
+                BTConfig(), rng_fork(3, "bt"), num_bt=1,
                 exclusions=[("sy1", "sy2")], generate_fn=lambda t, r: ["x"] * len(t),
             )
 
@@ -233,7 +231,7 @@ class TestBtExamples:
         def run():
             return make_bt_examples(
                 None, None, self._mono_store(8), ["sy1", "sy2", "sy3"],
-                BTConfig(num_bt=8, num_sample=2), rng_fork(5, "bt"), generate_fn=stub,
+                BTConfig(num_sample=2), rng_fork(5, "bt"), num_bt=8, generate_fn=stub,
             )
 
         assert run() == run()
@@ -247,7 +245,7 @@ class TestBtExamples:
 
         make_bt_examples(
             None, None, self._mono_store(), ["sy1", "sy2", "sy3"],
-            BTConfig(num_bt=10, num_sample=2), rng_fork(6, "bt"), generate_fn=stub,
+            BTConfig(num_sample=2), rng_fork(6, "bt"), num_bt=10, generate_fn=stub,
         )
         assert len(outputs) == 60
         assert len(set(outputs)) == 60
@@ -259,7 +257,7 @@ class TestBtExamples:
         with caplog.at_level("WARNING", logger="mtlab.objectives"):
             out = make_bt_examples(
                 None, None, self._mono_store(), ["sy1", "sy2", "sy3"],
-                BTConfig(num_bt=4, num_sample=2), rng_fork(7, "bt"), generate_fn=stub,
+                BTConfig(num_sample=2), rng_fork(7, "bt"), num_bt=4, generate_fn=stub,
             )
         assert len(out) == 8
         assert not any(ex.target_text.startswith("ka") for ex in out)
@@ -281,7 +279,7 @@ class TestBtExamples:
         mono = _mono({"sy1": ["a b c", "c a b"], "sy2": ["b b a", "hello world"]})
         out = make_bt_examples(
             params, tiny_tokenizer, mono, ["sy1", "sy2"],
-            BTConfig(num_bt=5, num_sample=3), rng_fork(8, "bt"),
+            BTConfig(num_sample=3), rng_fork(8, "bt"), num_bt=5,
         )
         assert calls == [(5 * 2 * 3, 5 * 2 * 3)]
         assert len(out) == 10
