@@ -44,10 +44,13 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
+from .model import RETIRED_KEYS, ModelConfig, Params, parameter_layout
+from .numerics import autodiff as T
 
 _MAGIC = "mtlab-checkpoint v1"
 
@@ -156,10 +159,16 @@ def drop_retired(saved: dict, retired: dict, what: str) -> dict:
     return out
 
 
+def config_from_saved(saved: dict) -> ModelConfig:
+    """The ModelConfig of a saved config dict; see ``drop_retired``."""
+    try:
+        return ModelConfig(**drop_retired(saved, RETIRED_KEYS, "model config"))
+    except (TypeError, ConfigError) as exc:
+        raise CheckpointError(f"saved model config does not fit ModelConfig: {exc}") from None
+
+
 def save_params(path, params) -> None:
     """Persist model parameters with their config in the manifest."""
-    from dataclasses import asdict
-
     meta = {"config": asdict(params.config)}
     save_arrays(path, {k: v.data for k, v in params.tensors.items()}, meta)
 
@@ -180,11 +189,8 @@ def params_from_arrays(path, arrays: dict[str, np.ndarray], config: dict):
     is dropped, and each array must have its parameter's shape; arrays are
     cast to float32, the model's parameter dtype.
     """
-    from .model import Params, _layer_names, config_from_saved
-    from .numerics import autodiff as T
-
     config = config_from_saved(config)
-    expected = dict(_layer_names(config))
+    expected = dict(parameter_layout(config))
     retired = {name[: -len("wk")] + "bk" for name in expected if name.endswith(".wk")}
     tensors = {k: T.Tensor(v.astype(np.float32)) for k, v in arrays.items() if k not in retired}
     if tensors.keys() != expected.keys():

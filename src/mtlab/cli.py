@@ -3,13 +3,21 @@
 Commands: data prepare|stats|split, tokenizer train, train, translate,
 evaluate, synth generate, compare, report. The commands that draw random
 numbers (data split, translate, synth generate, train, compare) seed them
-all from --seed (default 13); every command writes a manifest next to its
-outputs: ``manifest.json`` in an output directory, ``<file>.manifest.json``
-beside a single output file (tokenizer train, translate). train and compare
-take their experiment config from --preset, --config and repeated --set
-KEY=VALUE (see ``config``) and check it before any store loads. Exit
-codes: 0 success, 2 usage/config error, 1 runtime failure (with a one-line
+all from --seed (default 13). train and compare take their experiment
+config from --preset, --config and repeated --set KEY=VALUE (see
+``config``) and check it before any store loads. Exit codes: 0 success,
+2 usage/config error, 1 runtime failure (with a one-line
 ``error <ErrorClass>: <message>`` on stderr).
+
+Each command returns the files it read and wrote, and ``main`` writes the
+manifest of a successful command next to its outputs: ``manifest.json`` in
+an output directory, ``<file>.manifest.json`` beside a single output file
+(tokenizer train, translate), none for data stats without --out. It holds
+the command, every parsed argument (``arguments``, e.g. ``max_new_tokens``
+for --max-new-tokens), the resolved experiment config of train and compare
+(``config``, null otherwise), the seed the command drew from (the
+config's, else --seed's, else null), the time, and the sha256 of each file
+read and written.
 """
 
 from __future__ import annotations
@@ -18,12 +26,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from . import config as C
 from . import corpus, decoding, harness, metrics, reports, synth
-from . import model as M
 from . import tokenizer as tok_mod
 from .errors import ConfigError, FormatError, MTLabError
 
@@ -40,6 +46,11 @@ def _parse_kv_list(items, what):
     return out
 
 
+def _comma_list(text):
+    """The stripped, non-empty items of a comma-separated flag value."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def _read_text(path) -> str:
     try:
         with open(path, encoding="utf-8") as f:
@@ -52,6 +63,10 @@ def _load_store_dir(path):
     if not os.path.isdir(path):
         raise FormatError(f"store directory {path!r} does not exist")
     return corpus.load_stores(path)
+
+
+def _store_files(path):
+    return [os.path.join(path, name) for name in corpus.STORE_FILES]
 
 
 # ---------------------------------------------------------------------------
@@ -85,26 +100,20 @@ def cmd_data_prepare(args):
     print(f"parallel: kept {p_report.kept} of {p_report.input_count} "
           f"(malformed lines: {parallel.malformed})")
     print(f"mono:     kept {m_report.kept} of {m_report.input_count}")
-    outputs = [os.path.join(args.out, n) for n in (*corpus.STORE_FILES, "clean_report.csv")]
-    reports.write_manifest(
-        args.out, "data prepare", None,
-        {"cleaning": asdict(cleaning), "format": args.format},
-        inputs=inputs, outputs=outputs,
-    )
-    return 0
+    return inputs, [*_store_files(args.out), os.path.join(args.out, "clean_report.csv")]
 
 
 def cmd_data_stats(args):
     parallel, mono = _load_store_dir(args.store)
     table = corpus.stats(parallel)
     print(table.to_text())
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "direction_counts.csv")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(table.to_csv())
-        reports.write_manifest(args.out, "data stats", None, {}, outputs=[path])
-    return 0
+    if not args.out:
+        return _store_files(args.store), []
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "direction_counts.csv")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(table.to_csv())
+    return _store_files(args.store), [path]
 
 
 def cmd_data_split(args):
@@ -119,12 +128,7 @@ def cmd_data_split(args):
     corpus.save_stores(args.out, parallel, mono)
     counts = {s: sum(1 for p in parallel.pairs if p.split == s) for s in corpus.SPLITS}
     print(" ".join(f"{k}={v}" for k, v in counts.items()))
-    reports.write_manifest(
-        args.out, "data split", args.seed, {"spec": asdict(spec)},
-        inputs=[os.path.join(args.store, n) for n in corpus.STORE_FILES],
-        outputs=[os.path.join(args.out, n) for n in corpus.STORE_FILES],
-    )
-    return 0
+    return _store_files(args.store), _store_files(args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +137,10 @@ def cmd_data_split(args):
 
 def cmd_tokenizer_train(args):
     parallel, mono = _load_store_dir(args.store)
-    langs = args.langs.split(",") if args.langs else [
-        l.code for l in sorted(set(parallel.languages()) | set(mono.languages()))
-    ]
+    if args.langs:
+        langs = [corpus.LangTag(code).code for code in args.langs]
+    else:
+        langs = [l.code for l in sorted(set(parallel.languages()) | set(mono.languages()))]
     texts = []
     for p in parallel.pairs:
         if p.split == "train":
@@ -145,15 +150,12 @@ def cmd_tokenizer_train(args):
     model = tok_mod.train_subword([texts], args.vocab_size, langs)
     model.save(args.out)
     print(f"vocab {model.vocab_size} ({len(model.merges)} merges), sha256 {model.hash()[:16]}")
-    reports.write_manifest(
-        args.out, "tokenizer train", None,
-        {"vocab_size": args.vocab_size, "langs": langs},
-        outputs=[args.out],
-    )
-    return 0
+    return _store_files(args.store), [args.out]
 
 
-def _resolve_config(args):
+def _experiment(args):
+    """(config, parallel, mono, tokenizer, files read) of train and compare. The
+    config is resolved and checked before any store loads."""
     values = C.parse_config_file(args.config) if args.config else {}
     overrides = {}
     for item in args.set or ():
@@ -163,33 +165,25 @@ def _resolve_config(args):
         overrides[key.strip()] = value.strip()
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    return C.build_experiment_config(values, preset=args.preset, overrides=overrides)
-
-
-def cmd_train(args):
-    config = _resolve_config(args)
+    config = C.build_experiment_config(values, preset=args.preset, overrides=overrides)
     parallel, mono = _load_store_dir(args.store)
     tokenizer = tok_mod.SubwordModel.load(args.tokenizer)
     os.makedirs(args.out, exist_ok=True)
-    params, run_log = harness.run_experiment(
-        config,
-        parallel,
-        mono,
-        tokenizer,
-        checkpoint_dir=args.out,
-        resume=args.resume,
+    inputs = [p for p in (args.config, args.tokenizer) if p] + _store_files(args.store)
+    return config, parallel, mono, tokenizer, inputs
+
+
+def cmd_train(args):
+    config, parallel, mono, tokenizer, inputs = _experiment(args)
+    _, run_log = harness.run_experiment(
+        config, parallel, mono, tokenizer, checkpoint_dir=args.out, resume=args.resume
     )
     finish = run_log.entries_of("finish")[-1]
     print(
         f"trained {finish['epochs']} epochs, {finish['steps']} steps, "
         f"best dev loss {finish['best_dev']}"
     )
-    reports.write_manifest(
-        args.out, "train", config.seed, harness._config_dict(config),
-        inputs=[args.tokenizer], config_path=args.config,
-        outputs=[os.path.join(args.out, n) for n in harness.RUN_FILES],
-    )
-    return 0
+    return inputs, [os.path.join(args.out, n) for n in harness.RUN_FILES], config
 
 
 def cmd_translate(args):
@@ -220,12 +214,7 @@ def cmd_translate(args):
         f"translated {len(results) - failures} of {len(results)} lines, "
         f"{truncated} truncated -> {args.output}"
     )
-    reports.write_manifest(
-        args.output, "translate", args.seed,
-        {"mode": args.mode, "target_lang": args.target_lang},
-        inputs=[args.input, params_path], outputs=[args.output],
-    )
-    return 0
+    return [args.input, params_path, os.path.join(args.model, "tokenizer.txt")], [args.output]
 
 
 def cmd_evaluate(args):
@@ -234,22 +223,20 @@ def cmd_evaluate(args):
     tokenizer.require_tags([direction.tgt.code])
     store = corpus.load_parallel(args.test, direction, args.format)
     report = metrics.evaluate_direction(params, tokenizer, list(store.pairs))
+    report.metadata["malformed_lines"] = store.malformed
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as f:
+    outputs = [os.path.join(args.out, "report.json"), os.path.join(args.out, "report.csv")]
+    with open(outputs[0], "w", encoding="utf-8") as f:
         f.write(json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
-    with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as f:
+    with open(outputs[1], "w", encoding="utf-8") as f:
         f.write(metrics.report_csv([report]))
     print(
         f"{report.to_text()}  decode_errors {report.metadata['decode_errors']}  "
         f"truncated {report.metadata['truncated']}  "
-        f"distinct_hypotheses {report.metadata['distinct_hypotheses']}"
+        f"distinct_hypotheses {report.metadata['distinct_hypotheses']}  "
+        f"malformed_lines {store.malformed}"
     )
-    reports.write_manifest(
-        args.out, "evaluate", None, {"direction": direction.key},
-        inputs=[args.test, params_path],
-        outputs=[os.path.join(args.out, "report.json"), os.path.join(args.out, "report.csv")],
-    )
-    return 0
+    return [args.test, params_path, os.path.join(args.model, "tokenizer.txt")], outputs
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +247,13 @@ _PREFIX_POOL = ("ka", "bu", "zo", "fe", "mi", "ra", "tu", "ny", "we", "olo")
 
 
 def cmd_synth_generate(args):
-    codes = [c.strip() for c in args.langs.split(",") if c.strip()]
+    codes = args.langs
     if len(codes) < 2:
         raise ConfigError("need at least two --langs")
-    rules = (
-        [r.strip() for r in args.rules.split(",")] if args.rules else ["identity"] * len(codes)
-    )
+    rules = args.rules or ["identity"] * len(codes)
     if len(rules) != len(codes):
         raise ConfigError(f"{len(rules)} rules for {len(codes)} languages")
-    prefixes = (
-        [p.strip() for p in args.prefixes.split(",")]
-        if args.prefixes
-        else list(_PREFIX_POOL[: len(codes)])
-    )
+    prefixes = args.prefixes or list(_PREFIX_POOL[: len(codes)])
     if len(prefixes) != len(codes):
         raise ConfigError(f"{len(prefixes)} prefixes for {len(codes)} languages")
     try:
@@ -289,14 +270,13 @@ def cmd_synth_generate(args):
         )
         for i, code in enumerate(codes)
     ]
-    low = [c.strip() for c in args.low_resource.split(",")] if args.low_resource else []
     parallel, mono, _truth = synth.gen_synthetic(
         specs,
         n_parallel_per_direction=args.n_parallel,
         n_mono_per_lang=args.n_mono,
         sentence_len_range=(lo, hi),
         seed=args.seed,
-        low_resource=low,
+        low_resource=args.low_resource or [],
         low_resource_factor=args.low_resource_factor,
         n_dev_per_direction=args.dev,
         n_test_per_direction=args.test,
@@ -307,32 +287,15 @@ def cmd_synth_generate(args):
         f"generated {len(parallel)} parallel pairs, {len(mono)} monolingual "
         f"sentences for {len(codes)} languages"
     )
-    reports.write_manifest(
-        args.out, "synth generate", args.seed,
-        {"langs": codes, "low_resource": low, "n_parallel": args.n_parallel,
-         "n_mono": args.n_mono, "len_range": [lo, hi],
-         "low_resource_factor": args.low_resource_factor,
-         "dev": args.dev, "test": args.test},
-        outputs=[os.path.join(args.out, n)
-                 for n in (*corpus.STORE_FILES, "synth_specs.json")],
-    )
-    return 0
+    return [], [*_store_files(args.out), os.path.join(args.out, "synth_specs.json")]
 
 
 def cmd_compare(args):
-    config = _resolve_config(args)
-    parallel, mono = _load_store_dir(args.store)
-    tokenizer = tok_mod.SubwordModel.load(args.tokenizer)
-    os.makedirs(args.out, exist_ok=True)
+    config, parallel, mono, tokenizer, inputs = _experiment(args)
     table = harness.compare_settings(config, parallel, mono, tokenizer, args.out)
     print(table.to_text())
-    reports.write_manifest(
-        args.out, "compare", config.seed, harness._config_dict(config),
-        inputs=[args.tokenizer], config_path=args.config,
-        outputs=[os.path.join(args.out, "comparison.csv"),
-                 os.path.join(args.out, "comparison.json")],
-    )
-    return 0
+    outputs = [os.path.join(args.out, n) for n in ("comparison.csv", "comparison.json")]
+    return inputs, outputs, config
 
 
 def cmd_report(args):
@@ -351,9 +314,7 @@ def cmd_report(args):
     for name, content in files.items():
         with open(os.path.join(args.out, name), "w", encoding="utf-8") as f:
             f.write(content)
-    reports.write_manifest(args.out, "report", None, {}, inputs=[args.comparison],
-                           outputs=[os.path.join(args.out, n) for n in files])
-    return 0
+    return [args.comparison], [os.path.join(args.out, n) for n in files]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_seed(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
+    def add_experiment(p):
+        p.add_argument("--config")
+        p.add_argument("--preset", choices=sorted(C.PRESETS))
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override any config key")
+        p.add_argument("--store", required=True)
+        p.add_argument("--tokenizer", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=int, default=None)
+
     data = sub.add_parser("data", help="corpus ingestion and bookkeeping")
-    data_sub = data.add_subparsers(dest="data_command", required=True)
+    data_sub = data.add_subparsers(dest="subcommand", required=True)
 
     p = data_sub.add_parser("prepare", help="load, clean, and store corpora")
     p.add_argument("--parallel", action="append", metavar="SRC-TGT=PATH")
@@ -399,24 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_data_split)
 
     tok = sub.add_parser("tokenizer", help="subword model")
-    tok_sub = tok.add_subparsers(dest="tokenizer_command", required=True)
+    tok_sub = tok.add_subparsers(dest="subcommand", required=True)
     p = tok_sub.add_parser("train", help="train the shared subword model")
     p.add_argument("--store", required=True)
     p.add_argument("--vocab-size", type=int, default=4096)
-    p.add_argument("--langs", help="comma-separated codes; default: languages in the store")
+    p.add_argument("--langs", type=_comma_list,
+                   help="comma-separated codes; default: languages in the store")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tokenizer_train)
 
     p = sub.add_parser("train", help="run one finetuning setting")
-    p.add_argument("--config")
-    p.add_argument("--preset", choices=sorted(C.PRESETS))
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override any config key")
-    p.add_argument("--store", required=True)
-    p.add_argument("--tokenizer", required=True)
-    p.add_argument("--out", required=True)
+    add_experiment(p)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("translate", help="translate a file of sentences")
@@ -440,17 +405,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     synth_p = sub.add_parser("synth", help="synthetic-language bench")
-    synth_sub = synth_p.add_subparsers(dest="synth_command", required=True)
+    synth_sub = synth_p.add_subparsers(dest="subcommand", required=True)
     p = synth_sub.add_parser("generate", help="generate synthetic stores")
-    p.add_argument("--langs", required=True, help="comma-separated codes, e.g. sy1,sy2")
-    p.add_argument("--low-resource", help="codes whose parallel data is scaled down")
+    p.add_argument("--langs", type=_comma_list, required=True,
+                   help="comma-separated codes, e.g. sy1,sy2")
+    p.add_argument("--low-resource", type=_comma_list,
+                   help="codes whose parallel data is scaled down")
     p.add_argument("--low-resource-factor", type=float, default=0.05)
     p.add_argument("--n-parallel", type=int, default=500)
     p.add_argument("--n-mono", type=int, default=1000)
     p.add_argument("--len-range", default="3,9")
     p.add_argument("--concept-vocab", type=int, default=200)
-    p.add_argument("--rules", help="comma-separated reorder rules per language")
-    p.add_argument("--prefixes", help="comma-separated surface prefixes per language")
+    p.add_argument("--rules", type=_comma_list, help="comma-separated reorder rules per language")
+    p.add_argument("--prefixes", type=_comma_list,
+                   help="comma-separated surface prefixes per language")
     p.add_argument("--dev", type=int, default=8)
     p.add_argument("--test", type=int, default=30)
     p.add_argument("--out", required=True)
@@ -458,13 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth_generate)
 
     p = sub.add_parser("compare", help="run BASE, BT, BT&REC and tabulate")
-    p.add_argument("--config")
-    p.add_argument("--preset", choices=sorted(C.PRESETS))
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--store", required=True)
-    p.add_argument("--tokenizer", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    add_experiment(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report", help="render serialized comparison artifacts")
@@ -476,10 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    arguments = {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "func")}
     try:
-        return args.func(args) or 0
+        inputs, outputs, *resolved = args.func(args)  # train and compare add their config
+        config = resolved[0] if resolved else None
+        out = arguments.get("out") or arguments.get("output")
+        if out:
+            command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+            seed = config.seed if config else arguments.get("seed")
+            reports.write_manifest(out, command, arguments, config.to_dict() if config else None,
+                                   seed, inputs, outputs)
+        return 0
     except ConfigError as exc:
         print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

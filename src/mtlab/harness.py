@@ -131,8 +131,15 @@ class ExperimentConfig:
             except FormatError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
 
+    def to_dict(self) -> dict:
+        """The config as nested dicts of plain values, the setting by its value, as
+        ``run.ckpt`` and run manifests store it."""
+        d = asdict(self)
+        d["setting"] = self.setting.value
+        return d
+
     def config_hash(self) -> str:
-        blob = json.dumps(_config_dict(self), sort_keys=True)
+        blob = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -147,12 +154,6 @@ _RETIRED_KEYS = {
     "optimizer": {"beta1": optim.BETA1, "beta2": optim.BETA2, "eps": optim.EPS,
                   "weight_decay": optim.WEIGHT_DECAY},
 }
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    d = asdict(config)
-    d["setting"] = config.setting.value
-    return d
 
 
 class RunLog:
@@ -462,7 +463,7 @@ def _save_run(directory, config, run: _Run, tokenizer):
     arrays = {f"{s}/{k}": v for s, tensors in sections.items() for k, v in tensors.items()}
     meta = {
         "config": asdict(run.params.config),
-        "experiment": _config_dict(config),
+        "experiment": config.to_dict(),
         "trainer": asdict(run.trainer),
         "tokenizer_sha256": tokenizer.hash(),
         "run_log": run.log.entries,
@@ -474,7 +475,7 @@ def _save_run(directory, config, run: _Run, tokenizer):
 def _load_run(directory, config, tokenizer) -> _Run:
     path = os.path.join(directory, "run.ckpt")
     arrays, meta = ckpt.load_arrays(path)
-    live = json.loads(json.dumps(_config_dict(config)))  # tuples -> lists
+    live = json.loads(json.dumps(config.to_dict()))  # tuples -> lists
     saved = ckpt.drop_retired(meta.get("experiment") or {}, _RETIRED_KEYS, "experiment config")
     if saved != live:
         raise CheckpointError("resume config does not match the checkpointed config")

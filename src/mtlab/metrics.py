@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import kernels
+from . import decoding, kernels
 from .errors import MetricError
 from .objectives import format_translation
 
@@ -284,8 +284,6 @@ def evaluate_direction(
     the distinct hypotheses (``distinct_hypotheses``): a model that gives
     one output for every source reads 1, whatever its scores.
     """
-    from . import decoding  # late import; decoding depends on model
-
     if not test_pairs:
         raise MetricError("empty test set")
     directions = {p.direction for p in test_pairs}

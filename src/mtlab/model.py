@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import drop_retired
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import ConfigError, ShapeError
 from .numerics import rng_fork
 from .numerics import autodiff as T
 from .tokenizer import EOS_ID, PAD_ID
@@ -73,14 +72,6 @@ RETIRED_KEYS = {
 }
 
 
-def config_from_saved(saved: dict) -> ModelConfig:
-    """The ModelConfig of a saved config dict; see ``checkpoint.drop_retired``."""
-    try:
-        return ModelConfig(**drop_retired(saved, RETIRED_KEYS, "model config"))
-    except (TypeError, ConfigError) as exc:
-        raise CheckpointError(f"saved model config does not fit ModelConfig: {exc}") from None
-
-
 class Params:
     """Named parameter tensors plus the config they were built for.
 
@@ -131,7 +122,8 @@ class Params:
         return Params(self.config, {k: T.Tensor(t.data) for k, t in self.tensors.items()})
 
 
-def _layer_names(config: ModelConfig):
+def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each parameter of ``config``, in the order checkpoints store them."""
     names: list[tuple[str, tuple[int, ...]]] = []
     d, ff = config.d_model, config.d_ff
 
@@ -177,7 +169,7 @@ def init(config: ModelConfig, seed: int) -> Params:
         raise ConfigError("vocab_size 0 (the tokenizer's size) must be resolved before init")
     rng = rng_fork(seed, "model-init")
     tensors: dict[str, T.Tensor] = {}
-    for name, shape in _layer_names(config):
+    for name, shape in parameter_layout(config):
         leaf = name.split(".")[-1]
         if leaf == "g":
             data = np.ones(shape, dtype=np.float32)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import decoding
 from .corpus import Direction, LangTag, MonoStore, ParallelPair
 from .errors import ConfigError, FormatError
 from .numerics import rng_fork, sample_categorical
@@ -215,8 +216,6 @@ def make_bt_examples(
     by_lang = mono_store.by_lang()
 
     if generate_fn is None:
-        from . import decoding
-
         config = decoding.DecodeConfig(mode="sample")
 
         def generate_fn(texts, rngs):

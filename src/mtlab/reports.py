@@ -23,15 +23,23 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out, command: str, seed: int | None, config_snapshot: dict,
-                   inputs=(), outputs=(), config_path=None) -> str:
-    """Write run metadata next to a command's outputs; returns the path: an
-    output directory ``out`` gets ``manifest.json``, a single output file
-    ``out`` gets ``<out>.manifest.json``, so it replaces no directory's manifest."""
+def write_manifest(out, command: str, arguments: dict, config: dict | None, seed: int | None,
+                   inputs=(), outputs=()) -> None:
+    """Write a command's manifest next to its outputs.
+
+    An output directory ``out`` gets ``manifest.json``, a single output file
+    ``out`` gets ``<out>.manifest.json``, so it replaces no directory's
+    manifest. The manifest holds ``command`` (e.g. "data split"),
+    ``arguments`` (every parsed argument under its option's name with
+    underscores, e.g. ``max_new_tokens``), ``config`` (the resolved
+    experiment config, or null), ``seed`` (the seed the command drew its
+    random numbers from, or null), ``created_unix``, and ``inputs`` and
+    ``outputs`` (the sha256 of each listed file that exists, by path).
+    """
     manifest = {
         "command": command,
-        "config_file": str(config_path) if config_path else None,
-        "config": config_snapshot,
+        "arguments": arguments,
+        "config": config,
         "seed": seed,
         "created_unix": int(time.time()),
         "inputs": {str(p): file_sha256(p) for p in inputs if os.path.exists(str(p))},
@@ -40,7 +48,6 @@ def write_manifest(out, command: str, seed: int | None, config_snapshot: dict,
     path = os.path.join(out, "manifest.json") if os.path.isdir(out) else f"{out}.manifest.json"
     with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
-    return path
 
 
 def _escape(text: str) -> str:

@@ -10,7 +10,8 @@ own inverse, so a sentence's concepts can be read back from its words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 from .corpus import (
     Direction,
@@ -187,9 +188,6 @@ def gen_synthetic(
 
 
 def save_specs(path, specs) -> None:
-    import json
-    from dataclasses import asdict
-
     with open(path, "w", encoding="utf-8") as f:
         json.dump([asdict(s) for s in specs], f, indent=2, sort_keys=True)
 

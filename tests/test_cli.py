@@ -126,6 +126,20 @@ def test_evaluate_prints_decode_errors_and_truncations(tmp_path, model_dir, caps
     assert int(printed.group(3)) == metadata["distinct_hypotheses"]
 
 
+def test_evaluate_reports_malformed_test_lines(tmp_path, model_dir, capsys):
+    test = tmp_path / "test.tsv"
+    test.write_text("a b c\tc a b\nno tab here\nc a\ta c\n", encoding="utf-8")
+    out = tmp_path / "eval"
+    assert cli.main([
+        "evaluate", "--model", str(model_dir), "--test", str(test),
+        "--direction", "sy1-sy2", "--out", str(out),
+    ]) == 0
+    printed = capsys.readouterr().out
+    assert "size=2" in printed and printed.endswith("  malformed_lines 1\n")
+    metadata = json.loads((out / "report.json").read_text(encoding="utf-8"))["metadata"]
+    assert metadata["malformed_lines"] == 1
+
+
 def test_missing_input_file_is_one_line_error(tmp_path, model_dir, capsys):
     code = cli.main([
         "translate", "--model", str(model_dir), "--input", str(tmp_path / "nofile.txt"),
@@ -305,6 +319,50 @@ def test_single_file_outputs_keep_the_directory_manifest(tmp_path, model_dir):
     assert _manifest(out)["command"] == "translate"
 
 
+def test_manifests_record_every_parsed_argument(tmp_path, model_dir, readable_inputs):
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("a b c\n", encoding="utf-8")
+    assert cli.main([
+        "translate", "--model", str(model_dir), "--input", str(src), "--output", str(out),
+        "--target-lang", "sy2", "--mode", "sample", "--temperature", "0.7",
+        "--max-new-tokens", "3",
+    ]) == 0
+    manifest = _manifest(out)
+    assert manifest["arguments"] == {
+        "model": str(model_dir), "input": str(src), "output": str(out), "target_lang": "sy2",
+        "mode": "sample", "temperature": 0.7, "beam_size": 4, "max_new_tokens": 3, "seed": 13,
+    }
+    assert (manifest["command"], manifest["config"], manifest["seed"]) == ("translate", None, 13)
+    # train and compare also record the resolved config, whose seed is the run's
+    run = _manifest(readable_inputs / "run")
+    assert run["arguments"]["config"] == str(readable_inputs / "config.txt")
+    assert run["arguments"]["seed"] is None and "config_file" not in run
+    assert (run["config"]["setting"], run["config"]["epochs"]) == ("bt_rec", 1)
+    assert run["seed"] == run["config"]["seed"] == 13
+    d = tmp_path / "inputs"
+    shutil.copytree(readable_inputs, d)
+    assert cli.main(["compare", "--store", str(d / "store"), "--tokenizer",
+                     str(d / "tokenizer.txt"), "--config", str(d / "config.txt"), "--seed", "5",
+                     "--out", str(d / "cmp")]) == 0
+    compare = _manifest(d / "cmp")
+    assert compare["command"] == "compare" and compare["arguments"]["seed"] == 5
+    assert compare["seed"] == compare["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("langs, tags", [("sy1, sy2", ["sy1", "sy2"]), ("SY1,x", None)],
+                         ids=["spaces", "bad-codes"])
+def test_tokenizer_langs_are_checked_codes(tmp_path, readable_inputs, capsys, langs, tags):
+    out = tmp_path / "tok.txt"
+    code = cli.main(["tokenizer", "train", "--store", str(readable_inputs / "store"),
+                     "--vocab-size", "300", "--langs", langs, "--out", str(out)])
+    if tags is None:
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error FormatError: ") and err.count("\n") == 1
+    else:
+        assert code == 0 and SubwordModel.load(out).lang_tags == tags
+
+
 def test_data_jsonl_without_dedup_and_unstratified_split(tmp_path, capsys):
     # 9 well-formed pairs in two domains, one an exact duplicate, and one malformed line
     records = [{"src": f"a{i} b{i} c", "tgt": f"c b{i} a{i}", "domain": d}
@@ -327,7 +385,7 @@ def test_data_jsonl_without_dedup_and_unstratified_split(tmp_path, capsys):
     with (split / "parallel.jsonl").open(encoding="utf-8") as f:
         labels = [json.loads(line)["split"] for line in f]
     assert (labels.count("dev"), labels.count("test")) == (3, 2)
-    assert _manifest(split)["config"]["spec"]["stratify_by_domain"] is False
+    assert _manifest(split)["arguments"]["no_stratify"] is True
 
 
 def test_data_pipeline_commands_write_files_and_manifests(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mtlab import checkpoint as ckpt
 from mtlab import model as M
 from mtlab.errors import CheckpointError, ConfigError, ShapeError
 from mtlab.numerics import backward, rng_fork
@@ -37,7 +38,7 @@ class TestConfig:
 
     def test_saved_config_that_fails_its_checks_is_checkpoint_error(self):
         with pytest.raises(CheckpointError, match="n_heads"):
-            M.config_from_saved({"vocab_size": 100, "n_heads": 0})
+            ckpt.config_from_saved({"vocab_size": 100, "n_heads": 0})
 
 
 class TestInit:

@@ -1,5 +1,7 @@
 """Every public module-level function and class in src/mtlab, and every
-public method and property of those classes, has a caller.
+public method and property of those classes, has a caller; and the modules
+of src/mtlab import each other only at module level, with no cycle, and
+use no other module's private names.
 
 A name counts as used when some Name or Attribute node in src/ or
 perfbench/ refers to it outside its own definition. Tests do not count:
@@ -45,3 +47,79 @@ def test_every_public_definition_is_used_outside_tests():
                 if uses[d.name] - _referenced(d)[d.name] <= 0:
                     unused.append(f"{path.relative_to(ROOT)}: {d.name}")
     assert not unused, f"public names no program uses: {unused}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _cycle(graph: dict) -> list:
+    """One import cycle of ``graph`` (module -> modules it imports), or []."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        path.append(module)
+        for target in sorted(graph.get(module, ())):
+            found = visit(target)
+            if found:
+                return found
+        path.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        found = visit(module)
+        if found:
+            return found
+    return []
+
+
+def test_modules_import_at_top_without_cycles_or_private_names():
+    src = ROOT / "src"
+    files = {}
+    for f in sorted((src / "mtlab").rglob("*.py")):
+        parts = f.relative_to(src).with_suffix("").parts
+        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = f
+    problems, graph = [], {}
+    for module, path in files.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+        graph[module] = set()
+        aliases = set()  # names this module binds to other mtlab modules
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if node not in tree.body:
+                problems.append(f"{module}:{node.lineno} imports inside a function or block")
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name in files:
+                        graph[module].add(alias.name)
+                        aliases.add(alias.asname or alias.name)
+                continue
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            source = ".".join(filter(None, (base, node.module)))
+            if source not in files:
+                continue
+            for alias in node.names:
+                target = f"{source}.{alias.name}"
+                if target in files:
+                    graph[module].add(target)
+                    aliases.add(alias.asname or alias.name)
+                else:
+                    graph[module].add(source)
+                    if _private(alias.name):
+                        problems.append(f"{module}:{node.lineno} imports {source}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and _private(node.attr)):
+                problems.append(f"{module}:{node.lineno} uses {node.value.id}.{node.attr}")
+        graph[module].discard(module)
+    cycle = _cycle(graph)
+    if cycle:
+        problems.append("import cycle " + " -> ".join(cycle))
+    assert not problems, problems
