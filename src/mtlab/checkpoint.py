@@ -1,11 +1,14 @@
-"""Checkpoint files: a text manifest followed by flat 64-bit LE float data.
+"""Checkpoint files: a text manifest followed by flat little-endian float data.
 
-Layout: UTF-8 header lines (format tag, data checksum, extra key=value
-metadata, then one ``tensor <name> <shape-json> <offset>`` line per array,
-offsets in bytes from the start of the data segment), a blank line, then
-the concatenated float64 little-endian arrays, in header order with no gap
-(a reader checks this; the checksum covers only the data). Writes are
-atomic (write-then-rename).
+Layout: UTF-8 header lines (format tag, data dtype, data checksum, extra
+key=value metadata, then one ``tensor <name> <shape-json> <offset>`` line
+per array, offsets in bytes from the start of the data segment), a blank
+line, then the concatenated little-endian arrays, in header order with no
+gap (a reader checks this; the checksum covers only the data). The data
+are float32 (``dtype <f4``) when every array written is float32, as model
+parameters and AdamW moments are, and float64 (``dtype <f8``) otherwise.
+Files written before the dtype line existed hold float64 data and no such
+line. Writes are atomic (write-then-rename).
 
 A model file (``save_params``) holds the parameters under their own names
 and the model config as ``meta config``. A training run's file
@@ -56,9 +59,12 @@ _MAGIC = "mtlab-checkpoint v1"
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write named arrays (any float dtype; stored as f64 LE) atomically."""
+    """Write named arrays (any float dtype) atomically: as f32 LE if every
+    array is float32, else as f64 LE."""
+    f32 = bool(arrays) and all(np.asarray(a).dtype == np.float32 for a in arrays.values())
+    dtype = "<f4" if f32 else "<f8"
     offset = 0
-    lines = [_MAGIC]
+    lines = [_MAGIC, f"dtype {dtype}"]
     meta_lines = []
     for key, value in sorted((meta or {}).items()):
         meta_lines.append(f"meta {key}={json.dumps(value, ensure_ascii=False)}")
@@ -70,7 +76,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
             raise CheckpointError(f"tensor name {name!r} must not contain spaces")
         # hashed and written as buffers, so no bytes copy of the data is made;
         # the shape is taken before ``ascontiguousarray``, which makes a 0-d array 1-d
-        blob = np.ascontiguousarray(arrays[name], dtype="<f8")
+        blob = np.ascontiguousarray(arrays[name], dtype=dtype)
         shape_json = json.dumps(list(np.shape(arrays[name])), separators=(",", ":"))
         tensor_lines.append(f"tensor {name} {shape_json} {offset}")
         digest.update(blob)
@@ -89,7 +95,8 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint once; returns (read-only float64 views of it, metadata dict)."""
+    """Read a checkpoint once; returns (read-only views of it in the stored
+    dtype, metadata dict)."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -106,6 +113,7 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     if not header or header[0] != _MAGIC:
         raise CheckpointError(f"{path}: bad magic line {header[:1]!r}")
     checksum = None
+    dtype = "<f8"
     meta: dict = {}
     entries = []
     for line in header[1:]:
@@ -113,6 +121,10 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
         try:
             if kind == "checksum":
                 checksum = rest
+            elif kind == "dtype":
+                if rest not in ("<f4", "<f8"):
+                    raise ValueError(rest)
+                dtype = rest
             elif kind == "meta":
                 key, _, value = rest.partition("=")
                 meta[key] = json.loads(value)
@@ -130,10 +142,10 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
         if offset != end or not all(isinstance(n, int) and n >= 0 for n in shape):
             raise CheckpointError(f"{path}: tensor {name} with shape {list(shape)} at offset "
                                   f"{offset} does not follow the previous tensor's end {end}")
-        end += 8 * math.prod(shape)
+        end += np.dtype(dtype).itemsize * math.prod(shape)
     if end != len(data):
         raise CheckpointError(f"{path}: tensors cover {end} of {len(data)} data bytes")
-    arrays = {name: np.frombuffer(data, "<f8", math.prod(shape), offset).reshape(shape)
+    arrays = {name: np.frombuffer(data, dtype, math.prod(shape), offset).reshape(shape)
               for name, shape, offset in entries}
     return arrays, meta
 

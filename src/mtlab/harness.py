@@ -231,13 +231,19 @@ class _TrainerState:
 
 @dataclass
 class _Run:
-    """What ``run.ckpt`` saves: everything a resume needs."""
+    """What ``run.ckpt`` saves: everything a resume needs. It also owns the
+    float64 gradient buffers of ``_train_step``, laid out like
+    ``params.flat``, made by the run's first step and never saved: ``grad``,
+    the step's token-weighted sum and then its mean, and ``micro_grad``, a
+    later micro-batch's gradient."""
 
     params: M.Params
     best_params: M.Params
     opt_state: optim.AdamWState
     trainer: _TrainerState
     log: RunLog
+    grad: np.ndarray | None = field(default=None, init=False, repr=False)
+    micro_grad: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def _epoch_budget(config, epoch: int) -> tuple[int | None, int, int]:
@@ -338,9 +344,9 @@ def _train_step(config, run: _Run, epoch: int, pairs: list, lr: float):
 
     The step cuts ``pairs`` into micro-batches of ``batch_size_sentences``,
     takes the token-weighted mean of their flat gradients
-    (``Params.flat_grad``), summed in float64. Its entry holds the mean
-    loss, lr, target tokens and ``grad_norm``, the L2 norm of that mean
-    gradient in float64.
+    (``Params.flat_grad``), summed in float64 in place in ``run.grad``.
+    Its entry holds the mean loss, lr, target tokens and ``grad_norm``, the
+    L2 norm of that mean gradient in float64.
     """
     loss_sum = 0.0
     tokens = 0
@@ -350,15 +356,24 @@ def _train_step(config, run: _Run, epoch: int, pairs: list, lr: float):
         drop_rng = rng_fork(config.seed, f"dropout:{run.trainer.micro_step}")
         loss = M.loss_teacher_forcing(run.params, batch, dropout_rng=drop_rng)
         n_tok = int(batch.tgt_mask.sum())
-        grad = run.params.flat_grad(backward(loss, list(run.params.tensors.values()))) * n_tok
-        grad_sum = grad_sum + grad if start else grad
+        grads = backward(loss, list(run.params.tensors.values()))
+        if run.grad is None:
+            # Made while the first step's graph is alive, the buffers sit above
+            # the memory that each step frees, so the allocator keeps that memory
+            # for the next step rather than returning it and faulting it back in.
+            run.grad, run.micro_grad = np.empty((2, run.params.flat.size))
+        grad = run.micro_grad if start else run.grad
+        run.params.flat_grad(grads, grad)
+        grad *= n_tok
+        if start:
+            run.grad += grad
         loss_sum += loss.item() * n_tok
         tokens += n_tok
-    mean_grad = grad_sum / tokens
-    optim.adamw_step(run.params, mean_grad, run.opt_state, run.trainer.opt_step + 1, lr)
+    run.grad /= tokens
+    optim.adamw_step(run.params, run.grad, run.opt_state, run.trainer.opt_step + 1, lr)
     run.trainer.opt_step += 1
     entry = dict(type="step", step=run.trainer.opt_step, epoch=epoch, loss=loss_sum / tokens,
-                 lr=lr, tokens=tokens, grad_norm=float(np.sqrt(np.dot(mean_grad, mean_grad))))
+                 lr=lr, tokens=tokens, grad_norm=float(np.sqrt(np.dot(run.grad, run.grad))))
     return entry, loss_sum
 
 
@@ -373,7 +388,8 @@ def _evaluate(config, run: _Run, epoch: int, dev_pairs: list) -> list[dict]:
     if improved:
         t.best_dev = dev
         t.evals_since_best = 0
-        run.best_params = run.params.copy()
+        # both Params come from one Params or one run file, so their layouts match
+        run.best_params.flat[...] = run.params.flat
     else:
         t.evals_since_best += 1
     entries = [dict(type="eval", step=t.opt_step, epoch=epoch, dev_loss=dev, best=t.best_dev,

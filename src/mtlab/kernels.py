@@ -58,21 +58,29 @@ def embedding_grad(out, ids, grad_rows):
     return out
 
 
-def adamw_update(param, grad, m, v, step, lr, beta1, beta2, eps, weight_decay):
+def adamw_update(param, grad, m, v, scratch, step, lr, beta1, beta2, eps, weight_decay):
     """One fused AdamW update, in place over flat views.
 
     Decoupled weight decay is applied to the parameter before the Adam
-    term; bias correction uses ``step`` (1-based).
+    term; bias correction uses ``step`` (1-based). Every result goes to
+    ``out=``, so no array is allocated: ``scratch`` (``param``'s size and
+    dtype) holds each intermediate, and ``grad`` holds the Adam term's
+    denominator once the moments are updated, so both are overwritten. The
+    operations and their order are those of
+    ``param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)``.
     """
     if weight_decay != 0.0:
-        param -= lr * weight_decay * param
+        param -= np.multiply(param, lr * weight_decay, out=scratch)
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(grad, 1.0 - beta1, out=scratch)
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
+    np.multiply(grad, 1.0 - beta2, out=scratch)
+    v += np.multiply(scratch, grad, out=scratch)
     bc1 = 1.0 - beta1 ** step
     bc2 = 1.0 - beta2 ** step
-    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.multiply(np.divide(m, bc1, out=scratch), lr, out=scratch)
+    np.add(np.sqrt(np.divide(v, bc2, out=grad), out=grad), eps, out=grad)
+    param -= np.divide(scratch, grad, out=scratch)
 
 
 def levenshtein(a, b):

@@ -111,11 +111,11 @@ class Params:
             for name, t in self.tensors.items()
         }
 
-    def flat_grad(self, grads: dict[T.Tensor, np.ndarray]) -> np.ndarray:
-        """``backward``'s gradients of these tensors as one float64 vector laid out like ``flat``."""
-        return np.concatenate(
-            [grads[self.tensors[name]].reshape(-1) for name in self._spans], dtype=np.float64
-        )
+    def flat_grad(self, grads: dict[T.Tensor, np.ndarray], out: np.ndarray) -> np.ndarray:
+        """``backward``'s gradients of these tensors written into ``out``, a float64
+        vector laid out like ``flat``; returns ``out``."""
+        return np.concatenate([grads[self.tensors[name]].reshape(-1) for name in self._spans],
+                              out=out)
 
     def copy(self) -> "Params":
         """Params on a new buffer: one copy of the data."""

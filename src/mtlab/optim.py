@@ -7,7 +7,7 @@ term; 1-D parameters (layer-norm gains and all biases) are exempt.
 Gradients and moments are flat vectors laid out like ``Params.flat``
 (weight matrices first, then vectors), so a step is two fused updates, one
 per part. The caller counts the steps and sums micro-batch gradients
-(``harness.run_experiment``).
+(``harness._train_step``, into its run's gradient buffer).
 """
 
 from __future__ import annotations
@@ -50,11 +50,15 @@ def lr_at(warmup: int, total: int, base_lr: float, step: int) -> float:
 
 
 class AdamWState:
-    """First and second moment buffers, laid out like ``Params.flat``."""
+    """First and second moment buffers, laid out like ``Params.flat``, and
+    the work space of a step: ``grad``, the gradient in the parameters'
+    dtype, and ``scratch``. A checkpoint saves only the moments."""
 
     def __init__(self, params: Params):
         self.m_flat = np.zeros_like(params.flat)
         self.v_flat = np.zeros_like(params.flat)
+        self.grad = np.empty_like(params.flat)
+        self.scratch = np.empty_like(params.flat)
 
 
 def adamw_step(params: Params, flat_grad: np.ndarray, state: AdamWState, step: int,
@@ -65,15 +69,19 @@ def adamw_step(params: Params, flat_grad: np.ndarray, state: AdamWState, step: i
     ``step`` is this update's 1-based number, which sets the bias
     correction. The update runs over two slices of the buffers: the decayed
     weight matrices, then the exempt vectors, at learning rate ``lr``. A
-    non-finite gradient raises OptimError before anything changes.
+    non-finite gradient raises OptimError before the parameters or moments
+    change. The step allocates nothing parameter-sized: it works in
+    ``state.grad`` and ``state.scratch``.
     """
-    if not np.isfinite(flat_grad).all():
-        bad = next(k for k, g in params.views(flat_grad).items() if not np.isfinite(g).all())
+    grad = state.grad
+    np.copyto(grad, flat_grad)
+    # the extremes are finite only if every element is (nan propagates)
+    if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
+        bad = next(k for k, g in params.views(grad).items() if not np.isfinite(g).all())
         raise OptimError(f"non-finite gradient for parameter {bad!r}")
-    grad = np.asarray(flat_grad, dtype=params.flat.dtype)
     for part, wd in ((slice(0, params.n_decayed), WEIGHT_DECAY),
                      (slice(params.n_decayed, None), 0.0)):
         kernels.adamw_update(
             params.flat[part], grad[part], state.m_flat[part], state.v_flat[part],
-            step, float(lr), BETA1, BETA2, EPS, wd,
+            state.scratch[part], step, float(lr), BETA1, BETA2, EPS, wd,
         )

@@ -134,6 +134,8 @@ def gen_synthetic(
     pairs; directions touching a ``low_resource`` language get the count
     scaled by ``low_resource_factor`` (monolingual data stays full-size).
     Dev/test pairs are generated separately, equally sized per direction.
+    A ``low_resource`` code that is not a spec's, or a factor outside
+    (0, 1], is a SynthError.
     """
     specs = list(specs)
     if len(specs) < 2:
@@ -146,6 +148,12 @@ def gen_synthetic(
         raise SynthError(f"bad sentence length range {sentence_len_range}")
     truth = GroundTruth(specs)
     low = {str(l) for l in low_resource}
+    unknown = low - {s.code for s in specs}
+    if unknown:
+        raise SynthError(f"low-resource languages {sorted(unknown)} are not among the "
+                         f"synthetic languages {[s.code for s in specs]}")
+    if not 0 < low_resource_factor <= 1:
+        raise SynthError(f"low_resource_factor must be in (0, 1], got {low_resource_factor}")
 
     def sample_sentence(rng, size):
         length = int(rng.integers(lo, hi + 1))

@@ -1,4 +1,4 @@
-"""Checkpoint format: manifest + f64 LE data, checksums, params round-trip."""
+"""Checkpoint format: manifest + f32 or f64 LE data, checksums, params round-trip."""
 
 from dataclasses import asdict
 from pathlib import Path
@@ -47,6 +47,35 @@ def test_data_is_little_endian_f64_with_text_manifest(tmp_path):
     assert "tensor w [2] 0" in text
     assert "checksum sha256:" in text
     np.testing.assert_array_equal(np.frombuffer(data, dtype="<f8"), [1.0, 2.0])
+
+
+def test_float32_arrays_stored_as_float32(tmp_path):
+    rng = np.random.default_rng(4)
+    arrays = {"w": rng.standard_normal((5, 7)).astype(np.float32),
+              "b": rng.standard_normal(7).astype(np.float32),
+              "s": np.array(-0.0, dtype=np.float32)}
+    ckpt.save_arrays(tmp_path / "f32.ckpt", arrays)
+    ckpt.save_arrays(tmp_path / "f64.ckpt", {k: v.astype(np.float64) for k, v in arrays.items()})
+    loaded, _ = ckpt.load_arrays(tmp_path / "f32.ckpt")
+    for name, value in arrays.items():
+        assert loaded[name].dtype == np.float32 and loaded[name].shape == value.shape
+        assert loaded[name].tobytes() == value.tobytes()
+        assert not loaded[name].flags.writeable
+    data32 = (tmp_path / "f32.ckpt").read_bytes().partition(b"\n\n")[2]
+    data64 = (tmp_path / "f64.ckpt").read_bytes().partition(b"\n\n")[2]
+    assert len(data32) * 2 == len(data64) == 8 * (35 + 7 + 1)
+
+
+def test_file_without_dtype_line_reads_as_float64(tmp_path):
+    # the files written before the dtype line, such as the benchmark's model
+    path = tmp_path / "x.ckpt"
+    ckpt.save_arrays(path, {"w": np.array([1.0, 2.5]), "v": np.array([[3.0]])})
+    raw = path.read_bytes()
+    assert raw.count(b"\ndtype <f8\n") == 1
+    path.write_bytes(raw.replace(b"\ndtype <f8\n", b"\n"))
+    loaded, _ = ckpt.load_arrays(path)
+    assert loaded["w"].dtype == np.float64 and list(loaded["w"]) == [1.0, 2.5]
+    assert loaded["v"].shape == (1, 1) and loaded["v"][0, 0] == 3.0
 
 
 def test_corruption_detected(tmp_path):
@@ -101,6 +130,9 @@ def test_header_whose_tensors_do_not_tile_the_data_refused(tmp_path, line, corru
     ("tensor b [4] 48", "tensor b 4 48"),  # a shape that is not a list
     ("tensor b [4] 48", "tensor b [4] 4x8"),  # an offset that is not an integer
     ("meta n=3", "meta n=3x"),  # a meta value that is not JSON
+    ("dtype <f8", "dtype <i8"),  # a data dtype other than f32 or f64 LE
+    ("dtype <f8", "dtype >f8"),
+    ("dtype <f8", "dtype float64"),
 ])
 def test_malformed_header_line_refused(tmp_path, line, corrupt):
     path = tmp_path / "x.ckpt"

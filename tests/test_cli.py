@@ -229,6 +229,19 @@ def test_bad_config_value_is_config_error_before_the_store_loads(tmp_path, capsy
     assert key.rpartition(".")[2] in err
 
 
+@pytest.mark.parametrize("flags, match", [
+    (["--low-resource", "zz9"], "zz9"),
+    (["--low-resource", "sy1", "--low-resource-factor", "nan"], "factor"),
+    (["--low-resource", "sy1", "--low-resource-factor", "-3"], "factor"),
+])
+def test_synth_generate_bad_low_resource_flags_are_synth_errors(tmp_path, capsys, flags, match):
+    code = cli.main(["synth", "generate", "--langs", "sy1,sy2", "--n-parallel", "4",
+                     "--out", str(tmp_path / "store"), *flags])
+    err = capsys.readouterr().err
+    assert code != 0 and err.startswith("error SynthError: ") and match in err
+    assert not (tmp_path / "store").exists()
+
+
 def _store_and_tokenizer(tmp_path):
     store, tok = tmp_path / "store", tmp_path / "tok" / "tokenizer.txt"
     tok.parent.mkdir()

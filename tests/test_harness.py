@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mtlab import checkpoint as ckpt
-from mtlab import harness
+from mtlab import harness, optim
 from mtlab import model as M
 from mtlab.config import PRESETS, build_experiment_config, parse_config_file
 from mtlab.corpus import LangTag, MonoSentence, MonoStore, ParallelStore
@@ -256,6 +256,33 @@ class TestRunExperiment:
         norm = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values()))
         assert step["grad_norm"] == pytest.approx(norm, rel=1e-5)
 
+    def test_in_place_step_equals_whole_array_arithmetic(self, small_world, tmp_path,
+                                                         monkeypatch):
+        # three micro-batches per step, fewer in an epoch's last step
+        _, parallel, mono, tokenizer = small_world
+        config = _config(FinetuneSetting.BT_REC, accumulation_factor=3, batch_size_sentences=6)
+        buffers = []
+        train_step = harness._train_step
+
+        def recording_step(config, run, *args):
+            out = train_step(config, run, *args)
+            buffers.append(run.grad)
+            return out
+
+        monkeypatch.setattr(harness, "_train_step", recording_step)
+        params, log = run_experiment(config, parallel, mono, tokenizer,
+                                     checkpoint_dir=tmp_path)
+        monkeypatch.setattr(harness, "_train_step", _whole_array_train_step)
+        ref_params, ref_log = run_experiment(config, parallel, mono, tokenizer)
+        steps, ref_steps = log.entries_of("step"), ref_log.entries_of("step")
+        assert len(steps) == len(ref_steps) == len(buffers) > 2
+        for key in ("loss", "grad_norm"):
+            assert [e[key].hex() for e in steps] == [e[key].hex() for e in ref_steps], key
+        assert params.flat.tobytes() == ref_params.flat.tobytes()
+        assert all(b is buffers[0] for b in buffers)
+        arrays, _ = ckpt.load_arrays(tmp_path / "run.ckpt")
+        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+
     def test_overlong_mono_sentence_skipped_in_bt(self, small_world, caplog):
         _, parallel, mono, tokenizer = small_world
         sy1_words = " ".join(s.text for s in mono.sentences if s.lang.code == "sy1").split()
@@ -318,6 +345,33 @@ class TestRunExperiment:
         config = _config(languages=("sy1", "sy2", "zzz"), epochs=1)
         with pytest.raises(ConfigError, match="zzz"):
             run_experiment(config, parallel, mono, tokenizer)
+
+
+def _whole_array_train_step(config, run, epoch, pairs, lr):
+    """``harness._train_step`` with its gradient arithmetic as whole-array
+    expressions: each micro-batch's gradients concatenated to float64 in the
+    layout of ``Params.flat`` and times its tokens, summed, then divided by
+    the step's tokens."""
+    order = sorted(run.params.tensors, key=lambda k: run.params[k].ndim < 2)
+    loss_sum, tokens = 0.0, 0
+    for start in range(0, len(pairs), config.batch_size_sentences):
+        batch = harness._make_batch(pairs[start : start + config.batch_size_sentences])
+        run.trainer.micro_step += 1
+        drop_rng = rng_fork(config.seed, f"dropout:{run.trainer.micro_step}")
+        loss = M.loss_teacher_forcing(run.params, batch, dropout_rng=drop_rng)
+        n_tok = int(batch.tgt_mask.sum())
+        grads = backward(loss, list(run.params.tensors.values()))
+        grad = np.concatenate([grads[run.params[k]].reshape(-1) for k in order],
+                              dtype=np.float64) * n_tok
+        grad_sum = grad_sum + grad if start else grad
+        loss_sum += loss.item() * n_tok
+        tokens += n_tok
+    mean_grad = grad_sum / tokens
+    optim.adamw_step(run.params, mean_grad, run.opt_state, run.trainer.opt_step + 1, lr)
+    run.trainer.opt_step += 1
+    entry = dict(type="step", step=run.trainer.opt_step, epoch=epoch, loss=loss_sum / tokens,
+                 lr=lr, tokens=tokens, grad_norm=float(np.sqrt(np.dot(mean_grad, mean_grad))))
+    return entry, loss_sum
 
 
 class _Crash(Exception):

@@ -1,5 +1,7 @@
 """AdamW, schedule, and gradient accumulation contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ class TestAdamW:
 
     def test_zero_gradient_no_decay_keeps_params(self):
         param = np.array([2.5])
-        kernels.adamw_update(param, np.zeros(1), np.zeros(1), np.zeros(1), 1, 0.1,
+        kernels.adamw_update(param, np.zeros(1), np.zeros(1), np.zeros(1), np.empty(1), 1, 0.1,
                              optim.BETA1, optim.BETA2, optim.EPS, 0.0)
         assert param[0] == 2.5
 
@@ -96,7 +98,7 @@ class TestAdamW:
         m = np.zeros(9)
         v = np.zeros(9)
         for t, g in enumerate(grads, 1):
-            kernels.adamw_update(param, g.reshape(-1), m, v, t, 0.01,
+            kernels.adamw_update(param, g.reshape(-1).copy(), m, v, np.empty(9), t, 0.01,
                                  optim.BETA1, optim.BETA2, optim.EPS, 0.0)
 
         # manual Adam (no decay) as the oracle
@@ -162,6 +164,24 @@ class TestAdamW:
                 assert moments_m[k].tobytes() == m.tobytes(), k
                 assert moments_v[k].tobytes() == v.tobytes(), k
 
+    def test_step_allocates_nothing_parameter_sized(self):
+        # numpy reports its buffers to tracemalloc, so the peak is deterministic
+        rng = np.random.default_rng(3)
+        shapes = {"w1": (200, 300), "w2": (300, 120), "b": (400,), "g": (200,)}
+        params = M.Params(_scalar_params().config, {
+            k: Tensor(rng.standard_normal(s).astype(np.float32)) for k, s in shapes.items()})
+        assert 95_000 < params.flat.size < 105_000
+        state = optim.AdamWState(params)
+        grad = rng.standard_normal(params.flat.size)
+        optim.adamw_step(params, grad, state, 1, 1e-3)  # a first call warms any caches
+        tracemalloc.start()
+        try:
+            optim.adamw_step(params, grad, state, 2, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.flat.nbytes / 4
+
     def test_scheduled_lr_override(self):
         params = _scalar_params(1.0)
         state = optim.AdamWState(params)
@@ -172,7 +192,8 @@ class TestAdamW:
 class TestAccumulation:
     def _loss_and_grads(self, params, batch):
         loss = M.loss_teacher_forcing(params, batch)
-        return params.flat_grad(backward(loss, list(params.tensors.values())))
+        grads = backward(loss, list(params.tensors.values()))
+        return params.flat_grad(grads, np.empty(params.flat.size))
 
     def test_micro_batches_equal_full_batch(self):
         # run_experiment's accumulation: each micro-batch's flat gradient,

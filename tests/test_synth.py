@@ -113,6 +113,24 @@ class TestGenSynthetic:
         assert len(test) == 6  # dev/test are NOT scaled down
         assert len(mono.by_lang()[LangTag("sy4")]) == 40  # mono stays full
 
+    @pytest.mark.parametrize("low, factor, match", [
+        (["zz9"], 0.05, "zz9"),  # not one of the specs' codes
+        (["sy1"], float("nan"), "factor"),
+        (["sy1"], -3.0, "factor"),
+        (["sy1"], 0.0, "factor"),
+        (["sy1"], 1.5, "factor"),
+        ([], float("nan"), "factor"),
+    ])
+    def test_bad_low_resource_arguments_rejected(self, low, factor, match):
+        with pytest.raises(SynthError, match=match):
+            gen_synthetic(_specs()[:2], 4, 2, (2, 3), seed=1, low_resource=low,
+                          low_resource_factor=factor)
+
+    def test_low_resource_factor_one_keeps_counts(self):
+        parallel, _, _ = gen_synthetic(_specs()[:2], 4, 2, (2, 3), seed=1,
+                                       low_resource=["sy2"], low_resource_factor=1.0)
+        assert len(parallel.pairs) == 8
+
     def test_pairs_are_exact_translations(self):
         specs = _specs()
         parallel, _, truth = gen_synthetic(specs, 20, 5, (3, 6), seed=6)
