@@ -74,9 +74,6 @@ def _store_files(path):
 # ---------------------------------------------------------------------------
 
 def cmd_data_prepare(args):
-    cleaning = corpus.CleaningConfig(
-        max_len=args.max_len, min_len=args.min_len, dedup=not args.no_dedup
-    )
     parallel = corpus.ParallelStore()
     inputs = []
     for key, path in _parse_kv_list(args.parallel, "parallel"):
@@ -89,8 +86,9 @@ def cmd_data_prepare(args):
         inputs.append(path)
     if not parallel.pairs and not mono.sentences:
         raise ConfigError("nothing to prepare: pass --parallel and/or --mono")
-    parallel, p_report = corpus.clean(parallel, cleaning)
-    mono, m_report = corpus.clean(mono, cleaning)
+    cleaning = dict(max_len=args.max_len, min_len=args.min_len, dedup=not args.no_dedup)
+    parallel, p_report = corpus.clean(parallel, **cleaning)
+    mono, m_report = corpus.clean(mono, **cleaning)
     corpus.save_stores(args.out, parallel, mono)
     with open(os.path.join(args.out, "clean_report.csv"), "w", encoding="utf-8") as f:
         f.write("store,reason,count\n")
@@ -118,13 +116,8 @@ def cmd_data_stats(args):
 
 def cmd_data_split(args):
     parallel, mono = _load_store_dir(args.store)
-    spec = corpus.SplitSpec(
-        dev_per_direction=args.dev,
-        test_per_direction=args.test,
-        seed=args.seed,
-        stratify_by_domain=not args.no_stratify,
-    )
-    parallel = corpus.split(parallel, spec)
+    parallel = corpus.split(parallel, dev_per_direction=args.dev, test_per_direction=args.test,
+                            seed=args.seed, stratify_by_domain=not args.no_stratify)
     corpus.save_stores(args.out, parallel, mono)
     counts = {s: sum(1 for p in parallel.pairs if p.split == s) for s in corpus.SPLITS}
     print(" ".join(f"{k}={v}" for k, v in counts.items()))

@@ -128,31 +128,6 @@ class MonoStore:
         return MonoStore(self.sentences + other.sentences)
 
 
-@dataclass(frozen=True)
-class CleaningConfig:
-    max_len: int = 50
-    min_len: int = 2
-    dedup: bool = True
-
-    def __post_init__(self):
-        if not 1 <= self.min_len <= self.max_len:
-            raise FormatError(
-                f"need 1 <= min_len <= max_len, got {self.min_len}, {self.max_len}"
-            )
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    dev_per_direction: int
-    test_per_direction: int
-    seed: int
-    stratify_by_domain: bool = True
-
-    def __post_init__(self):
-        if self.dev_per_direction < 0 or self.test_per_direction < 0:
-            raise FormatError("split sizes must be non-negative")
-
-
 @dataclass
 class CleanReport:
     input_count: int = 0
@@ -241,13 +216,17 @@ def _token_count(text: str) -> int:
     return len(text.split())
 
 
-def clean(store, config: CleaningConfig = CleaningConfig()):
-    """Drop too-long/too-short records, optionally dedup; returns (store', report).
+def clean(store, *, max_len: int, min_len: int, dedup: bool):
+    """Drop records longer than ``max_len`` or shorter than ``min_len``
+    tokens and, with ``dedup``, repeats; returns (store', report).
 
     Length bounds are whitespace-token counts on the normalized text and
-    apply to both sides of a pair. Deduplication is exact match within a
-    direction (or language, for monolingual stores).
+    apply to both sides of a pair; ``1 <= min_len <= max_len`` or it is a
+    FormatError. Deduplication is exact match within a direction (or
+    language, for monolingual stores).
     """
+    if not 1 <= min_len <= max_len:
+        raise FormatError(f"need 1 <= min_len <= max_len, got {min_len}, {max_len}")
     if isinstance(store, ParallelStore):
         name, fields, group = "pairs", ("src_text", "tgt_text"), lambda p: p.direction.key
     elif isinstance(store, MonoStore):
@@ -261,13 +240,13 @@ def clean(store, config: CleaningConfig = CleaningConfig()):
     for record in records:
         texts = {f: normalize(getattr(record, f)) for f in fields}
         lengths = [_token_count(t) for t in texts.values()]
-        if max(lengths) > config.max_len:
+        if max(lengths) > max_len:
             report.dropped_too_long += 1
             continue
-        if min(lengths) < config.min_len:
+        if min(lengths) < min_len:
             report.dropped_too_short += 1
             continue
-        if config.dedup:
+        if dedup:
             key = (group(record), *texts.values())
             if key in seen:
                 report.dropped_duplicate += 1
@@ -287,14 +266,19 @@ def _quotas(n: int, k: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(k)]
 
 
-def split(store: ParallelStore, spec: SplitSpec) -> ParallelStore:
-    """Assign train/dev/test labels, deterministically per seed.
+def split(store: ParallelStore, *, dev_per_direction: int, test_per_direction: int, seed: int,
+          stratify_by_domain: bool) -> ParallelStore:
+    """Label ``dev_per_direction`` pairs of each direction dev and
+    ``test_per_direction`` test, the rest train, deterministically per
+    ``seed``; a negative size is a FormatError.
 
-    With stratification, dev and test draw equally (plus-minus one) from
-    each domain present in a direction; when a domain cannot fill its
+    With ``stratify_by_domain``, dev and test draw equally (plus-minus one)
+    from each domain present in a direction; when a domain cannot fill its
     quota the deficit moves to the other domains in sorted order.
     """
-    need = spec.dev_per_direction + spec.test_per_direction
+    if dev_per_direction < 0 or test_per_direction < 0:
+        raise FormatError("split sizes must be non-negative")
+    need = dev_per_direction + test_per_direction
     labeled: list[ParallelPair] = []
     for direction, pairs in sorted(store.by_direction().items(), key=lambda kv: kv[0]):
         if len(pairs) <= need:
@@ -302,49 +286,30 @@ def split(store: ParallelStore, spec: SplitSpec) -> ParallelStore:
                 f"direction {direction} has {len(pairs)} pairs, "
                 f"needs more than dev+test={need}"
             )
-        domains = sorted({p.domain for p in pairs}) if spec.stratify_by_domain else [None]
+        domains = sorted({p.domain for p in pairs}) if stratify_by_domain else [None]
         groups: dict[object, list[int]] = {d: [] for d in domains}
         for idx, p in enumerate(pairs):
-            groups[p.domain if spec.stratify_by_domain else None].append(idx)
+            groups[p.domain if stratify_by_domain else None].append(idx)
         for d in domains:
-            rng = rng_fork(spec.seed, f"split:{direction.key}:{d}")
-            order = list(groups[d])
-            rng.shuffle(order)
-            groups[d] = order
-        dev_idx = _draw(groups, domains, spec.dev_per_direction)
-        test_idx = _draw(groups, domains, spec.test_per_direction)
-        dev_set, test_set = set(dev_idx), set(test_idx)
+            rng_fork(seed, f"split:{direction.key}:{d}").shuffle(groups[d])
+        dev_set = set(_draw(groups, domains, dev_per_direction))
+        test_set = set(_draw(groups, domains, test_per_direction))
         for idx, p in enumerate(pairs):
-            if idx in dev_set:
-                labeled.append(replace(p, split="dev"))
-            elif idx in test_set:
-                labeled.append(replace(p, split="test"))
-            else:
-                labeled.append(replace(p, split="train"))
+            label = "dev" if idx in dev_set else "test" if idx in test_set else "train"
+            labeled.append(replace(p, split=label))
     return ParallelStore(tuple(labeled), store.malformed)
 
 
 def _draw(groups: dict, domains: list, count: int) -> list[int]:
-    quotas = dict(zip(domains, _quotas(count, len(domains))))
     chosen: list[int] = []
-    deficit = 0
-    for d in domains:
-        q = quotas[d]
-        take = min(q, len(groups[d]))
-        chosen.extend(groups[d][:take])
-        groups[d] = groups[d][take:]
-        deficit += q - take
-    while deficit > 0:
-        progressed = False
+    for d, quota in zip(domains, _quotas(count, len(domains))):
+        chosen += groups[d][:quota]
+        del groups[d][:quota]
+    # the quota a domain could not fill is drawn from the others, one at a time in order
+    while len(chosen) < count and any(groups[d] for d in domains):
         for d in domains:
-            if deficit <= 0:
-                break
-            if groups[d]:
+            if groups[d] and len(chosen) < count:
                 chosen.append(groups[d].pop(0))
-                deficit -= 1
-                progressed = True
-        if not progressed:
-            break
     return chosen
 
 

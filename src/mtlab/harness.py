@@ -424,12 +424,12 @@ def run_experiment(config: ExperimentConfig, parallel: ParallelStore, mono: Mono
     warmup_steps = min(config.warmup_steps, total_steps)
     step_size = config.batch_size_sentences * config.accumulation_factor
 
+    start = dict(directions=[d.key for d in directions], train_examples=len(train_pairs),
+                 dev_examples=len(dev_pairs), total_steps=total_steps)
     if resume:
-        run = _load_run(checkpoint_dir, config, tokenizer)
+        run = _load_run(checkpoint_dir, config, tokenizer, start)
     else:
-        run = _new_run(config, model_cfg, init_params, tokenizer, checkpoint_dir,
-                       directions=[d.key for d in directions], train_examples=len(train_pairs),
-                       dev_examples=len(dev_pairs), total_steps=total_steps)
+        run = _new_run(config, model_cfg, init_params, tokenizer, checkpoint_dir, **start)
 
     wall_start = time.time()
     for epoch in range(run.trainer.epoch_done + 1, config.epochs + 1):
@@ -488,7 +488,10 @@ def _save_run(directory, config, run: _Run, tokenizer):
     run.log.save(os.path.join(directory, "runlog.jsonl"))
 
 
-def _load_run(directory, config, tokenizer) -> _Run:
+def _load_run(directory, config, tokenizer, start: dict) -> _Run:
+    """The run checkpointed in ``directory``; a CheckpointError unless its
+    config, tokenizer and the ``start`` entry fields that the stores fix
+    (directions, example counts, total steps) are this run's."""
     path = os.path.join(directory, "run.ckpt")
     arrays, meta = ckpt.load_arrays(path)
     live = json.loads(json.dumps(config.to_dict()))  # tuples -> lists
@@ -505,6 +508,11 @@ def _load_run(directory, config, tokenizer) -> _Run:
     entries = meta.get("run_log")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise CheckpointError(f"{path}: meta run_log is not a list of run-log entries")
+    saved_start = next((e for e in entries if e.get("type") == "start"), {})
+    for key, value in start.items():
+        if saved_start.get(key) != value:
+            raise CheckpointError(f"resume {key} {value!r} does not match the "
+                                  f"checkpointed {saved_start.get(key)!r}")
     run_log = RunLog(config.seed, config.config_hash())
     run_log.entries = entries
     run = _Run(params, _section(path, arrays, meta, "best"), opt_state, _trainer_state(path, meta),

@@ -330,9 +330,7 @@ def cross_entropy(logits: Tensor, target_ids, pad_id: int) -> Tensor:
             f"cross_entropy: targets {targets.shape} do not match logits {logits.shape}"
         )
     v = logits.shape[-1]
-    if np.any((targets < 0) | (targets >= v)) and np.any(
-        ((targets < 0) | (targets >= v)) & (targets != pad_id)
-    ):
+    if np.any(((targets < 0) | (targets >= v)) & (targets != pad_id)):
         raise ShapeError("cross_entropy: target id out of range")
     flat = np.ascontiguousarray(logits.data.reshape(-1, v))
     tflat = targets.reshape(-1)

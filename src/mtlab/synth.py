@@ -134,8 +134,8 @@ def gen_synthetic(
     pairs; directions touching a ``low_resource`` language get the count
     scaled by ``low_resource_factor`` (monolingual data stays full-size).
     Dev/test pairs are generated separately, equally sized per direction.
-    A ``low_resource`` code that is not a spec's, or a factor outside
-    (0, 1], is a SynthError.
+    A negative count, a ``low_resource`` code that is not a spec's, or a
+    factor outside (0, 1] is a SynthError.
     """
     specs = list(specs)
     if len(specs) < 2:
@@ -143,6 +143,12 @@ def gen_synthetic(
     if len({s.code for s in specs}) != len(specs):
         raise SynthError("duplicate language codes")
     _check_prefix_free(specs)
+    for name, count in (("n_parallel_per_direction", n_parallel_per_direction),
+                        ("n_mono_per_lang", n_mono_per_lang),
+                        ("n_dev_per_direction", n_dev_per_direction),
+                        ("n_test_per_direction", n_test_per_direction)):
+        if count < 0:
+            raise SynthError(f"{name} must be non-negative, got {count}")
     lo, hi = sentence_len_range
     if not 1 <= lo <= hi:
         raise SynthError(f"bad sentence length range {sentence_len_range}")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mtlab import model as M
-from mtlab.numerics import Tensor, autodiff, backward, matmul, reshape
+from mtlab.numerics import autodiff, backward
+from mtlab.numerics.autodiff import Tensor, matmul, reshape
 from mtlab.tokenizer import train_subword
 
 

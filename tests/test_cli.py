@@ -242,6 +242,15 @@ def test_synth_generate_bad_low_resource_flags_are_synth_errors(tmp_path, capsys
     assert not (tmp_path / "store").exists()
 
 
+def test_synth_generate_negative_sizes_are_a_synth_error(tmp_path, capsys):
+    code = cli.main(["synth", "generate", "--langs", "sy1,sy2", "--n-parallel", "-5",
+                     "--n-mono", "-2", "--dev", "-1", "--test", "-3",
+                     "--out", str(tmp_path / "store")])
+    err = capsys.readouterr().err
+    assert code != 0 and err.startswith("error SynthError: ") and err.count("\n") == 1
+    assert not (tmp_path / "store").exists()
+
+
 def _store_and_tokenizer(tmp_path):
     store, tok = tmp_path / "store", tmp_path / "tok" / "tokenizer.txt"
     tok.parent.mkdir()

@@ -5,14 +5,12 @@ import json
 import pytest
 
 from mtlab.corpus import (
-    CleaningConfig,
     Direction,
     LangTag,
     MonoSentence,
     MonoStore,
     ParallelPair,
     ParallelStore,
-    SplitSpec,
     clean,
     load_mono,
     load_parallel,
@@ -109,7 +107,7 @@ class TestClean:
     def test_too_long_source_dropped(self):
         long_src = " ".join(["w"] * 51)
         store = ParallelStore((_pair(long_src, "ok ok"),))
-        cleaned, report = clean(store, CleaningConfig(max_len=50))
+        cleaned, report = clean(store, max_len=50, min_len=2, dedup=True)
         assert len(cleaned) == 0
         assert report.dropped_too_long == 1
 
@@ -117,29 +115,29 @@ class TestClean:
         store = ParallelStore(
             (_pair(" ".join(["w"] * 50), "a b"), _pair("a b", "c d"))
         )
-        cleaned, report = clean(store, CleaningConfig(max_len=50, min_len=2))
+        cleaned, report = clean(store, max_len=50, min_len=2, dedup=True)
         assert report.kept == 2
 
     def test_single_token_pair_dropped(self):
         store = ParallelStore((_pair("hi", "yo"),))
-        cleaned, report = clean(store, CleaningConfig(min_len=2))
+        cleaned, report = clean(store, max_len=50, min_len=2, dedup=True)
         assert len(cleaned) == 0
         assert report.dropped_too_short == 1
 
     def test_exact_duplicates_collapse(self):
         store = ParallelStore((_pair("a b", "c d"), _pair("a b", "c d")))
-        cleaned, report = clean(store)
+        cleaned, report = clean(store, max_len=50, min_len=2, dedup=True)
         assert len(cleaned) == 1
         assert report.dropped_duplicate == 1
 
     def test_dedup_respects_whitespace_normalization(self):
         store = ParallelStore((_pair("a  b", "c d"), _pair("a b", "c d")))
-        cleaned, _ = clean(store)
+        cleaned, _ = clean(store, max_len=50, min_len=2, dedup=True)
         assert len(cleaned) == 1
 
     def test_dedup_disabled(self):
         store = ParallelStore((_pair("a b", "c d"), _pair("a b", "c d")))
-        cleaned, _ = clean(store, CleaningConfig(dedup=False))
+        cleaned, _ = clean(store, max_len=50, min_len=2, dedup=False)
         assert len(cleaned) == 2
 
     def test_idempotent(self):
@@ -151,8 +149,8 @@ class TestClean:
                 _pair("a b", "c d"),
             )
         )
-        once, _ = clean(store)
-        twice, report = clean(once)
+        once, _ = clean(store, max_len=50, min_len=2, dedup=True)
+        twice, report = clean(once, max_len=50, min_len=2, dedup=True)
         assert twice.pairs == once.pairs
         assert report.dropped_too_long == report.dropped_too_short == 0
         assert report.dropped_duplicate == 0
@@ -165,21 +163,21 @@ class TestClean:
                 MonoSentence(LangTag("fon"), "x"),
             )
         )
-        cleaned, report = clean(store)
+        cleaned, report = clean(store, max_len=50, min_len=2, dedup=True)
         assert len(cleaned) == 1
         assert report.dropped_duplicate == 1
         assert report.dropped_too_short == 1
 
     def test_diacritics_preserved(self):
         store = ParallelStore((_pair("Daalụ ọba", "état fédéral"),))
-        cleaned, _ = clean(store)
+        cleaned, _ = clean(store, max_len=50, min_len=2, dedup=True)
         assert cleaned.pairs[0].src_text == "Daalụ ọba"
 
     def test_invalid_config(self):
         with pytest.raises(FormatError):
-            CleaningConfig(min_len=0)
+            clean(ParallelStore(), max_len=50, min_len=0, dedup=True)
         with pytest.raises(FormatError):
-            CleaningConfig(min_len=5, max_len=4)
+            clean(ParallelStore(), max_len=4, min_len=5, dedup=True)
 
 
 def _bulk_store(n=1000, domains=("",)):
@@ -194,33 +192,40 @@ def _bulk_store(n=1000, domains=("",)):
 class TestSplit:
     def test_sizes(self):
         store = _bulk_store(1000)
-        out = split(store, SplitSpec(30, 30, seed=1))
+        out = split(store, dev_per_direction=30, test_per_direction=30, seed=1,
+                    stratify_by_domain=True)
         counts = {s: sum(1 for p in out.pairs if p.split == s) for s in ("train", "dev", "test")}
         assert counts == {"train": 940, "dev": 30, "test": 30}
 
     def test_partition_disjoint_and_complete(self):
         store = _bulk_store(200)
-        out = split(store, SplitSpec(10, 20, seed=3))
+        out = split(store, dev_per_direction=10, test_per_direction=20, seed=3,
+                    stratify_by_domain=True)
         texts = sorted(p.src_text for p in out.pairs)
         assert texts == sorted(p.src_text for p in store.pairs)
 
     def test_deterministic_per_seed(self):
         store = _bulk_store(300)
-        a = split(store, SplitSpec(20, 20, seed=7))
-        b = split(store, SplitSpec(20, 20, seed=7))
+        a = split(store, dev_per_direction=20, test_per_direction=20, seed=7,
+                  stratify_by_domain=True)
+        b = split(store, dev_per_direction=20, test_per_direction=20, seed=7,
+                  stratify_by_domain=True)
         assert a.pairs == b.pairs
 
     def test_different_seeds_differ(self):
         store = _bulk_store(1000)
-        a = split(store, SplitSpec(30, 30, seed=1))
-        b = split(store, SplitSpec(30, 30, seed=2))
+        a = split(store, dev_per_direction=30, test_per_direction=30, seed=1,
+                  stratify_by_domain=True)
+        b = split(store, dev_per_direction=30, test_per_direction=30, seed=2,
+                  stratify_by_domain=True)
         test_a = {p.src_text for p in a.pairs if p.split == "test"}
         test_b = {p.src_text for p in b.pairs if p.split == "test"}
         assert test_a != test_b
 
     def test_stratified_equal_draw(self):
         store = _bulk_store(1000, domains=("news", "bible"))
-        out = split(store, SplitSpec(0, 30, seed=5))
+        out = split(store, dev_per_direction=0, test_per_direction=30, seed=5,
+                    stratify_by_domain=True)
         per_domain = {"news": 0, "bible": 0}
         for p in out.pairs:
             if p.split == "test":
@@ -230,7 +235,7 @@ class TestSplit:
     def test_insufficient_pairs_names_direction(self):
         store = ParallelStore(tuple(_pair(f"s {i}", f"t {i}") for i in range(10)))
         with pytest.raises(SplitError, match="fra-eng"):
-            split(store, SplitSpec(5, 5, seed=1))
+            split(store, dev_per_direction=5, test_per_direction=5, seed=1, stratify_by_domain=True)
 
 
 class TestStats:
@@ -262,7 +267,8 @@ class TestStats:
 class TestStoreRoundTrip:
     def test_save_load(self, tmp_path):
         parallel = _bulk_store(10)
-        parallel = split(parallel, SplitSpec(2, 3, seed=0))
+        parallel = split(parallel, dev_per_direction=2, test_per_direction=3, seed=0,
+                         stratify_by_domain=True)
         mono = MonoStore((MonoSentence(LangTag("fon"), "ok sentence"),))
         save_stores(tmp_path, parallel, mono)
         p2, m2 = load_stores(tmp_path)

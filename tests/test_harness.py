@@ -539,6 +539,28 @@ class TestCheckpointResume:
         with pytest.raises(ConfigError, match="checkpoint_dir"):
             run_experiment(config, parallel, mono, tokenizer, resume=True)
 
+    @pytest.mark.parametrize("field", ["train_examples", "dev_examples", "total_steps"])
+    def test_resume_on_other_stores_rejected(self, small_world, tmp_path, field):
+        _, parallel, mono, tokenizer = small_world
+        config = _config(FinetuneSetting.BT_REC, epochs=3)
+        params_full, log_full = run_experiment(config, parallel, mono, tokenizer)
+        run_dir = tmp_path / "r"
+        _stop_after_epoch(1, config, parallel, mono, tokenizer, checkpoint_dir=run_dir)
+        other_parallel, other_mono = parallel, mono
+        if field == "train_examples":
+            other_parallel = ParallelStore(parallel.pairs[::2])
+        elif field == "dev_examples":
+            other_parallel = ParallelStore(tuple(p for p in parallel.pairs if p.split != "dev"))
+        else:  # without monolingual text the run makes no BT or REC examples
+            other_mono = MonoStore()
+        with pytest.raises(CheckpointError, match=field):
+            run_experiment(config, other_parallel, other_mono, tokenizer, checkpoint_dir=run_dir,
+                           resume=True)
+        params, log = run_experiment(config, parallel, mono, tokenizer, checkpoint_dir=run_dir,
+                                     resume=True)
+        assert log.loss_trace == log_full.loss_trace
+        np.testing.assert_array_equal(params.flat, params_full.flat)
+
     def test_crash_at_any_write_resumes_exactly_or_is_refused(
         self, small_world, tmp_path, monkeypatch
     ):

@@ -146,7 +146,7 @@ class TestParams:
         assert loaded.flat.tobytes() == params.flat.tobytes()
 
     def test_mixed_dtypes_rejected(self, tiny_model_config):
-        from mtlab.numerics import Tensor
+        from mtlab.numerics.autodiff import Tensor
 
         tensors = {"w": Tensor(np.zeros((2, 2), np.float32)), "b": Tensor(np.zeros(2))}
         with pytest.raises(ShapeError, match="dtypes"):
@@ -196,14 +196,23 @@ class TestForward:
         with pytest.raises(ShapeError):
             M.forward_logits(params, batch)
 
-    def test_id_out_of_range_rejected(self, tiny_model_config):
+    # forward_logits reads the source and the target shifted right, so not the
+    # last target column; loss_teacher_forcing reads every target id.
+    @pytest.mark.parametrize("side, column, read_by_forward", [
+        ("src", 0, True), ("tgt", 0, True), ("tgt", -1, False),
+    ], ids=["source", "first-target", "last-target"])
+    def test_id_out_of_range_rejected(self, tiny_model_config, side, column, read_by_forward):
         params = M.init(tiny_model_config, seed=0)
-        batch = M.Batch(
-            np.full((1, 2), tiny_model_config.vocab_size), np.full((1, 2), 3),
-            np.ones((1, 2), bool), np.ones((1, 2), bool),
-        )
-        with pytest.raises(ShapeError):
+        ids = {"src": np.full((1, 3), 3), "tgt": np.full((1, 3), 3)}
+        ids[side][0, column] = tiny_model_config.vocab_size
+        batch = M.Batch(ids["src"], ids["tgt"], np.ones((1, 3), bool), np.ones((1, 3), bool))
+        if read_by_forward:
+            with pytest.raises(ShapeError):
+                M.forward_logits(params, batch)
+        else:
             M.forward_logits(params, batch)
+        with pytest.raises(ShapeError):
+            M.loss_teacher_forcing(params, batch)
 
 
 class TestLoss:

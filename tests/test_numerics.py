@@ -6,20 +6,17 @@ import numpy as np
 import pytest
 
 from mtlab.errors import DistributionError, ShapeError
-from mtlab.numerics import (
+from mtlab.numerics import backward, no_grad, rng_fork, sample_categorical
+from mtlab.numerics.autodiff import (
     Tensor,
     add,
-    backward,
     cross_entropy,
     dropout,
     embedding_lookup,
     gelu,
     layer_norm,
     matmul,
-    no_grad,
     reshape,
-    rng_fork,
-    sample_categorical,
     scale,
     softmax,
     transpose,

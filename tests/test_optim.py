@@ -11,7 +11,8 @@ from mtlab import optim
 from mtlab.config import build_experiment_config
 from mtlab.errors import ConfigError, OptimError
 from mtlab.harness import ExperimentConfig, run_experiment
-from mtlab.numerics import Tensor, backward
+from mtlab.numerics import backward
+from mtlab.numerics.autodiff import Tensor
 from mtlab.synth import SyntheticLangSpec, gen_synthetic
 from mtlab.tokenizer import train_subword
 

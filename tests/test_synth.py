@@ -126,6 +126,18 @@ class TestGenSynthetic:
             gen_synthetic(_specs()[:2], 4, 2, (2, 3), seed=1, low_resource=low,
                           low_resource_factor=factor)
 
+    @pytest.mark.parametrize("size", ["n_parallel_per_direction", "n_mono_per_lang",
+                                      "n_dev_per_direction", "n_test_per_direction"])
+    def test_negative_size_rejected_and_zero_kept(self, size):
+        sizes = dict(n_parallel_per_direction=4, n_mono_per_lang=2, n_dev_per_direction=1,
+                     n_test_per_direction=1)
+        with pytest.raises(SynthError, match=size):
+            gen_synthetic(_specs()[:2], sentence_len_range=(2, 3), seed=1, **{**sizes, size: -1})
+        parallel, mono, _ = gen_synthetic(_specs()[:2], sentence_len_range=(2, 3), seed=1,
+                                          **{**sizes, size: 0})
+        # each size counts for two directions or two languages: 2 * (4 + 1 + 1) + 2 * 2 in all
+        assert len(parallel) + len(mono) == 16 - 2 * sizes[size]
+
     def test_low_resource_factor_one_keeps_counts(self):
         parallel, _, _ = gen_synthetic(_specs()[:2], 4, 2, (2, 3), seed=1,
                                        low_resource=["sy2"], low_resource_factor=1.0)
