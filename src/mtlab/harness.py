@@ -9,8 +9,8 @@ and the run log records what each returns:
   training data. ``_epoch_budget`` fixes each epoch's round and budgets
   (num_bt follows the decay list across rounds), for the rounds and the lr
   schedule alike.
-- ``_epoch_order``: the translation and synthetic examples shuffled
-  uniformly into the epoch's training stream.
+- ``_epoch_order``: the translation and synthetic examples shuffled into
+  the epoch's training stream, each window of step slices sorted by length.
 - ``_train_step``: one optimizer step (``step``) on the next slice of
   ``batch_size_sentences * accumulation_factor`` examples of the stream.
 - ``_evaluate``: dev loss every ``eval_every_steps`` optimizer steps
@@ -332,10 +332,27 @@ def _augment(config, params, tokenizer, mono: MonoStore, epoch: int):
     return examples, entries
 
 
+# Step slices per window that ``_epoch_order`` sorts by (target, source)
+# length; the target comes first because decoder positions cost more.
+_BUCKET_SLICES = 16
+
+
 def _epoch_order(config, epoch: int, pairs: list) -> list:
-    """The epoch's training stream: ``pairs`` shuffled from the epoch's rng stream."""
-    order = rng_fork(config.seed, f"shuffle:{epoch}").permutation(len(pairs))
-    return [pairs[i] for i in order]
+    """The epoch's training stream: ``pairs`` shuffled from the epoch's rng
+    stream, each window of ``_BUCKET_SLICES`` step slices stable-sorted by
+    length and cut into slices, then the full slices shuffled by the same
+    rng and the one short slice, if any, last."""
+    rng = rng_fork(config.seed, f"shuffle:{epoch}")
+    shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+    size = config.batch_size_sentences * config.accumulation_factor
+    window = _BUCKET_SLICES * size
+    slices = []
+    for start in range(0, len(shuffled), window):
+        bucket = sorted(shuffled[start : start + window], key=lambda p: (len(p[1]), len(p[0])))
+        slices += [bucket[i : i + size] for i in range(0, len(bucket), size)]
+    full = len(pairs) // size
+    order = [*rng.permutation(full), *range(full, len(slices))]
+    return [pair for i in order for pair in slices[i]]
 
 
 def _train_step(config, run: _Run, epoch: int, pairs: list, lr: float):
@@ -345,17 +362,21 @@ def _train_step(config, run: _Run, epoch: int, pairs: list, lr: float):
     The step cuts ``pairs`` into micro-batches of ``batch_size_sentences``,
     takes the token-weighted mean of their flat gradients
     (``Params.flat_grad``), summed in float64 in place in ``run.grad``.
-    Its entry holds the mean loss, lr, target tokens and ``grad_norm``, the
-    L2 norm of that mean gradient in float64.
+    Its entry holds the mean loss, lr, target tokens, ``grad_norm``, the
+    L2 norm of that mean gradient in float64, and ``pad_share``, the share
+    of the micro-batches' source and target positions that are padding.
     """
     loss_sum = 0.0
     tokens = 0
+    positions = real = 0
     for start in range(0, len(pairs), config.batch_size_sentences):
         batch = _make_batch(pairs[start : start + config.batch_size_sentences])
+        n_tok = int(batch.tgt_mask.sum())
+        positions += batch.src_ids.size + batch.tgt_ids.size
+        real += int(batch.src_mask.sum()) + n_tok
         run.trainer.micro_step += 1
         drop_rng = rng_fork(config.seed, f"dropout:{run.trainer.micro_step}")
         loss = M.loss_teacher_forcing(run.params, batch, dropout_rng=drop_rng)
-        n_tok = int(batch.tgt_mask.sum())
         grads = backward(loss, list(run.params.tensors.values()))
         if run.grad is None:
             # Made while the first step's graph is alive, the buffers sit above
@@ -373,7 +394,8 @@ def _train_step(config, run: _Run, epoch: int, pairs: list, lr: float):
     optim.adamw_step(run.params, run.grad, run.opt_state, run.trainer.opt_step + 1, lr)
     run.trainer.opt_step += 1
     entry = dict(type="step", step=run.trainer.opt_step, epoch=epoch, loss=loss_sum / tokens,
-                 lr=lr, tokens=tokens, grad_norm=float(np.sqrt(np.dot(run.grad, run.grad))))
+                 lr=lr, tokens=tokens, grad_norm=float(np.sqrt(np.dot(run.grad, run.grad))),
+                 pad_share=1 - real / positions)
     return entry, loss_sum
 
 

@@ -132,7 +132,8 @@ def gen_synthetic(
 
     Every ordered direction gets ``n_parallel_per_direction`` training
     pairs; directions touching a ``low_resource`` language get the count
-    scaled by ``low_resource_factor`` (monolingual data stays full-size).
+    scaled by ``low_resource_factor``, at least one pair unless the count
+    is 0 (monolingual data stays full-size).
     Dev/test pairs are generated separately, equally sized per direction.
     A negative count, a ``low_resource`` code that is not a spec's, or a
     factor outside (0, 1] is a SynthError.
@@ -173,7 +174,7 @@ def gen_synthetic(
             direction = Direction(LangTag(a.code), LangTag(b.code))
             size = min(a.concept_vocab_size, b.concept_vocab_size)
             n_train = n_parallel_per_direction
-            if a.code in low or b.code in low:
+            if n_train and (a.code in low or b.code in low):
                 n_train = max(1, round(n_train * low_resource_factor))
             plan = [("train", n_train), ("dev", n_dev_per_direction), ("test", n_test_per_direction)]
             for split_name, count in plan:

@@ -215,26 +215,27 @@ class TestRunExperiment:
         assert len(steps) == log.entries_of("start")[0]["total_steps"]
         assert len(steps) == sum(-(-k // 16) for k in sizes)
 
-    def test_ragged_last_step_takes_the_rest_of_the_epoch(self, small_world):
+    def test_ragged_last_step_takes_the_rest_of_the_epoch(self, small_world, monkeypatch):
         # 16 pairs, batch 5 accumulated 2: a step of 10 sentences, then one of 6
         _, parallel, mono, tokenizer = small_world
         pairs = [p for p in parallel.pairs if p.split == "train"
                  and {p.direction.src.code, p.direction.tgt.code} == {"sy1", "sy2"}][:16]
         config = _config(languages=("sy1", "sy2"), epochs=1, batch_size_sentences=5,
                          accumulation_factor=2, eval_every_steps=1000)
-        store = ParallelStore(tuple(pairs))
-        _, log = run_experiment(config, store, mono, tokenizer)
+        sizes = []
+        train_step = harness._train_step
+
+        def counting_step(config, run, epoch, pairs, lr):
+            sizes.append(len(pairs))
+            return train_step(config, run, epoch, pairs, lr)
+
+        monkeypatch.setattr(harness, "_train_step", counting_step)
+        _, log = run_experiment(config, ParallelStore(tuple(pairs)), mono, tokenizer)
         steps = log.entries_of("step")
         assert len(steps) == log.entries_of("start")[0]["total_steps"] == 2
-        # the epoch stream: translation examples in direction order, then shuffled
-        by_direction = store.by_direction()
-        examples = [format_translation(p) for d in build_directions(config.languages, ())
-                    for p in by_direction.get(d, ())]
-        order = rng_fork(config.seed, "shuffle:1").permutation(16)
-        targets = [tokenizer.encode(examples[i].target_text) for i in order]
-        assert [e["tokens"] for e in steps] == [
-            sum(map(len, targets[:10])), sum(map(len, targets[10:]))
-        ]
+        assert sizes == [10, 6]
+        targets = [tokenizer.encode(format_translation(p).target_text) for p in pairs]
+        assert sum(e["tokens"] for e in steps) == sum(map(len, targets))
 
     def test_step_logs_gradient_norm(self, small_world):
         _, parallel, mono, tokenizer = small_world
@@ -255,6 +256,10 @@ class TestRunExperiment:
         grads = backward(loss, list(init.tensors.values()))
         norm = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values()))
         assert step["grad_norm"] == pytest.approx(norm, rel=1e-5)
+        # one micro-batch of every example, so its padding whatever their order
+        real = batch.src_mask.sum() + batch.tgt_mask.sum()
+        assert step["pad_share"] == pytest.approx(
+            1 - real / (batch.src_ids.size + batch.tgt_ids.size))
 
     def test_in_place_step_equals_whole_array_arithmetic(self, small_world, tmp_path,
                                                          monkeypatch):
@@ -372,6 +377,59 @@ def _whole_array_train_step(config, run, epoch, pairs, lr):
     entry = dict(type="step", step=run.trainer.opt_step, epoch=epoch, loss=loss_sum / tokens,
                  lr=lr, tokens=tokens, grad_norm=float(np.sqrt(np.dot(mean_grad, mean_grad))))
     return entry, loss_sum
+
+
+class TestEpochOrder:
+    """``_epoch_order``: windows of step slices sorted by length, slices shuffled."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, small_world):
+        # a 3-7-word store of the small world's languages, encoded
+        specs, _, _, tokenizer = small_world
+        parallel, _, _ = gen_synthetic(specs, 40, 0, (3, 7), seed=3)
+        examples = [format_translation(p) for p in parallel.pairs]
+        return harness._encode_examples(tokenizer, examples, 64)
+
+    @staticmethod
+    def _key(pair):
+        return tuple(pair[0]), tuple(pair[1])
+
+    @staticmethod
+    def _pad_share(stream, batch, accumulation):
+        # padding share of the full step slices' micro-batches
+        size = batch * accumulation
+        positions = real = 0
+        for start in range(0, len(stream) - len(stream) % size, batch):
+            b = M.make_batch(*zip(*stream[start : start + batch]), 0)
+            positions += b.src_ids.size + b.tgt_ids.size
+            real += b.src_mask.sum() + b.tgt_mask.sum()
+        return 1 - real / positions
+
+    def test_stream_is_a_permutation_of_the_pairs(self, pairs):
+        stream = harness._epoch_order(_config(batch_size_sentences=7), 1, pairs)
+        assert Counter(map(self._key, stream)) == Counter(map(self._key, pairs))
+
+    def test_short_slice_comes_last(self, pairs):
+        # 100 pairs, slices of 4 * 2: one window of 12 full slices and a short one of 4,
+        # the window's longest examples
+        config = _config(batch_size_sentences=4, accumulation_factor=2)
+        stream = harness._epoch_order(config, 1, pairs[:100])
+        lengths = [(len(t), len(s)) for s, t in stream]
+        assert min(lengths[96:]) >= max(lengths[:96])
+        assert lengths[:96] != sorted(lengths[:96])  # the full slices are shuffled
+
+    def test_same_seed_and_epoch_give_the_same_stream(self, pairs):
+        config = _config(batch_size_sentences=5)
+        first = harness._epoch_order(config, 2, pairs)
+        assert harness._epoch_order(config, 2, pairs) == first
+        assert harness._epoch_order(config, 3, pairs) != first
+        assert harness._epoch_order(_config(batch_size_sentences=5, seed=12), 2, pairs) != first
+
+    def test_full_slices_pad_less_than_a_uniform_shuffle(self, pairs):
+        config = _config(batch_size_sentences=8, accumulation_factor=2)
+        uniform = [pairs[i] for i in rng_fork(config.seed, "shuffle:1").permutation(len(pairs))]
+        bucketed = harness._epoch_order(config, 1, pairs)
+        assert self._pad_share(bucketed, 8, 2) < self._pad_share(uniform, 8, 2)
 
 
 class _Crash(Exception):

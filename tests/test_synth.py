@@ -143,6 +143,14 @@ class TestGenSynthetic:
                                        low_resource=["sy2"], low_resource_factor=1.0)
         assert len(parallel.pairs) == 8
 
+    def test_low_resource_scaling_keeps_zero_pairs_zero(self):
+        # the one-pair floor applies only to a nonzero count
+        parallel, _, _ = gen_synthetic(_specs()[:2], 0, 2, (2, 3), seed=1,
+                                       low_resource=["sy2"], n_test_per_direction=1)
+        assert [p.split for p in parallel.pairs] == ["test", "test"]
+        parallel, _, _ = gen_synthetic(_specs()[:2], 4, 2, (2, 3), seed=1, low_resource=["sy2"])
+        assert len(parallel.pairs) == 2
+
     def test_pairs_are_exact_translations(self):
         specs = _specs()
         parallel, _, truth = gen_synthetic(specs, 20, 5, (3, 6), seed=6)
