@@ -41,6 +41,10 @@ class FinetuneSetting(enum.Enum):
 
 @dataclass(frozen=True)
 class BTConfig:
+    """Online BT budgets. A round decodes one sample per sentence whatever
+    ``num_sample`` is; it only picks which of that many rng streams the
+    sample comes from (``make_bt_examples``)."""
+
     num_bt: int = 100
     num_bt_decay: tuple[int, ...] = ()
     num_sample: int = 2
@@ -200,13 +204,14 @@ def make_bt_examples(
     ``BTConfig.num_bt_for_round``) are sampled with replacement; each picks
     a uniform pivot s among the targets of m's directions in
     ``build_directions(langs, exclusions)`` (with or without monolingual
-    data), gets ``bt_config.num_sample`` translations of '<s> y' sampled
-    at temperature 1, and one candidate chosen uniformly becomes the
-    synthetic source. The whole round is one decoding call; each sample
-    draws from its own rng stream, and each sentence's pivot and candidate
-    pick from another. A sentence with a failed decode (e.g. longer than
-    max_positions) is skipped with a warning, so a round may emit fewer
-    than its budget.
+    data), and one translation of '<s> y' sampled at temperature 1 becomes
+    the synthetic source. The whole round is one decoding call of one row
+    per sentence. Each sentence draws its pivot, then a uniform index k
+    below ``bt_config.num_sample``, from its own rng stream, and its sample
+    from stream k of ``num_sample`` sample streams; only that one is
+    decoded, so ``num_sample`` selects a stream and costs nothing. A
+    sentence with a failed decode (e.g. longer than max_positions) is
+    skipped with a warning, so a round may emit fewer than its budget.
 
     ``generate_fn(input_texts, rngs) -> list[str | None]`` overrides model
     decoding; None marks a failed decode.
@@ -224,7 +229,7 @@ def make_bt_examples(
 
     base_seed = int(rng.integers(2**63))
     n = bt_config.num_sample
-    jobs, inputs, rngs = [], [], []  # jobs: (language, pivot, sentence, its rng)
+    jobs, inputs, rngs = [], [], []  # jobs: (language, pivot, sentence)
     for lang in langs:
         sentences = by_lang.get(lang, ())
         if not sentences:
@@ -237,20 +242,19 @@ def make_bt_examples(
             text = sentences[int(pick_rng.integers(len(sentences)))].text
             item_rng = rng_fork(base_seed, f"bt:{lang.code}:{index}")
             pivot = pivots[int(item_rng.integers(len(pivots)))]
-            jobs.append((lang, pivot, text, item_rng))
-            inputs += [f"{pivot.surface} {text}"] * n
-            rngs += [rng_fork(base_seed, f"bt:{lang.code}:{index}:{k}") for k in range(n)]
+            k = sample_categorical(np.full(n, 1.0 / n), item_rng)
+            jobs.append((lang, pivot, text))
+            inputs.append(f"{pivot.surface} {text}")
+            rngs.append(rng_fork(base_seed, f"bt:{lang.code}:{index}:{k}"))
     outputs = generate_fn(inputs, rngs)
     out: list[TaggedExample] = []
-    for j, (lang, pivot, text, item_rng) in enumerate(jobs):
-        candidates = outputs[j * n : (j + 1) * n]
-        if None in candidates:
+    for (lang, pivot, text), output in zip(jobs, outputs):
+        if output is None:
             log.warning("skipping backtranslation of a %s sentence: its decode failed", lang)
             continue
-        chosen = candidates[sample_categorical(np.full(n, 1.0 / n), item_rng)]
         out.append(
             TaggedExample(
-                input_text=f"{lang.surface} {chosen}",
+                input_text=f"{lang.surface} {output}",
                 target_text=text,
                 kind="backtranslation",
                 pivot=pivot.code,

@@ -6,7 +6,7 @@ import pytest
 from mtlab import objectives
 from mtlab.corpus import Direction, LangTag, MonoSentence, MonoStore, ParallelPair
 from mtlab.errors import ConfigError, FormatError
-from mtlab.numerics import rng_fork
+from mtlab.numerics import rng_fork, sample_categorical
 from mtlab.objectives import (
     BTConfig,
     FinetuneSetting,
@@ -180,7 +180,7 @@ class TestBtExamples:
             BTConfig(num_sample=2), rng_fork(0, "bt"), num_bt=10, generate_fn=stub,
         )
         assert len(out) == 30  # 10 sentences x 3 languages
-        assert len(calls) == 60  # 2 candidates per sentence
+        assert len(calls) == 30  # one decode per sentence, whatever num_sample is
         mono_texts = {s.text for s in mono.sentences}
         for ex in out:
             tag, payload = ex.input_text.split(" ", 1)
@@ -247,8 +247,18 @@ class TestBtExamples:
             None, None, self._mono_store(), ["sy1", "sy2", "sy3"],
             BTConfig(num_sample=2), rng_fork(6, "bt"), num_bt=10, generate_fn=stub,
         )
-        assert len(outputs) == 60
-        assert len(set(outputs)) == 60
+        # sentence i of a language draws from stream bt:<lang>:<i>:<k>, k its pick
+        base_seed = int(rng_fork(6, "bt").integers(2**63))
+        expected = []
+        for code in ("sy1", "sy2", "sy3"):
+            for index in range(10):
+                item_rng = rng_fork(base_seed, f"bt:{code}:{index}")
+                item_rng.integers(2)  # the pivot
+                k = sample_categorical(np.full(2, 0.5), item_rng)
+                stream = rng_fork(base_seed, f"bt:{code}:{index}:{k}")
+                expected.append(f"w{int(stream.integers(2**62))}")
+        assert outputs == expected
+        assert len(set(outputs)) == 30
 
     def test_failed_decode_skips_its_sentence(self, caplog):
         def stub(texts, rngs):
@@ -281,7 +291,7 @@ class TestBtExamples:
             params, tiny_tokenizer, mono, ["sy1", "sy2"],
             BTConfig(num_sample=3), rng_fork(8, "bt"), num_bt=5,
         )
-        assert calls == [(5 * 2 * 3, 5 * 2 * 3)]
+        assert calls == [(5 * 2, 5 * 2)]
         assert len(out) == 10
 
     def test_decay_schedule(self):
