@@ -10,7 +10,9 @@ tokens a step proposes.
 A request runs on the calling thread. Its sources are padded and encoded
 once, and each step makes one decoder call whose rows are every live
 hypothesis of every item; a row leaves when its hypothesis ends in eos.
-Requests with more rows than MAX_ROWS run in consecutive slices of items.
+Requests with more rows than MAX_ROWS run in consecutive slices of items,
+taken in order of source length so that a slice's items end at similar
+steps; results come back in the caller's order.
 A sampled item draws from its own rng stream. Batched float32 products
 round differently from single-row ones, so token ids do not depend on
 batching or partitioning except at ties within float rounding. Pad and
@@ -85,10 +87,9 @@ def _per_token(hypothesis) -> float:
     return hypothesis[1] / max(len(hypothesis[0]), 1)
 
 
-def _search(params, tokenizer, texts, config, rngs) -> list[GenerationResult]:
-    """The search over one slice of items, all live rows in one decoder call per step."""
+def _search(params, tokenizer, srcs, config, rngs) -> list[GenerationResult]:
+    """The search over one slice of encoded items, all live rows in one decoder call per step."""
     cfg = params.config
-    srcs = [tokenizer.encode(text) for text in texts]
     results = [
         GenerationResult(
             text="", token_ids=[], truncated=False,
@@ -172,10 +173,16 @@ def generate(params, tokenizer, input_text, config: DecodeConfig = DecodeConfig(
     if len(rngs) != len(texts):
         raise DecodeError(f"{len(texts)} inputs but {len(rngs)} rngs")
     per_slice = MAX_ROWS // (config.beam_size if config.mode == "beam" else 1)
-    results = []
+    srcs = [tokenizer.encode(text) for text in texts]
+    order = list(range(len(texts)))
+    if len(texts) > per_slice:  # slices of similar lengths finish together
+        order.sort(key=lambda i: len(srcs[i]))
+    results = [None] * len(texts)
     for start in range(0, len(texts), per_slice):
-        stop = start + per_slice
-        results += _search(params, tokenizer, texts[start:stop], config, rngs[start:stop])
+        part = order[start : start + per_slice]
+        found = _search(params, tokenizer, [srcs[i] for i in part], config, [rngs[i] for i in part])
+        for i, result in zip(part, found):
+            results[i] = result
     if single and results[0].error:
         raise DecodeError(results[0].error)
     return results[0] if single else results

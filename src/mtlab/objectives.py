@@ -195,7 +195,6 @@ def make_bt_examples(
     rng: np.random.Generator,
     num_bt: int,
     exclusions=(),
-    generate_fn=None,
 ) -> list[TaggedExample]:
     """Backtranslation examples: '<m> model(y -> pivot)' -> y.
 
@@ -212,20 +211,10 @@ def make_bt_examples(
     decoded, so ``num_sample`` selects a stream and costs nothing. A
     sentence with a failed decode (e.g. longer than max_positions) is
     skipped with a warning, so a round may emit fewer than its budget.
-
-    ``generate_fn(input_texts, rngs) -> list[str | None]`` overrides model
-    decoding; None marks a failed decode.
     """
     langs = sorted(l if isinstance(l, LangTag) else LangTag(l) for l in langs)
     directions = build_directions(langs, exclusions)
     by_lang = mono_store.by_lang()
-
-    if generate_fn is None:
-        config = decoding.DecodeConfig(mode="sample")
-
-        def generate_fn(texts, rngs):
-            results = decoding.generate(params, tokenizer, texts, config, rng=rngs)
-            return [None if r.error else r.text for r in results]
 
     base_seed = int(rng.integers(2**63))
     n = bt_config.num_sample
@@ -246,15 +235,16 @@ def make_bt_examples(
             jobs.append((lang, pivot, text))
             inputs.append(f"{pivot.surface} {text}")
             rngs.append(rng_fork(base_seed, f"bt:{lang.code}:{index}:{k}"))
-    outputs = generate_fn(inputs, rngs)
+    results = decoding.generate(params, tokenizer, inputs, decoding.DecodeConfig(mode="sample"),
+                                rng=rngs)
     out: list[TaggedExample] = []
-    for (lang, pivot, text), output in zip(jobs, outputs):
-        if output is None:
+    for (lang, pivot, text), result in zip(jobs, results):
+        if result.error:
             log.warning("skipping backtranslation of a %s sentence: its decode failed", lang)
             continue
         out.append(
             TaggedExample(
-                input_text=f"{lang.surface} {output}",
+                input_text=f"{lang.surface} {result.text}",
                 target_text=text,
                 kind="backtranslation",
                 pivot=pivot.code,

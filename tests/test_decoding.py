@@ -258,6 +258,27 @@ class TestBatchedRows:
         ]
         assert [r.token_ids for r in whole] == [r.token_ids for r in parts]
 
+    def test_request_above_row_cap_is_sliced_by_source_length(self, copy_model, monkeypatch):
+        params, tok, sents = copy_model
+        # 139 items of mixed lengths in caller order, one of them over-long
+        inputs = _mixed_request(sents) + [f"<sy1> {s}" for s in sents] * 22
+        per_item = {t: generate(params, tok, t, DecodeConfig()) for t in set(inputs) - {inputs[3]}}
+        rows = _count_rows(monkeypatch)
+        in_caller_order = [
+            r for start in range(0, len(inputs), MAX_ROWS)
+            for r in generate(params, tok, inputs[start : start + MAX_ROWS], DecodeConfig())
+        ]
+        calls_in_caller_order = len(rows)
+        rows.clear()
+        whole = generate(params, tok, inputs, DecodeConfig())
+        assert len(rows) < calls_in_caller_order
+        assert whole[3].error is not None
+        for i, (text, r) in enumerate(zip(inputs, whole)):
+            if i != 3:
+                single = per_item[text]
+                assert (r.token_ids, r.truncated) == (single.token_ids, single.truncated)
+        assert [r.token_ids for r in whole] == [r.token_ids for r in in_caller_order]
+
     @pytest.mark.parametrize("mode", list(MODES))
     def test_small_row_cap_keeps_every_mode_per_item(self, copy_model, monkeypatch, mode):
         params, tok, sents = copy_model

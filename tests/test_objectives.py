@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from mtlab import objectives
+from mtlab import decoding, objectives
+from mtlab import model as M
 from mtlab.corpus import Direction, LangTag, MonoSentence, MonoStore, ParallelPair
+from mtlab.decoding import GenerationResult
 from mtlab.errors import ConfigError, FormatError
 from mtlab.numerics import rng_fork, sample_categorical
 from mtlab.objectives import (
@@ -159,6 +161,53 @@ class TestRecExamples:
             assert head == "<sy1>" and payload
 
 
+def _stub_decoder(monkeypatch, stub):
+    """Replace ``decoding.generate`` by ``stub(texts, rngs) -> list[str | None]``;
+    None marks a failed decode."""
+    def generate(params, tokenizer, texts, config, rng=None):
+        return [
+            GenerationResult(text=o or "", token_ids=[], truncated=False,
+                             error="stub decode failed" if o is None else None)
+            for o in stub(texts, rng)
+        ]
+
+    monkeypatch.setattr(decoding, "generate", generate)
+
+
+def _bt_reference(params, tokenizer, mono_store, langs, n, rng, num_bt):
+    """The round as it was before one decode per sentence: decode all ``n``
+    candidates of every sentence, skip a sentence if any of them failed,
+    and keep one chosen uniformly."""
+    langs = sorted(LangTag(l) for l in langs)
+    directions = build_directions(langs)
+    by_lang = mono_store.by_lang()
+    base_seed = int(rng.integers(2**63))
+    jobs, inputs, rngs = [], [], []
+    for lang in langs:
+        sentences = by_lang.get(lang, ())
+        if not sentences:
+            continue
+        pivots = [d.tgt for d in directions if d.src == lang]
+        pick_rng = rng_fork(base_seed, f"bt-pick:{lang.code}")
+        for index in range(num_bt):
+            text = sentences[int(pick_rng.integers(len(sentences)))].text
+            item_rng = rng_fork(base_seed, f"bt:{lang.code}:{index}")
+            pivot = pivots[int(item_rng.integers(len(pivots)))]
+            jobs.append((lang, pivot, text, item_rng))
+            inputs += [f"{pivot.surface} {text}"] * n
+            rngs += [rng_fork(base_seed, f"bt:{lang.code}:{index}:{k}") for k in range(n)]
+    results = decoding.generate(params, tokenizer, inputs, decoding.DecodeConfig(mode="sample"),
+                                rng=rngs)
+    out = []
+    for j, (lang, pivot, text, item_rng) in enumerate(jobs):
+        candidates = results[j * n : (j + 1) * n]
+        if any(r.error for r in candidates):
+            continue
+        chosen = candidates[sample_categorical(np.full(n, 1.0 / n), item_rng)].text
+        out.append(TaggedExample(f"{lang.surface} {chosen}", text, "backtranslation", pivot.code))
+    return out
+
+
 class TestBtExamples:
     def _mono_store(self, n=10):
         return _mono({
@@ -167,17 +216,18 @@ class TestBtExamples:
             "sy3": [f"zo{i} zo{i+1} zo{i+2}" for i in range(n)],
         })
 
-    def test_constant_stub_model(self):
+    def test_constant_stub_model(self, monkeypatch):
         calls = []
 
         def stub(texts, rngs):
             calls.extend(texts)
             return ["Z"] * len(texts)
 
+        _stub_decoder(monkeypatch, stub)
         mono = self._mono_store()
         out = make_bt_examples(
             None, None, mono, ["sy1", "sy2", "sy3"],
-            BTConfig(num_sample=2), rng_fork(0, "bt"), num_bt=10, generate_fn=stub,
+            BTConfig(num_sample=2), rng_fork(0, "bt"), num_bt=10,
         )
         assert len(out) == 30  # 10 sentences x 3 languages
         assert len(calls) == 30  # one decode per sentence, whatever num_sample is
@@ -189,25 +239,27 @@ class TestBtExamples:
             assert ex.kind == "backtranslation"
             assert ex.pivot is not None and f"<{ex.pivot}>" != tag
 
-    def test_num_sample_one_uses_single_candidate(self):
+    def test_num_sample_one_uses_single_candidate(self, monkeypatch):
         returned = []
 
         def stub(texts, rngs):
             returned.extend(f"out{i}" for i in range(len(texts)))
             return list(returned)
 
+        _stub_decoder(monkeypatch, stub)
         out = make_bt_examples(
             None, None, self._mono_store(3), ["sy1", "sy2", "sy3"],
-            BTConfig(num_sample=1), rng_fork(1, "bt"), num_bt=3, generate_fn=stub,
+            BTConfig(num_sample=1), rng_fork(1, "bt"), num_bt=3,
         )
         payloads = {ex.input_text.split(" ", 1)[1] for ex in out}
         assert payloads == set(returned)  # every single candidate was chosen
 
-    def test_pivot_respects_exclusions(self):
+    def test_pivot_respects_exclusions(self, monkeypatch):
+        _stub_decoder(monkeypatch, lambda t, r: ["x"] * len(t))
         out = make_bt_examples(
             None, None, self._mono_store(5), ["sy1", "sy2", "sy3"],
             BTConfig(num_sample=1), rng_fork(2, "bt"), num_bt=20,
-            exclusions=[("sy1", "sy2")], generate_fn=lambda t, r: ["x"] * len(t),
+            exclusions=[("sy1", "sy2")],
         )
         for ex in out:
             tag = ex.input_text.split(" ", 1)[0]
@@ -216,36 +268,37 @@ class TestBtExamples:
             if tag == "<sy2>":
                 assert ex.pivot == "sy3"
 
-    def test_no_eligible_pivot_is_error(self):
+    def test_no_eligible_pivot_is_error(self, monkeypatch):
+        _stub_decoder(monkeypatch, lambda t, r: ["x"] * len(t))
         with pytest.raises(ConfigError):
             make_bt_examples(
                 None, None, self._mono_store(2), ["sy1", "sy2"],
                 BTConfig(), rng_fork(3, "bt"), num_bt=1,
-                exclusions=[("sy1", "sy2")], generate_fn=lambda t, r: ["x"] * len(t),
+                exclusions=[("sy1", "sy2")],
             )
 
-    def test_reproducible(self):
-        def stub(texts, rngs):
-            return [f"w{int(r.integers(1000))}" for r in rngs]
+    def test_reproducible(self, monkeypatch):
+        _stub_decoder(monkeypatch, lambda texts, rngs: [f"w{int(r.integers(1000))}" for r in rngs])
 
         def run():
             return make_bt_examples(
                 None, None, self._mono_store(8), ["sy1", "sy2", "sy3"],
-                BTConfig(num_sample=2), rng_fork(5, "bt"), num_bt=8, generate_fn=stub,
+                BTConfig(num_sample=2), rng_fork(5, "bt"), num_bt=8,
             )
 
         assert run() == run()
 
-    def test_each_sample_draws_its_own_stream(self):
+    def test_each_sample_draws_its_own_stream(self, monkeypatch):
         outputs = []
 
         def stub(texts, rngs):
             outputs.extend(f"w{int(r.integers(2**62))}" for r in rngs)
             return outputs[-len(rngs):]
 
+        _stub_decoder(monkeypatch, stub)
         make_bt_examples(
             None, None, self._mono_store(), ["sy1", "sy2", "sy3"],
-            BTConfig(num_sample=2), rng_fork(6, "bt"), num_bt=10, generate_fn=stub,
+            BTConfig(num_sample=2), rng_fork(6, "bt"), num_bt=10,
         )
         # sentence i of a language draws from stream bt:<lang>:<i>:<k>, k its pick
         base_seed = int(rng_fork(6, "bt").integers(2**63))
@@ -260,23 +313,18 @@ class TestBtExamples:
         assert outputs == expected
         assert len(set(outputs)) == 30
 
-    def test_failed_decode_skips_its_sentence(self, caplog):
-        def stub(texts, rngs):
-            return [None if " ka" in t else "x" for t in texts]
-
+    def test_failed_decode_skips_its_sentence(self, caplog, monkeypatch):
+        _stub_decoder(monkeypatch, lambda texts, rngs: [None if " ka" in t else "x" for t in texts])
         with caplog.at_level("WARNING", logger="mtlab.objectives"):
             out = make_bt_examples(
                 None, None, self._mono_store(), ["sy1", "sy2", "sy3"],
-                BTConfig(num_sample=2), rng_fork(7, "bt"), num_bt=4, generate_fn=stub,
+                BTConfig(num_sample=2), rng_fork(7, "bt"), num_bt=4,
             )
         assert len(out) == 8
         assert not any(ex.target_text.startswith("ka") for ex in out)
         assert sum("skipping backtranslation" in r.message for r in caplog.records) == 4
 
     def test_one_decode_call_per_round(self, tiny_tokenizer, tiny_model_config, monkeypatch):
-        from mtlab import decoding
-        from mtlab import model as M
-
         params = M.init(tiny_model_config, seed=0)
         calls = []
         generate = decoding.generate
@@ -293,6 +341,25 @@ class TestBtExamples:
         )
         assert calls == [(5 * 2, 5 * 2)]
         assert len(out) == 10
+
+    @pytest.mark.parametrize("with_failure", [False, True])
+    @pytest.mark.parametrize("num_sample", [1, 2, 3])
+    def test_same_examples_as_decoding_every_candidate(
+        self, tiny_tokenizer, tiny_model_config, num_sample, with_failure
+    ):
+        params = M.init(tiny_model_config, seed=1)
+        texts = {"sy1": ["a b c", "c a b", "a c c b"], "sy2": ["b b a", "hello world"]}
+        if with_failure:  # 24 pieces plus the pivot tag exceed max_positions 24
+            texts["sy2"].append(" ".join(["a"] * 12))
+        mono = _mono(texts)
+        args = (mono, ["sy1", "sy2"])
+        out = make_bt_examples(params, tiny_tokenizer, *args, BTConfig(num_sample=num_sample),
+                               rng_fork(9, "bt"), num_bt=8)
+        reference = _bt_reference(params, tiny_tokenizer, *args, num_sample,
+                                  rng_fork(9, "bt"), num_bt=8)
+        assert out == reference
+        assert (len(out) < 16) == with_failure
+        assert len({ex.input_text for ex in out}) > 4  # the samples differ
 
     def test_decay_schedule(self):
         cfg = BTConfig(num_bt=500, num_bt_decay=(100, 50, 10))
