@@ -180,7 +180,7 @@ def cmd_train(args):
 
 
 def cmd_translate(args):
-    params, tokenizer, params_path = harness.load_model(args.model)
+    params, tokenizer, model_files = harness.load_model(args.model)
     tokenizer.require_tags([args.target_lang])
     config = decoding.DecodeConfig(
         mode=args.mode, temperature=args.temperature, beam_size=args.beam_size,
@@ -207,11 +207,11 @@ def cmd_translate(args):
         f"translated {len(results) - failures} of {len(results)} lines, "
         f"{truncated} truncated -> {args.output}"
     )
-    return [args.input, params_path, os.path.join(args.model, "tokenizer.txt")], [args.output]
+    return [args.input, *model_files], [args.output]
 
 
 def cmd_evaluate(args):
-    params, tokenizer, params_path = harness.load_model(args.model)
+    params, tokenizer, model_files = harness.load_model(args.model)
     direction = corpus.Direction.parse(args.direction)
     tokenizer.require_tags([direction.tgt.code])
     store = corpus.load_parallel(args.test, direction, args.format)
@@ -229,7 +229,7 @@ def cmd_evaluate(args):
         f"distinct_hypotheses {report.metadata['distinct_hypotheses']}  "
         f"malformed_lines {store.malformed}"
     )
-    return [args.test, params_path, os.path.join(args.model, "tokenizer.txt")], outputs
+    return [args.test, *model_files], outputs
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "accumulation_factor": "1",
         "epochs": "3",
         "bt.num_bt": "100",
-        "bt.num_sample": "2",
         "bt.start_epoch": "2",
         "rec.num_rec": "50",
         "patience_evals": "100",
@@ -44,7 +43,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "accumulation_factor": "8",  # 32 * 8 = 256-sentence batches
         "epochs": "3",
         "bt.num_bt": "500",
-        "bt.num_sample": "2",
         "bt.start_epoch": "2",  # one epoch plain, the remaining two with BT
         "rec.num_rec": "50",
         "patience_evals": "100",
@@ -56,7 +54,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "epochs": "6",
         "bt.num_bt": "100",
         "bt.num_bt_decay": "100,50,10",
-        "bt.num_sample": "2",
         "bt.start_epoch": "4",  # three plain epochs before backtranslation
         "rec.num_rec": "50",
         "patience_evals": "100",

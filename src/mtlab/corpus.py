@@ -3,41 +3,34 @@
 All operations are pure: they return new stores and leave their inputs
 untouched. Text is normalized on the way in by ``tokenizer.normalize``, the
 one normalizer (NFC, trimmed, internal whitespace collapsed), and files
-must be valid UTF-8.
+must be valid UTF-8. A language code is checked, and its tag spelled, by
+``tokenizer.tag_surface`` alone.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import EmptyCorpusError, FormatError, SplitError
 from .numerics import rng_fork
-from .tokenizer import normalize
-
-_CODE_RE = re.compile(r"^[a-z][a-z0-9]{2}$")
+from .tokenizer import normalize, tag_surface
 
 SPLITS = ("train", "dev", "test")
 
 
 @dataclass(frozen=True, order=True)
 class LangTag:
-    """Three-character lowercase language code; rendered as ``<code>``."""
+    """A language code, ``surface`` its ``<code>`` tag; a FormatError unless
+    ``tag_surface`` accepts the code."""
 
     code: str
+    surface: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _CODE_RE.match(self.code):
-            raise FormatError(
-                f"language code must be 3 lowercase chars starting with a letter, got {self.code!r}"
-            )
-
-    @property
-    def surface(self) -> str:
-        return f"<{self.code}>"
+        object.__setattr__(self, "surface", tag_surface(self.code))
 
     def __str__(self):
         return self.code

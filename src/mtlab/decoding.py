@@ -7,12 +7,14 @@ that ends in eos to the finished list. Greedy and sample keep one
 hypothesis; beam keeps ``beam_size``. Modes differ only in which next
 tokens a step proposes.
 
-A request runs on the calling thread. Its sources are padded and encoded
-once, and each step makes one decoder call whose rows are every live
-hypothesis of every item; a row leaves when its hypothesis ends in eos.
-Requests with more rows than MAX_ROWS run in consecutive slices of items,
-taken in order of source length so that a slice's items end at similar
-steps; results come back in the caller's order.
+A request runs on the calling thread. Its texts are tokenized once, and a
+source longer than max_positions gets its error result there, before the
+request is sliced, so it takes no slice row. A slice's sources are padded
+and run through the encoder once, and each step makes one decoder call
+whose rows are every live hypothesis of every item; a row leaves when its
+hypothesis ends in eos. Requests with more rows than MAX_ROWS run in
+consecutive slices of items, taken in order of source length so that a
+slice's items end at similar steps; results come back in caller order.
 A sampled item draws from its own rng stream. Batched float32 products
 round differently from single-row ones, so token ids do not depend on
 batching or partitioning except at ties within float rounding. Pad and
@@ -88,29 +90,18 @@ def _per_token(hypothesis) -> float:
 
 
 def _search(params, tokenizer, srcs, config, rngs) -> list[GenerationResult]:
-    """The search over one slice of encoded items, all live rows in one decoder call per step."""
+    """The search over one slice of encoded items that fit max_positions, all
+    live rows in one decoder call per step."""
     cfg = params.config
-    results = [
-        GenerationResult(
-            text="", token_ids=[], truncated=False,
-            error=f"input is {len(src)} tokens, exceeding max_positions {cfg.max_positions}",
-        )
-        if len(src) > cfg.max_positions
-        else None
-        for src in srcs
-    ]
-    items = [i for i, r in enumerate(results) if r is None]
-    if not items:
-        return results
-    src_ids = np.full((len(items), max(len(srcs[i]) for i in items)), cfg.pad_id, dtype=np.int64)
-    for j, i in enumerate(items):
-        src_ids[j, : len(srcs[i])] = srcs[i]
+    src_ids = np.full((len(srcs), max(map(len, srcs))), cfg.pad_id, dtype=np.int64)
+    for j, src in enumerate(srcs):
+        src_ids[j, : len(src)] = src
     src_mask = src_ids != cfg.pad_id
     suppress = [cfg.pad_id, *tokenizer.tag_ids]
     eos = cfg.eos_id
     width = config.beam_size if config.mode == "beam" else 1
-    live = [[((), 0.0)] for _ in items]  # per item: (token ids, total log-probability)
-    finished = [[] for _ in items]
+    live = [[((), 0.0)] for _ in srcs]  # per item: (token ids, total log-probability)
+    finished = [[] for _ in srcs]
     with no_grad():
         enc_out = M.encode_source(params, src_ids, src_mask).data
         for _ in range(min(config.max_new_tokens, cfg.max_positions - 1)):
@@ -128,22 +119,19 @@ def _search(params, tokenizer, srcs, config, rngs) -> list[GenerationResult]:
                 candidates = []
                 for ids, logp in hyps:
                     logps = _log_softmax(logits[row])
-                    for tok in map(int, _next_tokens(logits[row], logps, config, rngs[items[j]])):
+                    for tok in map(int, _next_tokens(logits[row], logps, config, rngs[j])):
                         candidates.append((ids + (tok,), logp + float(logps[tok])))
                     row += 1
                 candidates.sort(key=lambda c: (-c[1], c[0]))
                 live[j] = []
                 for hyp in candidates[:width]:
                     (finished[j] if hyp[0][-1] == eos else live[j]).append(hyp)
-    for j, i in enumerate(items):
-        best = max(finished[j] or live[j], key=_per_token)
-        ids = list(best[0][:-1] if finished[j] else best[0])
-        results[i] = GenerationResult(
-            text=tokenizer.decode(ids),
-            token_ids=ids,
-            truncated=not finished[j],
-            score=_per_token(best),
-        )
+    results = []
+    for done, hyps in zip(finished, live):
+        best = max(done or hyps, key=_per_token)
+        ids = list(best[0][:-1] if done else best[0])
+        results.append(GenerationResult(text=tokenizer.decode(ids), token_ids=ids,
+                                        truncated=not done, score=_per_token(best)))
     return results
 
 
@@ -174,11 +162,17 @@ def generate(params, tokenizer, input_text, config: DecodeConfig = DecodeConfig(
         raise DecodeError(f"{len(texts)} inputs but {len(rngs)} rngs")
     per_slice = MAX_ROWS // (config.beam_size if config.mode == "beam" else 1)
     srcs = [tokenizer.encode(text) for text in texts]
-    order = list(range(len(texts)))
-    if len(texts) > per_slice:  # slices of similar lengths finish together
+    limit = params.config.max_positions
+    results = [
+        GenerationResult(text="", token_ids=[], truncated=False,
+                         error=f"input is {len(src)} tokens, exceeding max_positions {limit}")
+        if len(src) > limit else None
+        for src in srcs
+    ]
+    order = [i for i, result in enumerate(results) if result is None]
+    if len(order) > per_slice:  # slices of similar lengths finish together
         order.sort(key=lambda i: len(srcs[i]))
-    results = [None] * len(texts)
-    for start in range(0, len(texts), per_slice):
+    for start in range(0, len(order), per_slice):
         part = order[start : start + per_slice]
         found = _search(params, tokenizer, [srcs[i] for i in part], config, [rngs[i] for i in part])
         for i, result in zip(part, found):

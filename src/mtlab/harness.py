@@ -164,9 +164,6 @@ class RunLog:
         self.config_hash = config_hash
         self.entries: list[dict] = []
 
-    def log(self, kind: str, **fields) -> None:
-        self.entries.append({"type": kind, **fields})
-
     @property
     def loss_trace(self) -> list[float]:
         return [e["loss"] for e in self.entries if e["type"] == "step"]
@@ -304,7 +301,7 @@ def _new_run(config, model_cfg, init_params, tokenizer, checkpoint_dir, **start)
     params = init_params.copy() if init_params is not None else M.init(model_cfg, config.seed)
     run = _Run(params, params.copy(), optim.AdamWState(params), _TrainerState(),
                RunLog(config.seed, config.config_hash()))
-    run.log.log("start", **start, tokenizer_sha256=tokenizer.hash())
+    run.log.entries.append(dict(type="start", **start, tokenizer_sha256=tokenizer.hash()))
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
         tokenizer.save(os.path.join(checkpoint_dir, "tokenizer.txt"))
@@ -431,7 +428,8 @@ def run_experiment(config: ExperimentConfig, parallel: ParallelStore, mono: Mono
     checkpointed in ``checkpoint_dir`` and reproduces its uninterrupted loss
     trace. ``init_params`` starts a new run from a copy of these parameters
     instead of ``model.init``. A nonzero ``model.vocab_size`` other than the
-    tokenizer's is a ConfigError, raised before any work.
+    tokenizer's, or ``init_params`` of another model config than the run's,
+    is a ConfigError, raised before any work.
 
     Translation and dev examples are encoded once, before the first epoch;
     BT and REC examples when their round makes them.
@@ -439,6 +437,9 @@ def run_experiment(config: ExperimentConfig, parallel: ParallelStore, mono: Mono
     if resume and checkpoint_dir is None:
         raise ConfigError("resume needs the checkpoint_dir of the run to resume")
     model_cfg = _model_config(config, tokenizer)
+    if init_params is not None and init_params.config != model_cfg:
+        raise ConfigError(f"init_params have model config {init_params.config}, "
+                          f"but the run's is {model_cfg}")
     directions, train_pairs, dev_pairs, active_mono = _run_data(
         config, parallel, mono, tokenizer, model_cfg.max_positions
     )
@@ -475,17 +476,17 @@ def run_experiment(config: ExperimentConfig, parallel: ParallelStore, mono: Mono
             run.log.entries += _evaluate(config, run, epoch, dev_pairs)
             if run.trainer.stopped_early:
                 break
-        run.log.log("epoch", epoch=epoch, mean_loss=loss_sum / max(tokens, 1),
-                    examples=len(epoch_pairs))
+        run.log.entries.append(dict(type="epoch", epoch=epoch, mean_loss=loss_sum / max(tokens, 1),
+                                    examples=len(epoch_pairs)))
         run.trainer.epoch_done = epoch
         if checkpoint_dir is not None:
             _save_run(checkpoint_dir, config, run, tokenizer)
 
     evaluated = np.isfinite(run.trainer.best_dev)
-    run.log.log("finish", epochs=run.trainer.epoch_done, steps=run.trainer.opt_step,
-                best_dev=run.trainer.best_dev if evaluated else None,
-                stopped_early=run.trainer.stopped_early,
-                wall_seconds=round(time.time() - wall_start, 3))
+    run.log.entries.append(dict(
+        type="finish", epochs=run.trainer.epoch_done, steps=run.trainer.opt_step,
+        best_dev=run.trainer.best_dev if evaluated else None,
+        stopped_early=run.trainer.stopped_early, wall_seconds=round(time.time() - wall_start, 3)))
     if checkpoint_dir is not None:
         run.log.save(os.path.join(checkpoint_dir, "runlog.jsonl"))
     return (run.best_params if evaluated else run.params), run.log
@@ -579,7 +580,8 @@ def _trim_audit(path, lines: int) -> None:
 
 
 def load_model(directory):
-    """(Params, tokenizer, checkpoint path) of a model or run directory.
+    """(Params, tokenizer, the paths of the checkpoint and tokenizer files it
+    read) of a model or run directory.
 
     A run directory yields what ``run_experiment`` returns: the best-dev
     parameters from ``run.ckpt``, or the last ones if no dev evaluation
@@ -602,7 +604,7 @@ def load_model(directory):
     tokenizer = SubwordModel.load(tok_path)
     if meta.get("tokenizer_sha256", tokenizer.hash()) != tokenizer.hash():
         raise CheckpointError(f"{tok_path} is not the tokenizer the model was trained with")
-    return params, tokenizer, path
+    return params, tokenizer, [path, tok_path]
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,10 @@ def ce_forward(logits, targets, valid):
 def ce_backward(logits, targets, valid, scale, exp, row_sums):
     """Gradient of ``scale * sum_valid ce_row`` w.r.t. logits.
 
-    ``exp`` and ``row_sums`` are ``ce_forward``'s for the same arguments.
+    ``exp`` and ``row_sums`` are ``ce_forward``'s for the same arguments; it
+    returns them only when some row is valid.
     """
     grad = np.zeros_like(logits)
-    if not valid.any() or scale == 0.0:
-        return grad
     p = exp / row_sums[:, None]
     p[np.arange(p.shape[0]), targets[valid]] -= 1.0
     grad[valid] = (p * scale).astype(logits.dtype)

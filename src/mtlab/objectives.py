@@ -85,17 +85,13 @@ class RECConfig:
 
 @dataclass(frozen=True)
 class TaggedExample:
-    """One "<tag> payload" -> target training record."""
+    """One "<tag> payload" -> target training record; every maker here
+    prefixes a ``LangTag.surface``."""
 
     input_text: str
     target_text: str
     kind: str = "translation"
     pivot: str | None = None
-
-    def __post_init__(self):
-        head = self.input_text.split(" ", 1)[0]
-        if not (head.startswith("<") and head.endswith(">") and len(head) > 2):
-            raise FormatError(f"input must start with a language tag, got {self.input_text!r}")
 
     def to_dict(self) -> dict:
         """The example's audit record, without its round."""

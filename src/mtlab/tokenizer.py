@@ -8,8 +8,11 @@ losslessly). Merges never cross chunk boundaries, where a chunk is a run
 of non-space characters or a run of whitespace.
 
 Ids are fixed as pad=0, eos=1, unk=2, then one ``<code>`` tag per language,
-then the 256 byte pieces, then merge outputs. A leading ``<code>`` on the
-input maps to its single tag id; tags are never produced by merges.
+then the 256 byte pieces, then merge outputs. ``tag_surface`` is the one
+rule for a language code (three lowercase ASCII letters or digits, the
+first a letter) and the one spelling of its tag, so every tag is five
+characters. Each tag at the head of the input maps to its single tag id;
+tags are never produced by merges.
 """
 
 from __future__ import annotations
@@ -32,6 +35,18 @@ UNK_PIECE = "<unk>"
 UNK_MARKER = "⁇"  # "⁇", rendered for unk ids on decode
 
 _CHUNK_RE = re.compile(r"\S+|\s+")
+_CODE_RULE = re.compile(r"[a-z][a-z0-9]{2}")
+_TAG_LEN = 5  # "<" + a three-character code + ">"
+
+
+def tag_surface(code: str) -> str:
+    """The ``<code>`` tag of a language code; a FormatError unless the whole
+    code is three lowercase ASCII letters or digits starting with a letter."""
+    if not _CODE_RULE.fullmatch(code):
+        raise FormatError(
+            f"language code must be 3 lowercase chars starting with a letter, got {code!r}"
+        )
+    return f"<{code}>"
 
 
 def _byte_to_char_table() -> dict[int, str]:
@@ -73,9 +88,7 @@ class SubwordModel:
 
     def __init__(self, lang_tags: list[str], merges: list[tuple[str, str]], vocab_size: int):
         self.lang_tags = list(lang_tags)
-        self.special_tokens = [PAD_PIECE, EOS_PIECE, UNK_PIECE] + [
-            f"<{code}>" for code in self.lang_tags
-        ]
+        self.special_tokens = [PAD_PIECE, EOS_PIECE, UNK_PIECE, *map(tag_surface, self.lang_tags)]
         if len(set(self.special_tokens)) != len(self.special_tokens):
             raise VocabularyError("duplicate language tags")
         self.merges = [tuple(m) for m in merges]
@@ -93,18 +106,14 @@ class SubwordModel:
             )
         self.piece_to_id = {p: i for i, p in enumerate(pieces)}
         self._ranks = {m: i for i, m in enumerate(self.merges)}
-        self._tag_ids = {
-            f"<{code}>": self.piece_to_id[f"<{code}>"] for code in self.lang_tags
-        }
+        self._tag_ids = {tag: self.piece_to_id[tag] for tag in self.special_tokens[3:]}
         self._chunk_cache: dict[str, tuple[str, ...]] = {}
-        # longest first, so a tag that prefixes another cannot shadow it
-        self._tag_surfaces = sorted(self.special_tokens[3:], key=len, reverse=True)
 
     # -- encoding ----------------------------------------------------------
 
     @property
     def tag_ids(self) -> list[int]:
-        return [self._tag_ids[f"<{code}>"] for code in self.lang_tags]
+        return list(self._tag_ids.values())
 
     def require_tags(self, codes) -> None:
         """ConfigError for a language code with no tag here: it would encode as bytes."""
@@ -135,12 +144,9 @@ class SubwordModel:
     def _pieces_of(self, text: str) -> list[str]:
         out: list[str] = []
         remainder = normalize(text)
-        while True:
-            matched = next((s for s in self._tag_surfaces if remainder.startswith(s)), None)
-            if matched is None:
-                break
-            out.append(matched)
-            remainder = remainder[len(matched):]
+        while remainder[:_TAG_LEN] in self._tag_ids:
+            out.append(remainder[:_TAG_LEN])
+            remainder = remainder[_TAG_LEN:]
         for chunk in _CHUNK_RE.findall(remainder):
             out.extend(self._merge_chunk(_to_visible(chunk)))
         return out
@@ -246,12 +252,12 @@ def train_subword(corpora, vocab_size: int, lang_tags) -> SubwordModel:
     smaller pair, and stop at ``vocab_size`` or when no pair repeats.
     """
     lang_tags = list(lang_tags)
-    n_base = 3 + len(lang_tags) + 256
+    specials = [PAD_PIECE, EOS_PIECE, UNK_PIECE, *map(tag_surface, lang_tags)]
+    n_base = len(specials) + 256
     if vocab_size <= n_base:
         raise VocabularyError(
             f"vocab_size {vocab_size} must exceed specials + byte alphabet ({n_base})"
         )
-    specials = [PAD_PIECE, EOS_PIECE, UNK_PIECE] + [f"<{code}>" for code in lang_tags]
     chunk_counts: Counter[str] = Counter()
     total_lines = 0
     for collection in corpora:

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -311,6 +312,29 @@ def test_train_then_translate_from_run_dir(tmp_path):
     assert sorted(train_manifest["outputs"]) == sorted(
         str(run_dir / n) for n in harness.RUN_FILES
     )
+
+
+def test_report_writes_text_csv_svg_and_manifest(tmp_path, capsys):
+    directions, settings = ["sy1-sy2", "sy2-sy1"], ["BASE", "BT", "BT&REC"]
+    table = harness.ComparisonTable(directions, settings, {
+        (s, d): EvalReport(d, 4, 10.0 * i + j, 20.0, 30.0)
+        for i, s in enumerate(settings) for j, d in enumerate(directions)})
+    comparison, out = tmp_path / "comparison.json", tmp_path / "report"
+    comparison.write_text(table.to_json(), encoding="utf-8")
+    assert cli.main(["report", "--comparison", str(comparison), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == table.to_text() + "\n"
+    assert (out / "comparison.txt").read_text(encoding="utf-8") == table.to_text() + "\n"
+    assert (out / "comparison.csv").read_text(encoding="utf-8") == table.to_csv()
+    svg = ElementTree.parse(out / "comparison.svg").getroot()
+    ns = {"svg": "http://www.w3.org/2000/svg"}
+    titles = [rect.find("svg:title", ns) for rect in svg.iterfind("svg:rect", ns)]
+    assert sorted(t.text for t in titles if t is not None) == sorted(
+        f"{d} {s}: {table.score(s, d):.2f}" for s in settings for d in directions)
+    manifest = _manifest(out)
+    assert manifest["inputs"] == {str(comparison): reports.file_sha256(comparison)}
+    assert manifest["outputs"] == {
+        str(out / n): reports.file_sha256(out / n)
+        for n in ("comparison.txt", "comparison.svg", "comparison.csv")}
 
 
 def _manifest(out):

@@ -285,9 +285,13 @@ class TestStoreRoundTrip:
          # an empty sentence would fail a run at its first REC round, far from its file
          ("parallel", '{"direction": "fra-eng", "src": "", "tgt": "b"}'),
          ("parallel", '{"direction": "fra-eng", "src": "a", "tgt": " \\t "}'),
-         ("mono", '{"lang": "fon", "text": ""}')],
+         ("mono", '{"lang": "fon", "text": ""}'),
+         # a code is the whole key: a trailing newline is not part of a code
+         ("parallel", '{"direction": "sy1-sy2\\n", "src": "a", "tgt": "b"}'),
+         ("mono", '{"lang": "sy1\\n", "text": "a"}')],
         ids=["truncated_json", "missing_key", "not_an_object", "null_text", "unknown_split",
-             "bad_direction", "empty_src", "blank_tgt", "empty_mono_text"],
+             "bad_direction", "empty_src", "blank_tgt", "empty_mono_text",
+             "direction_code_with_newline", "mono_code_with_newline"],
     )
     def test_bad_record_names_file_and_line(self, tmp_path, name, bad_line):
         mono = MonoStore(tuple(MonoSentence(LangTag("fon"), f"s {i}") for i in range(3)))

@@ -279,6 +279,25 @@ class TestBatchedRows:
                 assert (r.token_ids, r.truncated) == (single.token_ids, single.truncated)
         assert [r.token_ids for r in whole] == [r.token_ids for r in in_caller_order]
 
+    def test_over_long_sources_take_no_slice_rows(self, copy_model, monkeypatch):
+        params, tok, sents = copy_model
+        fit = [f"<sy1> {s}" for s in sents[:4]]
+        over_long = "<sy1> " + "a " * 40
+        inputs = [fit[0], over_long, fit[1], fit[2], over_long, over_long, fit[3]]
+        monkeypatch.setattr(decoding, "MAX_ROWS", 4)
+        searched = []
+        search = decoding._search
+
+        def recording(params, tokenizer, srcs, *args):
+            searched.append(list(srcs))
+            return search(params, tokenizer, srcs, *args)
+
+        monkeypatch.setattr(decoding, "_search", recording)
+        out = generate(params, tok, inputs, DecodeConfig())
+        # the four that fit fill one slice, in caller order; the three others get errors
+        assert searched == [[tok.encode(t) for t in fit]]
+        assert [r.error is not None for r in out] == [t == over_long for t in inputs]
+
     @pytest.mark.parametrize("mode", list(MODES))
     def test_small_row_cap_keeps_every_mode_per_item(self, copy_model, monkeypatch, mode):
         params, tok, sents = copy_model

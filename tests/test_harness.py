@@ -4,7 +4,7 @@ import builtins
 import json
 import os
 from collections import Counter
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -328,6 +328,7 @@ class TestRunExperiment:
             ("warmup_steps", -1, "warmup_steps"), ("accumulation_factor", 0, "accumulation"),
             ("languages", ("sy1",), "2 languages"), ("languages", ("sy1", "sy2", "sy1"), "duplicate"),
             ("languages", ("sy1", "fr"), "languages: .*'fr'"),
+            ("languages", ("sy1", "sy2\n"), "languages: .*'sy2\\\\n'"),
             ("exclusions", (("sy1", "zz"),), "exclusions: .*'zz'"),
         ]:
             with pytest.raises(ConfigError, match=message):
@@ -343,6 +344,17 @@ class TestRunExperiment:
             config = _config(model=M.ModelConfig(vocab_size=vocab_size))
             with pytest.raises(ConfigError, match="vocab_size"):
                 run_experiment(config, parallel, mono, tokenizer)
+
+    def test_init_params_of_another_model_rejected(self, small_world, monkeypatch):
+        # trained on, they would be saved under a config that does not describe them
+        _, parallel, mono, tokenizer = small_world
+        config = _config(epochs=1)
+        model = harness._model_config(config, tokenizer)
+        monkeypatch.setattr(harness, "_encode_examples", None)  # refused before any work
+        for other in (M.ModelConfig(vocab_size=tokenizer.vocab_size),
+                      replace(model, d_model=64, n_heads=4), replace(model, dropout=0.0)):
+            with pytest.raises(ConfigError, match="init_params"):
+                run_experiment(config, parallel, mono, tokenizer, init_params=M.init(other, 0))
 
     def test_run_language_without_tokenizer_tag_rejected(self, small_world):
         # "<zzz>" is not a tag of this tokenizer; it would be encoded as bytes
@@ -710,8 +722,8 @@ class TestCheckpointResume:
 class TestRunLog:
     def test_jsonl_round_trip(self, tmp_path):
         log = RunLog(seed=3, config_hash="abc")
-        log.log("step", step=1, loss=2.5)
-        log.log("epoch", epoch=1, mean_loss=2.5)
+        log.entries += [{"type": "step", "step": 1, "loss": 2.5},
+                        {"type": "epoch", "epoch": 1, "mean_loss": 2.5}]
         path = tmp_path / "log.jsonl"
         log.save(path)
         lines = _jsonl(path)

@@ -72,10 +72,6 @@ class TestTagging:
         ex = format_translation(pair)
         assert ex.input_text.split(" ", 1)[1] == pair.src_text
 
-    def test_tagged_example_invariant(self):
-        with pytest.raises(FormatError):
-            TaggedExample("no tag here", "target")
-
     def test_setting_parse(self):
         assert FinetuneSetting.parse("btrec") is FinetuneSetting.BT_REC
         assert FinetuneSetting.parse("BT&REC") is FinetuneSetting.BT_REC

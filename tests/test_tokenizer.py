@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mtlab.errors import VocabularyError
+from mtlab.errors import FormatError, VocabularyError
 from mtlab.tokenizer import (
     EOS_ID,
     PAD_ID,
@@ -11,6 +11,7 @@ from mtlab.tokenizer import (
     UNK_MARKER,
     SubwordModel,
     normalize,
+    tag_surface,
     train_subword,
 )
 
@@ -52,6 +53,14 @@ class TestTraining:
         b = train_subword([corpus], BASE + 20, [])
         assert a.merges == b.merges
         assert a.serialize() == b.serialize()
+
+    def test_bad_code_refused_before_the_corpus_is_read(self):
+        def corpora():
+            raise AssertionError("the corpus was read")
+            yield
+
+        with pytest.raises(FormatError, match="sy1"):
+            train_subword(corpora(), BASE + 1 + 10, ["sy1\n"])
 
     def test_merges_never_contain_special_surfaces(self):
         corpus = ["<eng> <eng> <eng> <eng> hello hello"]
@@ -129,6 +138,17 @@ def test_normalize_text():
     assert normalize("e\u0301  x") == "\u00e9 x"
 
 
+@pytest.mark.parametrize("code", ["sy1", "eng", "a00"])
+def test_tag_surface_of_a_code(code):
+    assert tag_surface(code) == f"<{code}>"
+
+
+@pytest.mark.parametrize("code", ["sy1\n", "\nsy1", "sy1 ", "Sy1", "1sy", "sy", "sy12", "", "sý1"])
+def test_tag_surface_refuses_a_non_code(code):
+    with pytest.raises(FormatError, match="language code"):
+        tag_surface(code)
+
+
 class TestPersistence:
     def test_save_load_byte_exact(self, tiny_tokenizer, tmp_path):
         path = tmp_path / "tok.txt"
@@ -144,3 +164,14 @@ class TestPersistence:
         b = train_subword([["bb bb bb"]], BASE + 4, [])
         assert a.merges != b.merges
         assert a.hash() != b.hash()
+
+    def test_tags_line_with_a_non_code_names_the_file(self, tiny_tokenizer, tmp_path):
+        # "SY2" is no code; with its piece renamed to match, only the code rule refuses it
+        text = tiny_tokenizer.serialize()
+        lines = text.split("\n")
+        assert lines[2] == "tags\tsy1,sy2" and text.count("<sy2>") == 1
+        path = tmp_path / "tok.txt"
+        path.write_text(text.replace("tags\tsy1,sy2", "tags\tsy1,SY2").replace("<sy2>", "<SY2>"),
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=f"tokenizer file {path}: .*'SY2'"):
+            SubwordModel.load(path)
